@@ -354,9 +354,8 @@ func BenchmarkReplacement(b *testing.B) {
 
 // BenchmarkAnalyzeParallel measures the hierarchical analysis engine at
 // fixed worker counts on the multi-instance quad design, with the
-// geometry/PCA prep cache warm so the measured work is the parallelized
-// stitching + propagation. Speedup at 4 workers over 1 is the engine's
-// scaling headline.
+// geometry/PCA prep and stitch caches warm so the measured work is the
+// design-level propagation.
 func BenchmarkAnalyzeParallel(b *testing.B) {
 	d := fig7Design(b)
 	// Warm the prep cache so every measured iteration is a cache hit.
@@ -376,7 +375,7 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 
 // BenchmarkAnalyzePrepCache quantifies the model-cache win: cold recomputes
 // the design partition, PCA and replacement matrices on every analysis
-// (the seed behavior), warm reuses the cached prep.
+// (the seed behavior), warm reuses the cached prep and stitched top graph.
 func BenchmarkAnalyzePrepCache(b *testing.B) {
 	d := fig7Design(b)
 	b.Run("cold", func(b *testing.B) {

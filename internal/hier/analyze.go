@@ -97,7 +97,9 @@ type Result struct {
 	Mode      Mode
 	Space     canon.Space
 	Partition *Partition // nil in GlobalOnly mode
-	Graph     *timing.Graph
+	// Graph is the stitched top graph. Analyze and Stitch share it through
+	// the design's stitch cache: treat it as read-only.
+	Graph *timing.Graph
 	// Delay is the statistical maximum delay over all primary outputs with
 	// all primary inputs arriving at time zero.
 	Delay *canon.Form
@@ -119,9 +121,10 @@ type AnalyzeOptions struct {
 	// boundary-condition assembly and instance-edge rewriting.
 	// <=0 selects GOMAXPROCS; 1 runs strictly serially.
 	Workers int
-	// DisableCache recomputes the partition/PCA/replacement prep instead of
-	// reusing the design's cached prep. Exposed for benchmarking and for
-	// callers that mutate state the design fingerprint cannot see.
+	// DisableCache recomputes the partition/PCA/replacement prep and the
+	// stitched top graph instead of reusing the design's cached ones, and
+	// leaves the caches untouched. Exposed for benchmarking and for callers
+	// that mutate state the design fingerprints cannot see.
 	DisableCache bool
 	// Clock drives the design-level setup/hold analysis on sequential
 	// designs; the zero value selects timing.DefaultClock. Ignored for
@@ -187,12 +190,21 @@ func (d *Design) AnalyzeCtx(ctx context.Context, mode Mode, opt AnalyzeOptions) 
 	return res, nil
 }
 
-// Stitch builds the design's stitched top-level timing graph — through the
-// per-design prep cache, with the per-instance rewriting fanned out over
-// opt.Workers — without running any propagation. It is the shared-prep
-// entry point of the MCMM sweep engine: one stitch, then one propagation
-// per scenario over rescaled delay banks. The returned Result carries the
-// graph, space and partition; its Delay/OutputArrivals are nil.
+// Stitch returns the design's stitched top-level timing graph without
+// running any propagation. It is the shared-prep entry point of the MCMM
+// sweep engine: one stitch, then one propagation per scenario over
+// rescaled delay banks. The graph comes from the design's stitch cache,
+// which Analyze shares; it is rebuilt (prep through the prep cache,
+// per-instance rewriting over opt.Workers) only when the design
+// geometry, nets, IO, module graphs' edge counts or boundary
+// characterization changed since the cached stitch, or under
+// opt.DisableCache. In-place edits to a module graph's Edge.Delay forms
+// are invisible to that check and require InvalidatePrep.
+//
+// Every call returns a fresh Result carrying the graph, space and
+// partition (Delay/OutputArrivals nil), but the graph itself is shared
+// between calls and with concurrent analyses: treat it as read-only, and
+// Clone it before editing.
 func (d *Design) Stitch(ctx context.Context, mode Mode, opt AnalyzeOptions) (*Result, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -339,6 +351,21 @@ func (d *Design) buildTop(ctx context.Context, mode Mode, useOrig bool, opt Anal
 		return nil, err
 	}
 	space, part := pp.space, pp.part
+
+	// The model-graph stitch depends on the design alone, never on the
+	// scenario: reuse the cached top when neither the prep nor the stitch
+	// fingerprint moved. Each caller gets a fresh Result around the shared,
+	// read-only graph.
+	cache := !useOrig && !opt.DisableCache
+	var fp stitchFP
+	if cache {
+		fp = d.stitchFingerprint()
+		if top := d.cachedTop(mode, pp, fp); top != nil {
+			stitchHits.Add(1)
+			return &Result{Mode: mode, Space: space, Partition: part, Graph: top}, nil
+		}
+		stitchMisses.Add(1)
+	}
 
 	// Instance name index and per-graph port maps: O(1) lookups during
 	// stitching instead of per-net linear scans over ports.
@@ -514,6 +541,9 @@ func (d *Design) buildTop(ctx context.Context, mode Mode, useOrig bool, opt Anal
 	}
 	if _, err := top.Order(); err != nil {
 		return nil, fmt.Errorf("hier: stitched design: %w", err)
+	}
+	if cache {
+		d.storeTop(mode, pp, fp, top)
 	}
 	return &Result{Mode: mode, Space: space, Partition: part, Graph: top}, nil
 }

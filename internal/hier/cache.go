@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/canon"
@@ -17,8 +18,10 @@ import (
 // prove that warm-started designs skip the dominant setup cost (the
 // partition + PCA + replacement matrices) after a restart.
 var (
-	prepHits   atomic.Int64
-	prepMisses atomic.Int64
+	prepHits     atomic.Int64
+	prepMisses   atomic.Int64
+	stitchHits   atomic.Int64
+	stitchMisses atomic.Int64
 )
 
 // PrepCacheStats reports aggregate prep-cache hits (an analysis reused a
@@ -26,6 +29,14 @@ var (
 // all designs in the process.
 func PrepCacheStats() (hits, misses int64) {
 	return prepHits.Load(), prepMisses.Load()
+}
+
+// StitchCacheStats reports aggregate stitch-cache hits (Stitch or Analyze
+// reused a design's stitched top graph) and misses (the top graph had to
+// be stitched) across all designs in the process. DisableCache calls and
+// Flatten count as neither.
+func StitchCacheStats() (hits, misses int64) {
+	return stitchHits.Load(), stitchMisses.Load()
 }
 
 // prep is the per-design, per-mode analysis model: everything Analyze
@@ -151,14 +162,107 @@ func (d *Design) getPrep(ctx context.Context, mode Mode, opt AnalyzeOptions) (*p
 	}
 }
 
-// InvalidatePrep drops any cached analysis prep. Analyze detects geometry
-// changes on its own via the design fingerprint; this is only needed after
-// mutations the fingerprint cannot see, such as editing a module's model
-// graph in place.
+// InvalidatePrep drops any cached analysis prep and stitched top graph.
+// Analyze and Stitch detect geometry, net, IO and boundary-characterization
+// changes on their own via the design and stitch fingerprints; this is only
+// needed after mutations the fingerprints cannot see — in particular
+// in-place edits to the Edge.Delay forms (or edges) of a module's model
+// graph.
 func (d *Design) InvalidatePrep() {
 	d.prepMu.Lock()
 	d.preps = nil
+	d.tops = nil
 	d.prepMu.Unlock()
+}
+
+// stitchSlot is one cached stitched top graph: valid while the design
+// still maps to the same prep (so the design fingerprint matched) and the
+// stitch fingerprint matches. The graph is shared read-only by every
+// Result handed out for it.
+type stitchSlot struct {
+	prep *prep
+	fp   stitchFP
+	top  *timing.Graph
+}
+
+// stitchFP captures everything buildTop reads beyond the prep: the nets
+// (including wire delays), the primary IO, and per distinct instance graph
+// the boundary characterization contents plus the edge count. Slices are
+// copied, so in-place edits to nets or slopes are seen as changes.
+type stitchFP struct {
+	nets     []Net
+	pis, pos []PortRef
+	graphs   []graphFP
+}
+
+type graphFP struct {
+	g             *timing.Graph
+	edges         int
+	refSlew       float64
+	loadSlopes    []float64
+	inSlewSlopes  []float64
+	outSlews      []float64
+	outSlewSlopes []float64
+}
+
+func (d *Design) stitchFingerprint() stitchFP {
+	fp := stitchFP{
+		nets: slices.Clone(d.Nets),
+		pis:  slices.Clone(d.PrimaryInputs),
+		pos:  slices.Clone(d.PrimaryOutputs),
+	}
+	for _, inst := range d.Instances {
+		g := inst.Module.Model.Graph
+		if slices.ContainsFunc(fp.graphs, func(gf graphFP) bool { return gf.g == g }) {
+			continue
+		}
+		fp.graphs = append(fp.graphs, graphFP{
+			g: g, edges: len(g.Edges), refSlew: g.RefSlew,
+			loadSlopes:    slices.Clone(g.OutputLoadSlopes),
+			inSlewSlopes:  slices.Clone(g.InputSlewSlopes),
+			outSlews:      slices.Clone(g.OutputPortSlews),
+			outSlewSlopes: slices.Clone(g.OutputSlewSlopes),
+		})
+	}
+	return fp
+}
+
+func (a stitchFP) equal(b stitchFP) bool {
+	if !slices.Equal(a.nets, b.nets) || !slices.Equal(a.pis, b.pis) ||
+		!slices.Equal(a.pos, b.pos) || len(a.graphs) != len(b.graphs) {
+		return false
+	}
+	for i := range a.graphs {
+		x, y := &a.graphs[i], &b.graphs[i]
+		if x.g != y.g || x.edges != y.edges || x.refSlew != y.refSlew ||
+			!slices.Equal(x.loadSlopes, y.loadSlopes) || !slices.Equal(x.inSlewSlopes, y.inSlewSlopes) ||
+			!slices.Equal(x.outSlews, y.outSlews) || !slices.Equal(x.outSlewSlopes, y.outSlewSlopes) {
+			return false
+		}
+	}
+	return true
+}
+
+// cachedTop returns the design's stitched top graph for the mode when the
+// cached one was built from pp and the same stitch fingerprint.
+func (d *Design) cachedTop(mode Mode, pp *prep, fp stitchFP) *timing.Graph {
+	d.prepMu.Lock()
+	defer d.prepMu.Unlock()
+	if s := d.tops[mode]; s != nil && s.prep == pp && s.fp.equal(fp) {
+		return s.top
+	}
+	return nil
+}
+
+// storeTop caches a freshly stitched top graph. It is not a singleflight:
+// concurrent misses each stitch (identically) and the last one is kept.
+func (d *Design) storeTop(mode Mode, pp *prep, fp stitchFP, top *timing.Graph) {
+	d.prepMu.Lock()
+	defer d.prepMu.Unlock()
+	if d.tops == nil {
+		d.tops = make(map[Mode]*stitchSlot)
+	}
+	d.tops[mode] = &stitchSlot{prep: pp, fp: fp, top: top}
 }
 
 // computePrep derives the per-mode analysis model, fanning the

@@ -101,16 +101,19 @@ type Design struct {
 
 	// Cached per-mode analysis prep (partition, PCA, replacement matrices),
 	// keyed by mode and guarded by a design fingerprint so geometry edits
-	// invalidate it. See cache.go.
+	// invalidate it. Next to it, the per-mode stitched top graph, keyed by
+	// the prep it was built from plus a stitch fingerprint (nets, IO,
+	// boundary characterization). See cache.go.
 	prepMu sync.Mutex
 	preps  map[Mode]*prepSlot
+	tops   map[Mode]*stitchSlot
 }
 
 // CopyStructure returns an independent structural copy of the design for
 // session-style mutation: the instance and net lists are deep copied (so a
 // module swap or net-delay edit cannot leak into the original), while the
 // immutable heavyweights — modules, correlation model, parameters — are
-// shared. The copy starts with an empty prep cache.
+// shared. The copy starts with empty prep and stitch caches.
 func (d *Design) CopyStructure() *Design {
 	nd := &Design{
 		Name: d.Name, Width: d.Width, Height: d.Height, Pitch: d.Pitch,

@@ -173,16 +173,13 @@ func (s *Scenario) edgeFactor(ei int, cell bool) float64 {
 }
 
 // scaleBank writes the scenario-scaled image of the base delay bank into
-// dst (slot per edge index). Tombstoned edges keep garbage slots — the
-// propagation kernels never read them.
+// dst (slot per edge index). Every slot is written, tombstoned edges
+// included: dst may be a recycled, unzeroed pool slab.
 func (s *Scenario) scaleBank(g *timing.Graph, base, dst *canon.Bank) {
 	nGlob := g.Space.Globals
 	gs, ls, rs := factor(s.GlobSigma), factor(s.LocSigma), factor(s.RandSigma)
 	for ei := range g.Edges {
 		e := &g.Edges[ei]
-		if e.Removed {
-			continue
-		}
 		k := s.edgeFactor(ei, cellEdge(e))
 		canon.ScalePartsView(dst.View(ei), base.View(ei), nGlob, k, gs, ls, rs)
 	}

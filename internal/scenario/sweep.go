@@ -263,15 +263,15 @@ func fillUnrun(ctx context.Context, scens []Scenario, results []Result, opt Opti
 	}
 }
 
-// runScenario rescales the base bank per the scenario and runs one forward
-// pass, folding the output arrivals into the circuit delay. The fold order
-// matches Graph.MaxDelayCtx exactly.
+// runScenario rescales the base bank per the scenario into a pooled bank
+// and runs one forward pass, folding the output arrivals into the circuit
+// delay. The fold order matches Graph.MaxDelayCtx exactly.
 func runScenario(ctx context.Context, g *timing.Graph, base *canon.Bank, sc *Scenario, q float64, r *Result) (*canon.Form, error) {
 	delays := base
 	if !sc.Identity() {
-		bank := canon.NewBank(g.Space, len(g.Edges))
-		sc.scaleBank(g, base, bank)
-		delays = bank
+		delays = timing.AcquireBank(g.Space, len(g.Edges))
+		defer timing.ReleaseBank(delays)
+		sc.scaleBank(g, base, delays)
 	}
 	p := g.AcquirePass().WithContext(ctx)
 	defer p.Release()

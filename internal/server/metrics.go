@@ -203,6 +203,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# HELP sstad_prep_cache Per-mode analysis-prep cache counters (process-wide).")
 	p("sstad_prep_cache_hits_total %d", prepHits)
 	p("sstad_prep_cache_misses_total %d", prepMisses)
+	stitchHits, stitchMisses := ssta.StitchCacheStats()
+	p("# HELP sstad_stitch_cache Per-design stitched-top-graph cache counters (process-wide).")
+	p("sstad_stitch_cache_hits_total %d", stitchHits)
+	p("sstad_stitch_cache_misses_total %d", stitchMisses)
 	p("# HELP sstad_coalesce_hits_total Requests answered from another caller's in-flight execution.")
 	p(`sstad_coalesce_hits_total{endpoint="analyze"} %d`, m.coalesceAnalyze.Load())
 	p(`sstad_coalesce_hits_total{endpoint="sweep"} %d`, m.coalesceSweep.Load())

@@ -461,8 +461,9 @@ func (s *Server) quadDesign(ctx context.Context, q *QuadSpec) (*ssta.Design, err
 		d = prev // lost the build race: share the winner and its prep cache
 	} else {
 		if len(s.quads) >= s.maxQuads {
-			// Designs are small next to their modules (which live in the
-			// graph/extract caches); dropping the whole map on overflow
+			// A design holds its per-mode prep and stitched top graph
+			// (~1 MB for quad-c1355), so the map is bounded like the graph
+			// cache (GraphCacheEntries); dropping the whole map on overflow
 			// keeps the bound without LRU bookkeeping.
 			s.quads = make(map[quadKey]*ssta.Design)
 		}

@@ -117,6 +117,35 @@ func TestSweepMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestSweepStitchCacheHit: the second sweep of the same quad design reuses
+// the design's stitched top graph, and /metrics shows it as a stitch-cache
+// hit with no new miss.
+func TestSweepStitchCacheHit(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	req := SweepRequest{
+		ItemSpec:  ItemSpec{Quad: &QuadSpec{Bench: "c432", Seed: 1}},
+		Scenarios: testSweepSpecs(),
+	}
+	first := sweepHTTP(t, hs.URL, req)
+	hits0 := metricValue(t, hs.URL, "sstad_stitch_cache_hits_total")
+	misses0 := metricValue(t, hs.URL, "sstad_stitch_cache_misses_total")
+	if hits0 < 0 || misses0 < 1 {
+		t.Fatalf("after the first sweep: stitch hits %g, misses %g (want series present, >= 1 miss)", hits0, misses0)
+	}
+	second := sweepHTTP(t, hs.URL, req)
+	if hits := metricValue(t, hs.URL, "sstad_stitch_cache_hits_total"); hits != hits0+1 {
+		t.Fatalf("second identical-design sweep: stitch hits %g -> %g, want one hit", hits0, hits)
+	}
+	if misses := metricValue(t, hs.URL, "sstad_stitch_cache_misses_total"); misses != misses0 {
+		t.Fatalf("second identical-design sweep re-stitched: misses %g -> %g", misses0, misses)
+	}
+	for i := range first.Results {
+		if first.Results[i].MeanPS != second.Results[i].MeanPS || first.Results[i].StdPS != second.Results[i].StdPS {
+			t.Fatalf("scenario %q: cached-stitch answer %+v differs from first %+v", first.Results[i].Name, second.Results[i], first.Results[i])
+		}
+	}
+}
+
 func compareSweep(t *testing.T, label string, got SweepResponse, want *ssta.SweepReport) {
 	t.Helper()
 	if got.Completed != want.Completed || got.Scenarios != len(want.Results) {
@@ -177,10 +206,12 @@ func TestSweepEnvelopeIsMaxOverResults(t *testing.T) {
 // Completed < Scenarios.
 func TestSweepDeadlinePartialAccounting(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
+	// Enough single-worker scenarios that the sweep takes several times the
+	// deadline even on a fast machine: each c7552 scenario costs a few ms.
 	var specs []SweepScenarioSpec
-	for k := 0; k < 24; k++ {
+	for k := 0; k < 256; k++ {
 		specs = append(specs, SweepScenarioSpec{
-			ScenarioSpec: ssta.ScenarioSpec{Name: fmt.Sprintf("s%d", k), Derate: 1 + float64(k)/100},
+			ScenarioSpec: ssta.ScenarioSpec{Name: fmt.Sprintf("s%d", k), Derate: 1 + float64(k)/1000},
 		})
 	}
 	// Warm the graph cache so the timed request spends its deadline on

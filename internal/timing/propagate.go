@@ -148,12 +148,26 @@ func putMask(m []bool) {
 	passMaskPools[c].Put(&m)
 }
 
+// AcquireBank returns a bank of the given number of slots backed by a
+// pooled slab — the scenario sweep's per-scenario delay banks share the
+// propagation pool instead of allocating and zeroing a fresh bank each.
+// The slots hold whatever the slab held before: the caller must overwrite
+// every slot it (or a kernel reading the bank) will read. Give the bank
+// back with ReleaseBank.
+func AcquireBank(s canon.Space, slots int) *canon.Bank {
+	return canon.NewBankOver(s, slots, takeSlab(slots*s.Stride()))
+}
+
+// ReleaseBank returns an AcquireBank bank's slab to the pool. The bank and
+// every View obtained from it must not be used afterwards.
+func ReleaseBank(b *canon.Bank) { putSlab(b.Data()) }
+
 // AcquirePass returns a propagation arena for the graph, recycling pooled
 // storage when available.
 func (g *Graph) AcquirePass() *Pass {
 	return &Pass{
 		g:     g,
-		bank:  canon.NewBankOver(g.Space, g.NumVerts+1, takeSlab((g.NumVerts+1)*g.Space.Stride())),
+		bank:  AcquireBank(g.Space, g.NumVerts+1),
 		reach: takeMask(g.NumVerts),
 	}
 }
@@ -161,7 +175,7 @@ func (g *Graph) AcquirePass() *Pass {
 // Release returns the pass's storage to the pool. The pass and every View
 // obtained from it must not be used afterwards.
 func (p *Pass) Release() {
-	putSlab(p.bank.Data())
+	ReleaseBank(p.bank)
 	putMask(p.reach)
 	p.bank, p.reach, p.ctx = nil, nil, nil
 }

@@ -164,6 +164,9 @@ var (
 	// PrepCacheStats reports process-wide per-mode analysis-prep cache
 	// hits and misses across all hierarchical designs.
 	PrepCacheStats = hier.PrepCacheStats
+	// StitchCacheStats reports process-wide stitched-top-graph cache hits
+	// and misses across all hierarchical designs.
+	StitchCacheStats = hier.StitchCacheStats
 )
 
 // Flow bundles the analysis context: cell library, variation parameters and

@@ -105,7 +105,13 @@
 // 1e-12. timing.Pass wraps a pooled per-graph arena so forward/backward
 // passes — including the one-pass-per-input all-pairs scheme and the
 // criticality engine's cutset evaluation — perform O(1) allocations per
-// pass. See README.md ("Performance") and BENCH_2.json for measurements.
+// pass. Every pass, and every incremental cone sweep, runs through one
+// walker in internal/timing: a level-ordered gather parameterized by
+// direction (forward over fan-in, backward over fan-out) and by fold
+// (canon.MaxViews or canon.MinViews), reading edge delays from the
+// graph's flat delay bank or a caller's scenario bank. Each vertex folds
+// its contributions in a fixed order, so results never depend on visit
+// order. See README.md ("Performance") and BENCH_2.json for measurements.
 //
 // # Incremental analysis: the edit and invalidation model
 //
@@ -172,10 +178,8 @@
 //     earliest arrivals, so timing.Pass grows ArrivalsMin — a
 //     shortest-path pass on canon.MinViews, the Clark dual of MaxViews
 //     (min(A,B) = -max(-A,-B), fused into one moment-matched kernel),
-//     running on the same wavefront schedule as the latest-arrival pass.
-//     Parallel min passes replay the serial contribution order, so the
-//     parallel==serial bit-reproducibility contract carries over
-//     unchanged.
+//     run by the same walker as the latest-arrival pass with the fold
+//     switched.
 //   - Clock knobs are slack-side, not delay-side. A scenario's
 //     ClockPeriodPS/ClockSkewPS/ClockJitterPS enter only the setup/hold
 //     constraint forms (period and skew shift the mean; jitter adds an

@@ -90,6 +90,7 @@ func CopyView(dst, src View) { copy(dst, src) }
 // not b). Private random parts combine by root-sum-of-squares.
 func AddViews(dst, a, b View) {
 	n := len(dst) - 1
+	a, b = a[:n+1], b[:n+1] // equal lengths let the compiler drop bounds checks
 	for i := 0; i < n; i++ {
 		dst[i] = a[i] + b[i]
 	}
@@ -97,28 +98,11 @@ func AddViews(dst, a, b View) {
 	dst[n] = math.Sqrt(ra*ra + rb*rb)
 }
 
-// AddFormView computes a+f into dst, reading the second operand from a
-// pointer form — the kernel of a graph's first propagation pass, before
-// the flat edge-delay bank has proven worth building. Identical operation
-// order to AddViews on f's flat image. dst may alias a.
-func AddFormView(dst, a View, f *Form) {
-	dst[0] = a[0] + f.Nominal
-	o := 1
-	for i, v := range f.Glob {
-		dst[o+i] = a[o+i] + v
-	}
-	o += len(f.Glob)
-	for i, v := range f.Loc {
-		dst[o+i] = a[o+i] + v
-	}
-	n := len(dst) - 1
-	dst[n] = math.Sqrt(a[n]*a[n] + f.Rand*f.Rand)
-}
-
 // VarCovViews returns Var(a), Var(b) and Cov(a, b) in a single fused pass
 // over the coefficient slices.
 func VarCovViews(a, b View) (va, vb, cov float64) {
 	n := len(a) - 1
+	b = b[:n+1] // equal lengths let the compiler drop bounds checks
 	for i := 1; i < n; i++ {
 		x, y := a[i], b[i]
 		va += x * x
@@ -191,108 +175,37 @@ func ScalePartsView(dst, src View, nGlob int, all, glob, loc, rand float64) {
 // eqs. 6-9) in one fused pass: variances, covariance, tightness, blend and
 // variance matching without any intermediate allocation. dst may alias a
 // (but not b).
-func MaxViews(dst, a, b View) {
-	va, vb, cov := VarCovViews(a, b)
-	t2 := va + vb - 2*cov
-	if t2 < 0 {
-		t2 = 0
-	}
-	theta := math.Sqrt(t2)
-	if theta < thetaEps {
-		// Operands are essentially the same random variable up to a mean
-		// shift: max is whichever has the larger mean.
-		src := a
-		if b[0] > a[0] {
-			src = b
-		}
-		copy(dst, src)
-		return
-	}
-	z := (a[0] - b[0]) / theta
-	tp := stats.NormCDF(z)
-	phi := stats.NormPDF(z)
-
-	mean := tp*a[0] + (1-tp)*b[0] + theta*phi
-	second := tp*(va+a[0]*a[0]) + (1-tp)*(vb+b[0]*b[0]) +
-		(a[0]+b[0])*theta*phi
-	variance := second - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-
-	// Blend shared coefficients (eq. 9) — preserves covariances with other
-	// forms to first order (Clark 1961).
-	var shared float64
-	n := len(dst) - 1
-	for i := 1; i < n; i++ {
-		c := tp*a[i] + (1-tp)*b[i]
-		dst[i] = c
-		shared += c * c
-	}
-	dst[0] = mean
-	rest := variance - shared
-	if rest < 0 {
-		// The blended shared part already exceeds the Clark variance; the
-		// closest representable form drops the private part. This
-		// over-estimates variance slightly and is the standard fix.
-		rest = 0
-	}
-	dst[n] = math.Sqrt(rest)
-}
+func MaxViews(dst, a, b View) { clarkViews(dst, a, b, 1) }
 
 // MinViews computes the moment-matched min(a, b) into dst — the Clark dual
-// of MaxViews via min(A, B) = -max(-A, -B) — in the same single fused pass:
-// variances, covariance, tightness, blend and variance matching without any
-// intermediate allocation. It is the kernel of the earliest-arrival
-// (shortest-path) propagation that hold analysis needs. dst may alias a
-// (but not b).
-func MinViews(dst, a, b View) {
+// of MaxViews via min(A, B) = -max(-A, -B) — in the same single fused pass.
+// It is the fold of the earliest-arrival (shortest-path) propagation that
+// hold analysis needs. dst may alias a (but not b).
+func MinViews(dst, a, b View) { clarkViews(dst, a, b, -1) }
+
+// clarkViews is the flat twin of clarkInto: the same operations in the same
+// order, so a View result is bit-identical to the Form kernel's.
+func clarkViews(dst, a, b View, sign float64) {
 	va, vb, cov := VarCovViews(a, b)
-	t2 := va + vb - 2*cov
-	if t2 < 0 {
-		t2 = 0
-	}
-	theta := math.Sqrt(t2)
-	if theta < thetaEps {
-		// Operands are essentially the same random variable up to a mean
-		// shift: min is whichever has the smaller mean.
+	tp, mean, variance, ok := clarkMoments(va, vb, cov, sign*a[0], sign*b[0])
+	if !ok {
 		src := a
-		if b[0] < a[0] {
+		if tp == 0 {
 			src = b
 		}
 		copy(dst, src)
 		return
 	}
-	// tp = P(A <= B), the probability that A is the minimum.
-	z := (b[0] - a[0]) / theta
-	tp := stats.NormCDF(z)
-	phi := stats.NormPDF(z)
-
-	mean := tp*a[0] + (1-tp)*b[0] - theta*phi
-	second := tp*(va+a[0]*a[0]) + (1-tp)*(vb+b[0]*b[0]) -
-		(a[0]+b[0])*theta*phi
-	variance := second - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-
-	// Blend shared coefficients with the min-tightness weights — the mirror
-	// of the eq. 9 blend, preserving covariances to first order.
 	var shared float64
 	n := len(dst) - 1
+	a, b = a[:n], b[:n] // equal lengths let the compiler drop bounds checks
 	for i := 1; i < n; i++ {
 		c := tp*a[i] + (1-tp)*b[i]
 		dst[i] = c
 		shared += c * c
 	}
-	dst[0] = mean
-	rest := variance - shared
-	if rest < 0 {
-		// Same fix as MaxViews: drop the private part when the blended
-		// shared variance already exceeds the Clark variance.
-		rest = 0
-	}
-	dst[n] = math.Sqrt(rest)
+	dst[0] = sign * mean
+	dst[n] = matchedRand(variance, shared)
 }
 
 // Bank is a flat arena of canonical forms: one contiguous backing slice of

@@ -249,33 +249,22 @@ func Max(a, b *Form) *Form {
 // MaxInto computes max(a, b) into dst. dst may alias a (but not b). The
 // variances and covariance come from one fused VarCov pass, so the whole
 // operation reads each coefficient vector exactly once before the blend.
-func MaxInto(dst, a, b *Form) {
+func MaxInto(dst, a, b *Form) { clarkInto(dst, a, b, 1) }
+
+// clarkInto is the shared body of MaxInto (sign 1) and MinInto (sign -1):
+// one fused VarCov pass, the Clark moments, and the shared-coefficient
+// blend (eq. 9) with the private part matched to the Clark variance.
+func clarkInto(dst, a, b *Form, sign float64) {
 	va, vb, cov := VarCov(a, b)
-	theta := thetaOf(va, vb, cov)
-	if theta < thetaEps {
-		// Operands are essentially the same random variable up to a mean
-		// shift: max is whichever has the larger mean.
+	tp, mean, variance, ok := clarkMoments(va, vb, cov, sign*a.Nominal, sign*b.Nominal)
+	if !ok {
 		src := a
-		if b.Nominal > a.Nominal {
+		if tp == 0 {
 			src = b
 		}
 		copyInto(dst, src)
 		return
 	}
-	z := (a.Nominal - b.Nominal) / theta
-	tp := stats.NormCDF(z)
-	phi := stats.NormPDF(z)
-
-	mean := tp*a.Nominal + (1-tp)*b.Nominal + theta*phi
-	second := tp*(va+a.Nominal*a.Nominal) + (1-tp)*(vb+b.Nominal*b.Nominal) +
-		(a.Nominal+b.Nominal)*theta*phi
-	variance := second - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-
-	// Blend shared coefficients (eq. 9) — this preserves covariances with
-	// other forms to first order (Clark 1961).
 	var shared float64
 	for i := range dst.Glob {
 		c := tp*a.Glob[i] + (1-tp)*b.Glob[i]
@@ -287,15 +276,51 @@ func MaxInto(dst, a, b *Form) {
 		dst.Loc[i] = c
 		shared += c * c
 	}
-	dst.Nominal = mean
+	dst.Nominal = sign * mean
+	dst.Rand = matchedRand(variance, shared)
+}
+
+// clarkMoments is the Clark moment algebra shared by every max and min
+// kernel (paper eqs. 6-8). From the operand variances, their covariance and
+// their means it returns the tightness tp = P(A >= B) and the mean and
+// clamped variance of the moment-matched max(A, B). ok is false when the
+// operands are essentially the same random variable up to a mean shift
+// (theta ~ 0): max(A, B) is then A when tp == 1 and B when tp == 0.
+//
+// The min kernels pass negated means and negate the returned mean: min(A,
+// B) = -max(-A, -B), with the same variances and covariance. Negation is
+// exact in floating point, so this is bit-identical to writing the min
+// algebra out with mirrored signs.
+func clarkMoments(va, vb, cov, ma, mb float64) (tp, mean, variance float64, ok bool) {
+	theta := thetaOf(va, vb, cov)
+	if theta < thetaEps {
+		if mb > ma {
+			return 0, 0, 0, false
+		}
+		return 1, 0, 0, false
+	}
+	z := (ma - mb) / theta
+	tp = stats.NormCDF(z)
+	phi := stats.NormPDF(z)
+	mean = tp*ma + (1-tp)*mb + theta*phi
+	second := tp*(va+ma*ma) + (1-tp)*(vb+mb*mb) + (ma+mb)*theta*phi
+	variance = second - mean*mean
+	if variance < 0 {
+		variance = 0
+	}
+	return tp, mean, variance, true
+}
+
+// matchedRand returns the private coefficient that lifts a blended form's
+// shared energy to the Clark variance. When the blended shared part already
+// exceeds it, the closest representable form drops the private part; this
+// over-estimates variance slightly and is the standard fix.
+func matchedRand(variance, shared float64) float64 {
 	rest := variance - shared
 	if rest < 0 {
-		// The blended shared part already exceeds the Clark variance; the
-		// closest representable form drops the private part. This
-		// over-estimates variance slightly and is the standard fix.
 		rest = 0
 	}
-	dst.Rand = math.Sqrt(rest)
+	return math.Sqrt(rest)
 }
 
 func copyInto(dst, src *Form) {
@@ -326,55 +351,10 @@ func Min(a, b *Form) *Form {
 	return out
 }
 
-// MinInto computes min(a, b) into dst. dst may alias a (but not b). The
-// structure mirrors MaxInto exactly: one fused VarCov pass, tightness
-// tp = P(A <= B), mirrored mean/second-moment algebra, and the same
-// shared-coefficient blend and variance-matching clamp.
-func MinInto(dst, a, b *Form) {
-	va, vb, cov := VarCov(a, b)
-	theta := thetaOf(va, vb, cov)
-	if theta < thetaEps {
-		// Operands are essentially the same random variable up to a mean
-		// shift: min is whichever has the smaller mean.
-		src := a
-		if b.Nominal < a.Nominal {
-			src = b
-		}
-		copyInto(dst, src)
-		return
-	}
-	z := (b.Nominal - a.Nominal) / theta
-	tp := stats.NormCDF(z) // P(A <= B)
-	phi := stats.NormPDF(z)
-
-	mean := tp*a.Nominal + (1-tp)*b.Nominal - theta*phi
-	second := tp*(va+a.Nominal*a.Nominal) + (1-tp)*(vb+b.Nominal*b.Nominal) -
-		(a.Nominal+b.Nominal)*theta*phi
-	variance := second - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-
-	// Blend shared coefficients with the min-tightness weights — the mirror
-	// of the eq. 9 blend, preserving covariances to first order.
-	var shared float64
-	for i := range dst.Glob {
-		c := tp*a.Glob[i] + (1-tp)*b.Glob[i]
-		dst.Glob[i] = c
-		shared += c * c
-	}
-	for i := range dst.Loc {
-		c := tp*a.Loc[i] + (1-tp)*b.Loc[i]
-		dst.Loc[i] = c
-		shared += c * c
-	}
-	dst.Nominal = mean
-	rest := variance - shared
-	if rest < 0 {
-		rest = 0
-	}
-	dst.Rand = math.Sqrt(rest)
-}
+// MinInto computes min(a, b) into dst. dst may alias a (but not b). It is
+// the Clark dual of MaxInto, min(A, B) = -max(-A, -B): the tightness
+// becomes P(A <= B), and blend and variance matching are shared.
+func MinInto(dst, a, b *Form) { clarkInto(dst, a, b, -1) }
 
 // MinAll folds a slice of forms with MinInto, left to right — the
 // worst-slack aggregation over registers.

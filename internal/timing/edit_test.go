@@ -21,7 +21,10 @@ func TestStaleDelayBankCannotServeEdits(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !g.hasDelayBank() {
+		g.delayMu.Lock()
+		built := g.delayBank != nil
+		g.delayMu.Unlock()
+		if !built {
 			t.Fatal("flat delay bank not built after two passes")
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/canon"
 	"repro/internal/cell"
@@ -122,10 +121,6 @@ type Graph struct {
 	// delay forms the propagation kernels run on (see EdgeDelays).
 	delayMu   sync.Mutex
 	delayBank *canon.Bank
-
-	// passes counts propagation passes run on this graph; the flat delay
-	// bank is built once a second pass shows the build cost will amortize.
-	passes atomic.Int64
 
 	// Edit/dirty metadata consumed by the incremental engine (edit.go,
 	// incremental.go): seed vertices whose arrival (fwdDirty) or required

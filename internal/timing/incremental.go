@@ -46,9 +46,9 @@ type Incremental struct {
 	req      *canon.Bank // required-time state, nil until EnableRequired
 	reqReach []bool
 
-	order     []int // snapshot of the graph order the state was built on
-	topoPos   []int // vertex -> position in order
-	sources   []int // arrival sources (graph inputs at last sync)
+	order     []int   // snapshot of the graph order the state was built on
+	topoPos   []int32 // vertex -> position in order
+	sources   []int   // arrival sources (graph inputs at last sync)
 	sourceSet []bool
 	outputs   []int // required sinks (graph outputs at last sync)
 	outputSet []bool
@@ -107,18 +107,21 @@ func (inc *Incremental) Rebuild(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	if err := inc.syncIO(); err != nil {
+		return err
+	}
 	inc.syncOrder(order)
-	inc.syncIO()
 	if inc.arr == nil {
 		inc.arr = canon.NewBank(g.Space, g.NumVerts+2)
 		inc.reach = make([]bool, g.NumVerts)
 		inc.affected = make([]bool, g.NumVerts)
 	}
-	if err := forwardPass(g, inc.arr, inc.reach, g.EdgeDelays(), ctx, inc.sources); err != nil {
+	delays := g.EdgeDelays()
+	if err := inc.walker(delays, forward).pass(ctx, inc.sources); err != nil {
 		return err
 	}
 	if inc.req != nil {
-		if err := backwardPass(g, inc.req, inc.reqReach, g.EdgeDelays(), ctx, inc.outputs); err != nil {
+		if err := inc.walker(delays, backward).pass(ctx, inc.outputs); err != nil {
 			return err
 		}
 	}
@@ -143,10 +146,12 @@ func (inc *Incremental) EnableRequired(ctx context.Context) error {
 	if g.dirtyPending() {
 		return errors.New("timing: graph has pending edits; Update before EnableRequired")
 	}
+	if err := inc.syncIO(); err != nil {
+		return err
+	}
 	inc.req = canon.NewBank(g.Space, g.NumVerts+2)
 	inc.reqReach = make([]bool, g.NumVerts)
-	inc.syncIO()
-	if err := backwardPass(g, inc.req, inc.reqReach, g.EdgeDelays(), ctx, inc.outputs); err != nil {
+	if err := inc.walker(g.EdgeDelays(), backward).pass(ctx, inc.outputs); err != nil {
 		inc.req, inc.reqReach = nil, nil
 		return err
 	}
@@ -185,17 +190,21 @@ func (inc *Incremental) Update(ctx context.Context) (UpdateStats, error) {
 			bwd = append(bwd, inc.outputs...)
 			bwd = append(bwd, g.Outputs...)
 		}
-		inc.syncIO()
+		if err := inc.syncIO(); err != nil {
+			inc.stale = true
+			inc.journalSeeds(nil, nil, false, true)
+			return UpdateStats{}, err
+		}
 	}
 	delays := g.EdgeDelays()
 	var st UpdateStats
-	if st.Forward, err = inc.sweepForward(ctx, delays, fwd); err != nil {
+	if st.Forward, err = inc.sweep(ctx, inc.walker(delays, forward), fwd); err != nil {
 		inc.stale = true
 		inc.journalSeeds(nil, nil, false, true) // interrupted sweep: partial state
 		return st, err
 	}
 	if inc.req != nil {
-		if st.Backward, err = inc.sweepBackward(ctx, delays, bwd); err != nil {
+		if st.Backward, err = inc.sweep(ctx, inc.walker(delays, backward), bwd); err != nil {
 			inc.stale = true
 			inc.journalSeeds(nil, nil, false, true)
 			return st, err
@@ -243,29 +252,44 @@ func (inc *Incremental) journalSeeds(fwd, bwd []int, io, full bool) {
 	}
 }
 
-// sweepForward re-propagates arrivals through the fan-out cones of the
-// seed vertices, in topological order, stopping each branch as soon as a
-// recomputed form matches the stored one.
-func (inc *Incremental) sweepForward(ctx context.Context, delays *canon.Bank, seeds []int) (int, error) {
+// walker returns the propagation walker over the persistent arrival
+// (forward) or required-time (backward) state.
+func (inc *Incremental) walker(delays *canon.Bank, d direction) walker {
+	if d == backward {
+		return walker{g: inc.g, bank: inc.req, reach: inc.reqReach, delays: delays, dir: d, fold: canon.MaxViews}
+	}
+	return walker{g: inc.g, bank: inc.arr, reach: inc.reach, delays: delays, dir: d, fold: canon.MaxViews}
+}
+
+// sweep re-propagates through the cones of the seed vertices — fan-out
+// cones in topological order for forward, fan-in cones in reverse order for
+// backward — stopping each branch as soon as a recomputed form matches the
+// stored one. Each recomputation is the walker's own per-vertex gather, so
+// it reproduces a full pass bit for bit.
+func (inc *Incremental) sweep(ctx context.Context, w walker, seeds []int) (int, error) {
 	if len(seeds) == 0 {
 		return 0, nil
 	}
 	g := inc.g
-	minPos := len(inc.order)
+	back := w.dir == backward
+	seedSet, start, step := inc.sourceSet, len(inc.order), 1
+	if back {
+		seedSet, start, step = inc.outputSet, -1, -1
+	}
 	pending := 0
 	for _, v := range seeds {
 		if !inc.affected[v] {
 			inc.affected[v] = true
 			pending++
-			if p := inc.topoPos[v]; p < minPos {
-				minPos = p
+			if p := int(inc.topoPos[v]); back && p > start || !back && p < start {
+				start = p
 			}
 		}
 	}
-	acc := inc.arr.View(g.NumVerts)
-	tmp := inc.arr.View(g.NumVerts + 1)
+	acc := w.bank.View(g.NumVerts)
+	tmp := w.bank.View(g.NumVerts + 1)
 	recomputed := 0
-	for k := minPos; k < len(inc.order) && pending > 0; k++ {
+	for k := start; k >= 0 && k < len(inc.order) && pending > 0; k += step {
 		v := inc.order[k]
 		if !inc.affected[v] {
 			continue
@@ -277,116 +301,25 @@ func (inc *Incremental) sweepForward(ctx context.Context, delays *canon.Bank, se
 			return recomputed, err
 		}
 		recomputed++
-		if inc.recomputeArrival(v, delays, acc, tmp) {
-			for _, ei := range g.Out[v] {
-				to := g.Edges[ei].To
-				if !inc.affected[to] {
-					inc.affected[to] = true
-					pending++
-				}
+		fanin, fanout := g.Out[v], g.In[v]
+		if !back {
+			fanin, fanout = inc.sortedFanin(v), g.Out[v]
+		}
+		if !inc.commit(w.bank.View(v), acc, &w.reach[v], w.gather(acc, tmp, fanin, seedSet[v])) {
+			continue
+		}
+		for _, ei := range fanout {
+			u := g.Edges[ei].To
+			if back {
+				u = g.Edges[ei].From
+			}
+			if !inc.affected[u] {
+				inc.affected[u] = true
+				pending++
 			}
 		}
 	}
 	return recomputed, nil
-}
-
-// recomputeArrival rebuilds one vertex's arrival from its fan-in and
-// reports whether it changed beyond IncrementalTol. Contributions fold in
-// topological order of their source vertices (see the type comment).
-func (inc *Incremental) recomputeArrival(v int, delays *canon.Bank, acc, tmp canon.View) bool {
-	g := inc.g
-	in := inc.sortedFanin(v)
-	reached := false
-	if inc.sourceSet[v] {
-		acc.SetConst(0)
-		reached = true
-	}
-	for _, ei := range in {
-		e := &g.Edges[ei]
-		if !inc.reach[e.From] {
-			continue
-		}
-		canon.AddViews(tmp, inc.arr.View(e.From), delays.View(int(ei)))
-		if !reached {
-			canon.CopyView(acc, tmp)
-			reached = true
-		} else {
-			canon.MaxViews(acc, acc, tmp)
-		}
-	}
-	return inc.commit(inc.arr.View(v), acc, &inc.reach[v], reached)
-}
-
-// sweepBackward mirrors sweepForward for required times: fan-in cones in
-// reverse topological order.
-func (inc *Incremental) sweepBackward(ctx context.Context, delays *canon.Bank, seeds []int) (int, error) {
-	if len(seeds) == 0 {
-		return 0, nil
-	}
-	g := inc.g
-	maxPos := -1
-	pending := 0
-	for _, v := range seeds {
-		if !inc.affected[v] {
-			inc.affected[v] = true
-			pending++
-			if p := inc.topoPos[v]; p > maxPos {
-				maxPos = p
-			}
-		}
-	}
-	acc := inc.req.View(g.NumVerts)
-	tmp := inc.req.View(g.NumVerts + 1)
-	recomputed := 0
-	for k := maxPos; k >= 0 && pending > 0; k-- {
-		v := inc.order[k]
-		if !inc.affected[v] {
-			continue
-		}
-		inc.affected[v] = false
-		pending--
-		if err := stepCtx(ctx, recomputed); err != nil {
-			inc.clearAffected()
-			return recomputed, err
-		}
-		recomputed++
-		if inc.recomputeRequired(v, delays, acc, tmp) {
-			for _, ei := range g.In[v] {
-				from := g.Edges[ei].From
-				if !inc.affected[from] {
-					inc.affected[from] = true
-					pending++
-				}
-			}
-		}
-	}
-	return recomputed, nil
-}
-
-// recomputeRequired rebuilds one vertex's required time from its fan-out.
-// A full backward pass gathers out-edge contributions in adjacency order
-// already, so no sorting is needed to match it bit for bit.
-func (inc *Incremental) recomputeRequired(v int, delays *canon.Bank, acc, tmp canon.View) bool {
-	g := inc.g
-	reached := false
-	if inc.outputSet[v] {
-		acc.SetConst(0)
-		reached = true
-	}
-	for _, ei := range g.Out[v] {
-		e := &g.Edges[ei]
-		if !inc.reqReach[e.To] {
-			continue
-		}
-		canon.AddViews(tmp, inc.req.View(e.To), delays.View(int(ei)))
-		if !reached {
-			canon.CopyView(acc, tmp)
-			reached = true
-		} else {
-			canon.MaxViews(acc, acc, tmp)
-		}
-	}
-	return inc.commit(inc.req.View(v), acc, &inc.reqReach[v], reached)
 }
 
 // commit stores a recomputed form and reports whether it differed from the
@@ -416,25 +349,13 @@ func (inc *Incremental) commit(dst, acc canon.View, reach *bool, reached bool) b
 	return changed
 }
 
-// sortedFanin returns v's fan-in edge indices ordered by the topological
-// position of their source vertex (stable for equal positions) — the
-// contribution order of a full forward pass.
+// sortedFanin returns v's fan-in edge indices in the contribution order
+// of a full forward pass (see sortFanin). The order is derived per call, so
+// Update stays proportional to the cone rather than rebuilding Levels.
 func (inc *Incremental) sortedFanin(v int) []int32 {
-	in := inc.g.In[v]
-	buf := append(inc.inbuf[:0], in...)
-	// Insertion sort: fan-ins are tiny (gate arity) and almost sorted.
-	for i := 1; i < len(buf); i++ {
-		ei := buf[i]
-		p := inc.topoPos[inc.g.Edges[ei].From]
-		j := i - 1
-		for j >= 0 && inc.topoPos[inc.g.Edges[buf[j]].From] > p {
-			buf[j+1] = buf[j]
-			j--
-		}
-		buf[j+1] = ei
-	}
-	inc.inbuf = buf
-	return buf
+	inc.inbuf = append(inc.inbuf[:0], inc.g.In[v]...)
+	sortFanin(inc.inbuf, inc.g.Edges, inc.topoPos)
+	return inc.inbuf
 }
 
 func (inc *Incremental) clearAffected() {
@@ -446,15 +367,23 @@ func (inc *Incremental) clearAffected() {
 func (inc *Incremental) syncOrder(order []int) {
 	inc.order = order
 	if inc.topoPos == nil {
-		inc.topoPos = make([]int, inc.g.NumVerts)
+		inc.topoPos = make([]int32, inc.g.NumVerts)
 	}
 	for k, v := range order {
-		inc.topoPos[v] = k
+		inc.topoPos[v] = int32(k)
 	}
 }
 
-func (inc *Incremental) syncIO() {
+// syncIO re-bases the sources and outputs onto the graph's current ports,
+// rejecting out-of-range vertices before any state is touched.
+func (inc *Incremental) syncIO() error {
 	g := inc.g
+	if err := checkVerts(g, g.Inputs, "source"); err != nil {
+		return err
+	}
+	if err := checkVerts(g, g.Outputs, "output"); err != nil {
+		return err
+	}
 	inc.sources = exactInts(g.Inputs)
 	if inc.sourceSet == nil {
 		inc.sourceSet = make([]bool, g.NumVerts)
@@ -475,6 +404,7 @@ func (inc *Incremental) syncIO() {
 	for _, o := range inc.outputs {
 		inc.outputSet[o] = true
 	}
+	return nil
 }
 
 func sameOrder(a, b []int) bool {

@@ -3,6 +3,7 @@ package timing
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -382,5 +383,30 @@ func TestIncrementalCancellation(t *testing.T) {
 	want, _ := g.MaxDelay()
 	if d := formDiff(got, want); d > 1e-12 {
 		t.Fatalf("recovered state differs by %g", d)
+	}
+}
+
+// TestNewIncrementalRejectsBadPorts: SetIO does not validate vertices, so a
+// port outside the graph must surface as an error from NewIncremental —
+// the same error a Pass returns — and never as an index panic.
+func TestNewIncrementalRejectsBadPorts(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		ins, outs []int
+	}{
+		{"input", []int{7}, []int{2}},
+		{"output", []int{0}, []int{7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := NewGraph(fuzzSpace, 3, nil)
+			mustEdge(t, g, 0, 1, fuzzSpace.Const(1))
+			mustEdge(t, g, 1, 2, fuzzSpace.Const(2))
+			if err := g.SetIO(tc.ins, tc.outs, []string{"a"}, []string{"z"}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.NewIncremental(); err == nil || !strings.Contains(err.Error(), "vertex 7 out of range") {
+				t.Fatalf("NewIncremental: err = %v, want out-of-range error", err)
+			}
+		})
 	}
 }

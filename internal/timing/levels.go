@@ -5,10 +5,10 @@ import "sync"
 // Levels is the cached level structure of an acyclic timing graph: the
 // longest-path level of every vertex, the vertices batched into per-level
 // wavefronts, and a fan-in gather plan. One level structure serves three
-// consumers — the wavefront propagation kernels (propagate.go), the
-// criticality engine's level-cutset construction (internal/core), and the
-// incremental criticality cone analysis — so the ad-hoc level computation
-// each of them used to repeat lives here exactly once.
+// consumers — the propagation walker (propagate.go), the criticality
+// engine's level-cutset construction (internal/core), and the incremental
+// criticality cone analysis — so the level computation lives here exactly
+// once.
 type Levels struct {
 	// Level[v] is the length of the longest edge path ending at v; vertices
 	// without fan-in sit at level 0. Every edge goes from a strictly lower
@@ -19,29 +19,22 @@ type Levels struct {
 	MaxLevel int
 
 	// TopoPos[v] is v's position in the topological order the structure was
-	// built on — the contribution-order key of the propagation kernels.
+	// built on — the contribution-order key of the forward gather.
 	TopoPos []int32
 
 	// Wave holds all vertices grouped by level: Wave[Starts[k]:Starts[k+1]]
-	// is level k, in topological order within the level. When the cached
-	// topological order is itself level-monotone (always the case for a
-	// freshly computed Kahn order), Wave is that order element for element
-	// and Monotone reports true: wavefront iteration then replays the serial
-	// pass's contribution order exactly. Order-preserving live edits can
-	// leave a valid cached order that is not level-sorted; the propagation
-	// kernels detect that through Monotone and fall back to plain order
-	// iteration, keeping bit-identity with the incremental engine's stored
-	// forms.
-	Wave     []int32
-	Starts   []int32
-	Monotone bool
+	// is level k, in topological order within the level. Walking the waves
+	// up (or down) visits every vertex after all of its fan-in (or
+	// fan-out); since each vertex gathers its contributions in a fixed
+	// order, the visit order within a level never affects a result.
+	Wave   []int32
+	Starts []int32
 
 	// gather/gatherOff form a CSR plan over the fan-in edge indices of every
 	// vertex, sorted by the topological position of the source vertex
-	// (stable). Folding a vertex's fan-in in this order reproduces, bit for
-	// bit, the contribution order of the push-based serial pass — the same
-	// argument (and the same sort key) as Incremental.sortedFanin — which is
-	// what makes intra-level parallel gathering exact.
+	// (stable) — the same order Incremental.sortedFanin derives per vertex,
+	// which is what makes an incremental recomputation reproduce the full
+	// pass bit for bit.
 	gather    []int32
 	gatherOff []int32
 }
@@ -108,20 +101,10 @@ func buildLevels(g *Graph, order []int) *Levels {
 	}
 	lv.MaxLevel = int(maxL)
 
-	lv.Monotone = true
-	var prev int32
-	for _, v := range order {
-		if l := lv.Level[v]; l < prev {
-			lv.Monotone = false
-			break
-		} else {
-			prev = l
-		}
-	}
-
 	// Counting sort of the order into per-level waves; iteration in order
 	// keeps the grouping stable, so waves are topologically sorted within a
-	// level even when the order is not globally level-monotone.
+	// level even when the order is not globally level-monotone (order-
+	// preserving live edits can leave such an order cached).
 	starts := make([]int32, maxL+2)
 	for _, v := range order {
 		starts[lv.Level[v]+1]++
@@ -131,22 +114,14 @@ func buildLevels(g *Graph, order []int) *Levels {
 	}
 	lv.Starts = starts
 	lv.Wave = make([]int32, len(order))
-	if lv.Monotone {
-		for i, v := range order {
-			lv.Wave[i] = int32(v)
-		}
-	} else {
-		fill := append([]int32(nil), starts[:maxL+1]...)
-		for _, v := range order {
-			k := lv.Level[v]
-			lv.Wave[fill[k]] = int32(v)
-			fill[k]++
-		}
+	fill := append([]int32(nil), starts[:maxL+1]...)
+	for _, v := range order {
+		k := lv.Level[v]
+		lv.Wave[fill[k]] = int32(v)
+		fill[k]++
 	}
 
-	// Fan-in gather plan, sorted by source topological position. Fan-ins
-	// are gate-arity tiny and appended in a single global edge sequence, so
-	// they arrive almost sorted; insertion sort is both cheap and stable.
+	// Fan-in gather plan, sorted by source topological position.
 	lv.gatherOff = make([]int32, n+1)
 	total := 0
 	for v := 0; v < n; v++ {
@@ -158,16 +133,25 @@ func buildLevels(g *Graph, order []int) *Levels {
 	for v := 0; v < n; v++ {
 		buf := lv.gather[lv.gatherOff[v]:lv.gatherOff[v+1]]
 		copy(buf, g.In[v])
-		for i := 1; i < len(buf); i++ {
-			ei := buf[i]
-			p := lv.TopoPos[g.Edges[ei].From]
-			j := i - 1
-			for j >= 0 && lv.TopoPos[g.Edges[buf[j]].From] > p {
-				buf[j+1] = buf[j]
-				j--
-			}
-			buf[j+1] = ei
-		}
+		sortFanin(buf, g.Edges, lv.TopoPos)
 	}
 	return lv
+}
+
+// sortFanin orders fan-in edge indices by the topological position of their
+// source vertex, stable for equal positions — the contribution order of a
+// forward pass at the vertex. Fan-ins are gate-arity tiny and appended in a
+// single global edge sequence, so they arrive almost sorted; insertion sort
+// is both cheap and stable.
+func sortFanin(buf []int32, edges []Edge, pos []int32) {
+	for i := 1; i < len(buf); i++ {
+		ei := buf[i]
+		p := pos[edges[ei].From]
+		j := i - 1
+		for j >= 0 && pos[edges[buf[j]].From] > p {
+			buf[j+1] = buf[j]
+			j--
+		}
+		buf[j+1] = ei
+	}
 }

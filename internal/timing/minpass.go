@@ -1,179 +1,29 @@
 package timing
 
 import (
-	"context"
 	"errors"
-	"fmt"
 
 	"repro/internal/canon"
 )
 
 // This file is the earliest-arrival (shortest-path) dual of the forward
-// propagation kernels in propagate.go: identical wavefront scheduling and
-// gather ordering, with canon.MinViews folding contributions instead of
-// MaxViews. Hold analysis needs the earliest statistical arrival at every
-// register D pin; everything about bit-reproducibility (level-monotone
-// visit order, fan-in gathers sorted by source topological position) carries
-// over unchanged, so the parallel min pass matches the serial one bit for
-// bit at any worker count.
+// pass: the same walker (propagate.go) with canon.MinViews as its fold
+// instead of canon.MaxViews. Hold analysis needs the earliest statistical
+// arrival at every register D pin.
 
 // ArrivalsMin runs a forward earliest-arrival propagation from the given
 // source vertices (all launching at time zero) into the pass arena: after
 // it, At(v) holds the statistical minimum arrival over all paths from the
 // sources to v.
 func (p *Pass) ArrivalsMin(sources ...int) error {
-	if p.workers > 1 {
-		delays := p.delaySource()
-		if delays == nil {
-			delays = p.g.EdgeDelays()
-		}
-		return forwardPassMinParallel(p.g, p.bank, p.reach, delays, p.ctx, sources, p.workers)
-	}
-	return forwardPassMin(p.g, p.bank, p.reach, p.delaySource(), p.ctx, sources)
+	return p.walker(p.g.EdgeDelays(), forward, canon.MinViews).pass(p.ctx, sources)
 }
 
 // ArrivalsMinOver is ArrivalsMin reading edge delays from the given bank
 // instead of the graph's own — the scenario-sweep hook, mirroring
 // ArrivalsOver.
 func (p *Pass) ArrivalsMinOver(delays *canon.Bank, sources ...int) error {
-	if delays == nil {
-		return errors.New("timing: ArrivalsMinOver needs a delay bank")
-	}
-	if delays.Cap() < len(p.g.Edges) {
-		return fmt.Errorf("timing: delay bank has %d slots for %d edges", delays.Cap(), len(p.g.Edges))
-	}
-	if p.workers > 1 {
-		return forwardPassMinParallel(p.g, p.bank, p.reach, delays, p.ctx, sources, p.workers)
-	}
-	return forwardPassMin(p.g, p.bank, p.reach, delays, p.ctx, sources)
-}
-
-// forwardPassMin is the serial earliest-arrival kernel: forwardPass with the
-// per-vertex fold flipped to the Clark min. See forwardPass for the visit
-// order contract.
-func forwardPassMin(g *Graph, bank *canon.Bank, reach []bool, delays *canon.Bank, ctx context.Context, sources []int) error {
-	lv, err := g.Levels()
-	if err != nil {
-		return err
-	}
-	if err := seedSources(g, bank, reach, sources, "source"); err != nil {
-		return err
-	}
-	scratch := bank.View(g.NumVerts)
-	edges, out := g.Edges, g.Out
-	push := func(v int) {
-		if !reach[v] {
-			return
-		}
-		av := bank.View(v)
-		for _, ei := range out[v] {
-			to := edges[ei].To
-			if delays != nil {
-				canon.AddViews(scratch, av, delays.View(int(ei)))
-			} else {
-				canon.AddFormView(scratch, av, edges[ei].Delay)
-			}
-			tv := bank.View(to)
-			if !reach[to] {
-				canon.CopyView(tv, scratch)
-				reach[to] = true
-			} else {
-				canon.MinViews(tv, tv, scratch)
-			}
-		}
-	}
-	if lv.Monotone {
-		step := 0
-		for k := 0; k <= lv.MaxLevel; k++ {
-			wave := lv.Wave[lv.Starts[k]:lv.Starts[k+1]]
-			for _, vi := range wave {
-				if err := stepCtx(ctx, step); err != nil {
-					return err
-				}
-				step++
-				push(int(vi))
-			}
-		}
-		return nil
-	}
-	order, err := g.Order()
-	if err != nil {
-		return err
-	}
-	for step, v := range order {
-		if err := stepCtx(ctx, step); err != nil {
-			return err
-		}
-		push(v)
-	}
-	return nil
-}
-
-// forwardPassMinParallel is the intra-level parallel earliest-arrival
-// kernel: forwardPassParallel with the gather fold flipped to the Clark min.
-// Fan-in gathers run sorted by source topological position, so the result is
-// bit-identical to forwardPassMin at any worker count.
-func forwardPassMinParallel(g *Graph, bank *canon.Bank, reach []bool, delays *canon.Bank, ctx context.Context, sources []int, workers int) error {
-	if ctx == nil {
-		ctx = context.Background() // ParallelForCtx needs a non-nil parent
-	}
-	lv, err := g.Levels()
-	if err != nil {
-		return err
-	}
-	if err := seedSources(g, bank, reach, sources, "source"); err != nil {
-		return err
-	}
-	stride := g.Space.Stride()
-	slab := takeSlab(workers * stride)
-	defer putSlab(slab)
-	tmps := canon.NewBankOver(g.Space, workers, slab)
-
-	gather := func(v int, tmp canon.View) {
-		av := bank.View(v)
-		reached := reach[v] // pre-seeded sources hold the zero constant
-		for _, ei := range lv.FaninSorted(v) {
-			e := &g.Edges[ei]
-			if !reach[e.From] {
-				continue
-			}
-			canon.AddViews(tmp, bank.View(e.From), delays.View(int(ei)))
-			if !reached {
-				canon.CopyView(av, tmp)
-				reached = true
-			} else {
-				canon.MinViews(av, av, tmp)
-			}
-		}
-		reach[v] = reached
-	}
-
-	for k := 1; k <= lv.MaxLevel; k++ {
-		wave := lv.Wave[lv.Starts[k]:lv.Starts[k+1]]
-		n := len(wave)
-		chunks := workers
-		if n < chunks*parallelLevelMin {
-			if err := stepCtx(ctx, 0); err != nil {
-				return err
-			}
-			tmp := tmps.View(0)
-			for _, vi := range wave {
-				gather(int(vi), tmp)
-			}
-			continue
-		}
-		err := ParallelForCtx(ctx, chunks, chunks, func(_ context.Context, c int) error {
-			tmp := tmps.View(c)
-			for _, vi := range wave[n*c/chunks : n*(c+1)/chunks] {
-				gather(int(vi), tmp)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.walker(delays, forward, canon.MinViews).pass(p.ctx, sources)
 }
 
 // EarliestArrivalAll propagates earliest arrivals from every launch source

@@ -56,22 +56,6 @@ func TestArrivalsOverMatchesOwnBank(t *testing.T) {
 			t.Fatalf("vertex %d: scaled-bank pass differs from scaled graph by %g", v, formDiff(p.Form(v), want.Form(v)))
 		}
 	}
-
-	// Backward twin.
-	if err := ref.Required(g.Outputs...); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.RequiredOver(g.EdgeDelays(), g.Outputs...); err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.NumVerts; v++ {
-		if p.Reached(v) != ref.Reached(v) {
-			t.Fatalf("vertex %d: required reach diverged", v)
-		}
-		if p.Reached(v) && formDiff(p.Form(v), ref.Form(v)) > passTol {
-			t.Fatalf("vertex %d: RequiredOver differs from Required", v)
-		}
-	}
 }
 
 func TestArrivalsOverRejectsBadBank(t *testing.T) {
@@ -84,8 +68,5 @@ func TestArrivalsOverRejectsBadBank(t *testing.T) {
 	short := canon.NewBank(g.Space, len(g.Edges)-1)
 	if err := p.ArrivalsOver(short, g.Inputs...); err == nil {
 		t.Fatal("undersized bank accepted")
-	}
-	if err := p.RequiredOver(short, g.Outputs...); err == nil {
-		t.Fatal("undersized bank accepted by RequiredOver")
 	}
 }

@@ -10,6 +10,13 @@ import (
 	"repro/internal/canon"
 )
 
+// This file holds the package's one propagation kernel, the walker: a
+// level-ordered gather parameterized by direction (forward or backward) and
+// fold (Clark max or min). Every full pass — Arrivals, ArrivalsMin,
+// Required and their scenario-bank variants — and every incremental cone
+// sweep runs through it. Around it sit the pooled Pass arena the full
+// passes write into and the pass-level queries built on it.
+
 // Pass is a reusable propagation arena: one flat canon.Bank with a slot per
 // vertex plus one scratch slot, and a per-vertex reached mask. A forward
 // (Arrivals) or backward (Required) pass writes its result forms into the
@@ -29,12 +36,9 @@ type Pass struct {
 	bank  *canon.Bank
 	reach []bool
 	// ctx, when set via WithContext, is polled every ctxCheckStride
-	// vertices during Arrivals/Required so a long pass observes
-	// cancellation between vertices instead of running to completion.
+	// vertices during a pass so a long pass observes cancellation between
+	// vertices instead of running to completion.
 	ctx context.Context
-	// workers > 1 selects the intra-level parallel wavefront kernels; see
-	// WithWorkers. Zero (the AcquirePass default) runs serially.
-	workers int
 }
 
 // ctxCheckStride is how many vertices a pass processes between context
@@ -47,18 +51,6 @@ const ctxCheckStride = 256
 // A nil ctx (the AcquirePass default) disables polling entirely.
 func (p *Pass) WithContext(ctx context.Context) *Pass {
 	p.ctx = ctx
-	return p
-}
-
-// WithWorkers selects intra-level parallel propagation: each level of the
-// graph's wavefront structure (Graph.Levels) is fanned out over a bounded
-// ParallelForCtx pool, with per-worker scratch and a fan-in gather order
-// that reproduces the serial pass bit for bit (see Levels.FaninSorted).
-// n <= 0 selects GOMAXPROCS; n == 1 restores the serial kernel. Wide,
-// shallow graphs benefit; on narrow levels the pass drops back to the
-// serial kernel per level, so results never depend on the worker count.
-func (p *Pass) WithWorkers(n int) *Pass {
-	p.workers = Workers(n, 1<<30)
 	return p
 }
 
@@ -213,238 +205,21 @@ func (p *Pass) Forms() []*canon.Form {
 	return out
 }
 
-// delaySource decides where a pass reads edge delays from. A graph's first
-// pass reads the pointer forms directly — building the flat bank costs one
-// extra sweep over every edge and only pays off when passes repeat (the
-// all-pairs scheme, criticality, repeated queries). From the second pass on
-// the cached flat bank is used. Both paths perform identical floating-point
-// operations, so the choice never changes results.
-func (p *Pass) delaySource() *canon.Bank {
-	g := p.g
-	if g.passes.Add(1) > 1 || g.hasDelayBank() {
-		return g.EdgeDelays()
-	}
-	return nil
-}
-
-func (g *Graph) hasDelayBank() bool {
-	g.delayMu.Lock()
-	defer g.delayMu.Unlock()
-	return g.delayBank != nil
-}
-
 // Arrivals runs a forward propagation from the given source vertices (all
 // arriving at time zero) into the pass arena. With a single source this is
 // the paper's exclusive propagation ("arrival exclusively from vi",
 // Section IV-B).
 func (p *Pass) Arrivals(sources ...int) error {
-	if p.workers > 1 {
-		delays := p.delaySource()
-		if delays == nil {
-			delays = p.g.EdgeDelays()
-		}
-		return forwardPassParallel(p.g, p.bank, p.reach, delays, p.ctx, sources, p.workers)
-	}
-	return forwardPass(p.g, p.bank, p.reach, p.delaySource(), p.ctx, sources)
-}
-
-// seedSources resets the reach mask and seeds the given vertices at time
-// zero — the shared preamble of every propagation kernel. The kind string
-// names the vertex role in range errors ("source" or "output").
-func seedSources(g *Graph, bank *canon.Bank, reach []bool, seeds []int, kind string) error {
-	for i := range reach {
-		reach[i] = false
-	}
-	for _, s := range seeds {
-		if s < 0 || s >= g.NumVerts {
-			return fmt.Errorf("timing: %s vertex %d out of range", kind, s)
-		}
-		bank.View(s).SetConst(0)
-		reach[s] = true
-	}
-	return nil
-}
-
-// forwardPass is the serial forward propagation kernel shared by pooled
-// passes and the persistent incremental state: arrivals are written into
-// bank (slot g.NumVerts is scratch) with the per-vertex reach mask. A nil
-// delays bank reads the pointer forms directly (a graph's first pass,
-// before the flat bank is built); both paths perform identical
-// floating-point operations.
-//
-// Vertices are visited in level-batched wavefronts when the cached
-// topological order is level-monotone — the same visit sequence as the
-// plain order loop, with the per-level bounds hoisted out of the hot loop —
-// and in plain topological order otherwise, so the contribution order at
-// every vertex is the same either way.
-func forwardPass(g *Graph, bank *canon.Bank, reach []bool, delays *canon.Bank, ctx context.Context, sources []int) error {
-	lv, err := g.Levels()
-	if err != nil {
-		return err
-	}
-	if err := seedSources(g, bank, reach, sources, "source"); err != nil {
-		return err
-	}
-	scratch := bank.View(g.NumVerts)
-	edges, out := g.Edges, g.Out
-	push := func(v int) {
-		if !reach[v] {
-			return
-		}
-		av := bank.View(v)
-		for _, ei := range out[v] {
-			to := edges[ei].To
-			if delays != nil {
-				canon.AddViews(scratch, av, delays.View(int(ei)))
-			} else {
-				canon.AddFormView(scratch, av, edges[ei].Delay)
-			}
-			tv := bank.View(to)
-			if !reach[to] {
-				canon.CopyView(tv, scratch)
-				reach[to] = true
-			} else {
-				canon.MaxViews(tv, tv, scratch)
-			}
-		}
-	}
-	if lv.Monotone {
-		step := 0
-		for k := 0; k <= lv.MaxLevel; k++ {
-			wave := lv.Wave[lv.Starts[k]:lv.Starts[k+1]]
-			for _, vi := range wave {
-				if err := stepCtx(ctx, step); err != nil {
-					return err
-				}
-				step++
-				push(int(vi))
-			}
-		}
-		return nil
-	}
-	order, err := g.Order()
-	if err != nil {
-		return err
-	}
-	for step, v := range order {
-		if err := stepCtx(ctx, step); err != nil {
-			return err
-		}
-		push(v)
-	}
-	return nil
-}
-
-// parallelLevelMin is the minimum wavefront width (per worker) worth
-// fanning out: below it the per-level pool coordination costs more than
-// the gather work and the level runs on the serial kernel instead. The
-// choice never affects results — gather order is fixed per vertex.
-const parallelLevelMin = 4
-
-// forwardPassParallel is the intra-level parallel forward kernel: levels
-// run in sequence, vertices within a level gather their fan-in
-// concurrently. Gathering folds each vertex's fan-in sorted by source
-// topological position — exactly the order in which the serial push kernel
-// delivers contributions (In[v] cannot see them in any other relative
-// order: addEdge appends to every adjacency list in one global sequence) —
-// so the result is bit-identical to forwardPass regardless of worker count
-// or intra-level scheduling.
-func forwardPassParallel(g *Graph, bank *canon.Bank, reach []bool, delays *canon.Bank, ctx context.Context, sources []int, workers int) error {
-	if ctx == nil {
-		ctx = context.Background() // ParallelForCtx needs a non-nil parent
-	}
-	lv, err := g.Levels()
-	if err != nil {
-		return err
-	}
-	if err := seedSources(g, bank, reach, sources, "source"); err != nil {
-		return err
-	}
-	stride := g.Space.Stride()
-	slab := takeSlab(workers * stride)
-	defer putSlab(slab)
-	tmps := canon.NewBankOver(g.Space, workers, slab)
-
-	gather := func(v int, tmp canon.View) {
-		av := bank.View(v)
-		// At gather time reach[v] is true only for pre-seeded sources, whose
-		// slot already holds the zero-time constant; contributions fold on
-		// top of it, exactly as the push kernel would.
-		reached := reach[v]
-		for _, ei := range lv.FaninSorted(v) {
-			e := &g.Edges[ei]
-			if !reach[e.From] {
-				continue
-			}
-			canon.AddViews(tmp, bank.View(e.From), delays.View(int(ei)))
-			if !reached {
-				canon.CopyView(av, tmp)
-				reached = true
-			} else {
-				canon.MaxViews(av, av, tmp)
-			}
-		}
-		reach[v] = reached
-	}
-
-	for k := 1; k <= lv.MaxLevel; k++ {
-		wave := lv.Wave[lv.Starts[k]:lv.Starts[k+1]]
-		n := len(wave)
-		chunks := workers
-		if n < chunks*parallelLevelMin {
-			if err := stepCtx(ctx, 0); err != nil {
-				return err
-			}
-			tmp := tmps.View(0)
-			for _, vi := range wave {
-				gather(int(vi), tmp)
-			}
-			continue
-		}
-		err := ParallelForCtx(ctx, chunks, chunks, func(_ context.Context, c int) error {
-			tmp := tmps.View(c)
-			for _, vi := range wave[n*c/chunks : n*(c+1)/chunks] {
-				gather(int(vi), tmp)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.walker(p.g.EdgeDelays(), forward, canon.MaxViews).pass(p.ctx, sources)
 }
 
 // ArrivalsOver runs the forward propagation reading edge delays from the
 // given bank instead of the graph's own — the MCMM sweep hook: one shared
 // graph, many scenario-scaled delay banks, each propagated through the same
-// kernel. The bank must hold one slot per edge index (tombstoned slots are
+// walker. The bank must hold one slot per edge index (tombstoned slots are
 // never read) in the graph's space; it is read-only during the pass.
 func (p *Pass) ArrivalsOver(delays *canon.Bank, sources ...int) error {
-	if delays == nil {
-		return errors.New("timing: ArrivalsOver needs a delay bank")
-	}
-	if delays.Cap() < len(p.g.Edges) {
-		return fmt.Errorf("timing: delay bank has %d slots for %d edges", delays.Cap(), len(p.g.Edges))
-	}
-	if p.workers > 1 {
-		return forwardPassParallel(p.g, p.bank, p.reach, delays, p.ctx, sources, p.workers)
-	}
-	return forwardPass(p.g, p.bank, p.reach, delays, p.ctx, sources)
-}
-
-// RequiredOver mirrors ArrivalsOver for backward propagation.
-func (p *Pass) RequiredOver(delays *canon.Bank, outputs ...int) error {
-	if delays == nil {
-		return errors.New("timing: RequiredOver needs a delay bank")
-	}
-	if delays.Cap() < len(p.g.Edges) {
-		return fmt.Errorf("timing: delay bank has %d slots for %d edges", delays.Cap(), len(p.g.Edges))
-	}
-	if p.workers > 1 {
-		return backwardPassParallel(p.g, p.bank, p.reach, delays, p.ctx, outputs, p.workers)
-	}
-	return backwardPass(p.g, p.bank, p.reach, delays, p.ctx, outputs)
+	return p.walker(delays, forward, canon.MaxViews).pass(p.ctx, sources)
 }
 
 // Required runs a backward propagation into the pass arena: after it, At(v)
@@ -452,139 +227,135 @@ func (p *Pass) RequiredOver(delays *canon.Bank, outputs ...int) error {
 // vertices — the negated required time of the paper's eq. 15 when the
 // required time at the outputs is zero.
 func (p *Pass) Required(outputs ...int) error {
-	if p.workers > 1 {
-		delays := p.delaySource()
-		if delays == nil {
-			delays = p.g.EdgeDelays()
-		}
-		return backwardPassParallel(p.g, p.bank, p.reach, delays, p.ctx, outputs, p.workers)
-	}
-	return backwardPass(p.g, p.bank, p.reach, p.delaySource(), p.ctx, outputs)
+	return p.walker(p.g.EdgeDelays(), backward, canon.MaxViews).pass(p.ctx, outputs)
 }
 
-// backwardPass is the serial backward propagation kernel shared by pooled
-// passes and the persistent incremental state (see forwardPass). The
-// backward kernel is already a per-vertex gather over Out[v], so the
-// wavefront batching changes only the visit grouping, never the
-// contribution order.
-func backwardPass(g *Graph, bank *canon.Bank, reach []bool, delays *canon.Bank, ctx context.Context, outputs []int) error {
+// walker returns the propagation walker over the pass arena.
+func (p *Pass) walker(delays *canon.Bank, d direction, fold func(dst, a, b canon.View)) walker {
+	return walker{g: p.g, bank: p.bank, reach: p.reach, delays: delays, dir: d, fold: fold}
+}
+
+// direction selects which way a walker propagates.
+type direction bool
+
+const (
+	// forward gathers each vertex's fan-in edges (far end From) in
+	// ascending level order: arrival times.
+	forward direction = false
+	// backward gathers each vertex's fan-out edges (far end To) in
+	// descending level order: delays to the outputs (required times).
+	backward direction = true
+)
+
+// walker is the one propagation kernel of the package (paper Section IV,
+// eqs. 6-9): at each vertex, add every reached far-end form to its edge
+// delay and fold the sums with fold — canon.MaxViews for latest arrivals
+// and required times, canon.MinViews for earliest arrivals. Results are
+// written into bank, one slot per vertex, with reach marking the vertices
+// that hold a value; delays holds one slot per edge index.
+//
+// The same per-vertex gather serves a full level-ordered pass (pass) and
+// the incremental engine's dirty-cone sweeps (Incremental.sweep), so both
+// perform the same floating-point operations in the same order at every
+// vertex. The contribution order is fixed per vertex — forward fan-ins
+// sorted by the topological position of their source (Levels.FaninSorted),
+// backward fan-outs in adjacency order — so the result never depends on the
+// order in which vertices are visited.
+type walker struct {
+	g      *Graph
+	bank   *canon.Bank
+	reach  []bool
+	delays *canon.Bank
+	dir    direction
+	fold   func(dst, a, b canon.View)
+}
+
+// pass runs a full propagation from the given seed vertices (all at time
+// zero) over the graph's level structure: waves ascending for forward,
+// descending for backward. Slot g.NumVerts of the bank is scratch.
+func (w walker) pass(ctx context.Context, seeds []int) error {
+	g := w.g
+	if w.delays == nil {
+		return errors.New("timing: propagation needs a delay bank")
+	}
+	if w.delays.Cap() < len(g.Edges) {
+		return fmt.Errorf("timing: delay bank has %d slots for %d edges", w.delays.Cap(), len(g.Edges))
+	}
 	lv, err := g.Levels()
 	if err != nil {
 		return err
 	}
-	if err := seedSources(g, bank, reach, outputs, "output"); err != nil {
+	kind := "source"
+	if w.dir == backward {
+		kind = "output"
+	}
+	if err := checkVerts(g, seeds, kind); err != nil {
 		return err
 	}
-	scratch := bank.View(g.NumVerts)
-	gatherOut := func(v int) {
-		vv := bank.View(v)
-		for _, ei := range g.Out[v] {
-			to := g.Edges[ei].To
-			if !reach[to] {
-				continue
-			}
-			if delays != nil {
-				canon.AddViews(scratch, bank.View(to), delays.View(int(ei)))
-			} else {
-				canon.AddFormView(scratch, bank.View(to), g.Edges[ei].Delay)
-			}
-			if !reach[v] {
-				canon.CopyView(vv, scratch)
-				reach[v] = true
-			} else {
-				canon.MaxViews(vv, vv, scratch)
-			}
-		}
+	for i := range w.reach {
+		w.reach[i] = false
 	}
-	if lv.Monotone {
-		step := 0
-		for k := lv.MaxLevel; k >= 0; k-- {
-			wave := lv.Wave[lv.Starts[k]:lv.Starts[k+1]]
-			for i := len(wave) - 1; i >= 0; i-- {
-				if err := stepCtx(ctx, step); err != nil {
-					return err
-				}
-				step++
-				gatherOut(int(wave[i]))
-			}
-		}
-		return nil
+	for _, s := range seeds {
+		w.reach[s] = true
 	}
-	order, err := g.Order()
-	if err != nil {
-		return err
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		if err := stepCtx(ctx, len(order)-1-i); err != nil {
+	tmp := w.bank.View(g.NumVerts)
+	n := len(lv.Wave)
+	for i := 0; i < n; i++ {
+		if err := stepCtx(ctx, i); err != nil {
 			return err
 		}
-		gatherOut(order[i])
+		var v int
+		var fanin []int32
+		if w.dir == forward {
+			v = int(lv.Wave[i])
+			fanin = lv.FaninSorted(v)
+		} else {
+			v = int(lv.Wave[n-1-i])
+			fanin = g.Out[v]
+		}
+		w.reach[v] = w.gather(w.bank.View(v), tmp, fanin, w.reach[v])
 	}
 	return nil
 }
 
-// backwardPassParallel fans each level's backward gathers out over a
-// bounded pool. The backward kernel gathers over Out[v] in adjacency order
-// for both the serial and parallel path, so intra-level scheduling cannot
-// change any result bit.
-func backwardPassParallel(g *Graph, bank *canon.Bank, reach []bool, delays *canon.Bank, ctx context.Context, outputs []int, workers int) error {
-	if ctx == nil {
-		ctx = context.Background() // ParallelForCtx needs a non-nil parent
+// gather folds one vertex's contributions — for every edge of fanin whose
+// far end is reached, the far end's form plus the edge delay — into dst and
+// reports whether dst holds a value. A seeded vertex starts from the
+// zero-time constant and folds every contribution on top of it; otherwise
+// the first contribution is written into dst and the rest are summed in tmp
+// and folded.
+func (w *walker) gather(dst, tmp canon.View, fanin []int32, seeded bool) bool {
+	if seeded {
+		dst.SetConst(0)
 	}
-	lv, err := g.Levels()
-	if err != nil {
-		return err
-	}
-	if err := seedSources(g, bank, reach, outputs, "output"); err != nil {
-		return err
-	}
-	stride := g.Space.Stride()
-	slab := takeSlab(workers * stride)
-	defer putSlab(slab)
-	tmps := canon.NewBankOver(g.Space, workers, slab)
-
-	gather := func(v int, tmp canon.View) {
-		vv := bank.View(v)
-		reached := reach[v] // pre-seeded outputs hold the zero constant
-		for _, ei := range g.Out[v] {
-			to := g.Edges[ei].To
-			if !reach[to] {
-				continue
-			}
-			canon.AddViews(tmp, bank.View(to), delays.View(int(ei)))
-			if !reached {
-				canon.CopyView(vv, tmp)
-				reached = true
-			} else {
-				canon.MaxViews(vv, vv, tmp)
-			}
+	reached := seeded
+	for _, ei := range fanin {
+		e := &w.g.Edges[ei]
+		u := e.From
+		if w.dir == backward {
+			u = e.To
 		}
-		reach[v] = reached
-	}
-
-	for k := lv.MaxLevel - 1; k >= 0; k-- {
-		wave := lv.Wave[lv.Starts[k]:lv.Starts[k+1]]
-		n := len(wave)
-		chunks := workers
-		if n < chunks*parallelLevelMin {
-			if err := stepCtx(ctx, 0); err != nil {
-				return err
-			}
-			tmp := tmps.View(0)
-			for _, vi := range wave {
-				gather(int(vi), tmp)
-			}
+		if !w.reach[u] {
 			continue
 		}
-		err := ParallelForCtx(ctx, chunks, chunks, func(_ context.Context, c int) error {
-			tmp := tmps.View(c)
-			for _, vi := range wave[n*c/chunks : n*(c+1)/chunks] {
-				gather(int(vi), tmp)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
+		if reached {
+			canon.AddViews(tmp, w.bank.View(u), w.delays.View(int(ei)))
+			w.fold(dst, dst, tmp)
+		} else {
+			canon.AddViews(dst, w.bank.View(u), w.delays.View(int(ei)))
+			reached = true
+		}
+	}
+	return reached
+}
+
+// checkVerts rejects vertex ids outside the graph — SetIO accepts port
+// lists unvalidated, so every consumer of them checks here first. The kind
+// string names the vertex role in the error ("source", "input", ...).
+func checkVerts(g *Graph, vs []int, kind string) error {
+	for _, v := range vs {
+		if v < 0 || v >= g.NumVerts {
+			return fmt.Errorf("timing: %s vertex %d out of range", kind, v)
 		}
 	}
 	return nil
@@ -749,19 +520,14 @@ func (g *Graph) Reachability() (*ReachSets, error) {
 		WIn:  (len(g.Inputs) + 63) / 64,
 		WOut: (len(g.Outputs) + 63) / 64,
 	}
-	// SetIO accepts the port lists unvalidated; reject bad vertices here
-	// with an error rather than an index panic (the criticality engine
-	// depends on this surfacing promptly — see the pool-hang regression
-	// test in internal/core).
-	for _, in := range g.Inputs {
-		if in < 0 || in >= g.NumVerts {
-			return nil, fmt.Errorf("timing: input vertex %d out of range", in)
-		}
+	// Reject bad ports with an error rather than an index panic (the
+	// criticality engine depends on this surfacing promptly — see the
+	// pool-hang regression test in internal/core).
+	if err := checkVerts(g, g.Inputs, "input"); err != nil {
+		return nil, err
 	}
-	for _, out := range g.Outputs {
-		if out < 0 || out >= g.NumVerts {
-			return nil, fmt.Errorf("timing: output vertex %d out of range", out)
-		}
+	if err := checkVerts(g, g.Outputs, "output"); err != nil {
+		return nil, err
 	}
 	r.fromInput = make([]uint64, g.NumVerts*r.WIn)
 	r.toOutput = make([]uint64, g.NumVerts*r.WOut)

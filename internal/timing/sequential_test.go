@@ -200,49 +200,6 @@ func TestMinPropagationIdentity(t *testing.T) {
 	}
 }
 
-// TestMinPassParallelMatchesSerial is the golden bit-reproducibility test
-// for the earliest-arrival kernel: the parallel wavefront pass must match
-// the serial pass within 1e-9 (they are designed to be bit-identical; the
-// test asserts the documented tolerance).
-func TestMinPassParallelMatchesSerial(t *testing.T) {
-	c, err := circuit.GenerateClocked(circuit.TopoSpec{
-		Name: "minpar", PIs: 12, POs: 8, Gates: 160, Edges: 330, Depth: 12,
-	}, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := buildSeq(t, c)
-	sources := g.LaunchSources()
-
-	serial := g.AcquirePass()
-	defer serial.Release()
-	if err := serial.ArrivalsMin(sources...); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		par := g.AcquirePass().WithWorkers(workers)
-		if err := par.ArrivalsMin(sources...); err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < g.NumVerts; v++ {
-			if serial.Reached(v) != par.Reached(v) {
-				t.Fatalf("workers=%d vertex %d reach mismatch", workers, v)
-			}
-			if !serial.Reached(v) {
-				continue
-			}
-			sv, pv := serial.At(v), par.At(v)
-			for i := range sv {
-				if math.Abs(sv[i]-pv[i]) > 1e-9 {
-					t.Fatalf("workers=%d vertex %d slot %d: serial %g parallel %g",
-						workers, v, i, sv[i], pv[i])
-				}
-			}
-		}
-		par.Release()
-	}
-}
-
 // TestRegToRegSegmentation checks the launch/capture path matrix on the
 // clocked c17: every capture register's D must be reachable from at least
 // one launch register Q (the input stage feeds the logic).

@@ -15,7 +15,7 @@ func TestLevelsWavefronts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lv.Monotone {
+	if !levelMonotone(t, g, lv) {
 		t.Fatal("fresh Kahn order must be level-monotone")
 	}
 	for e := range g.Edges {
@@ -48,8 +48,8 @@ func TestLevelsWavefronts(t *testing.T) {
 // TestLevelsNonMonotoneAfterRemove constructs the order-preserving edit
 // that leaves a cached topological order with decreasing levels: removing
 // an edge keeps the order but can drop its target's level below that of
-// earlier-ordered vertices. The kernels must detect this and still produce
-// correct results through the plain order loop.
+// earlier-ordered vertices. The waves must still group the vertices by
+// level, and a pass over them must still produce correct results.
 func TestLevelsNonMonotoneAfterRemove(t *testing.T) {
 	// a=0, b=1, u=2, v=3; edges a->b, b->u, a->v. Kahn order [a,b,v,u]
 	// carries levels (0,1,1,2); removing b->u drops u to level 0 while the
@@ -77,7 +77,7 @@ func TestLevelsNonMonotoneAfterRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lv.Monotone {
+	if !levelMonotone(t, g, lv) {
 		t.Fatalf("pre-edit order should be monotone (levels %v)", lv.Level)
 	}
 	if err := g.RemoveEdge(bu); err != nil {
@@ -87,7 +87,7 @@ func TestLevelsNonMonotoneAfterRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lv.Monotone {
+	if levelMonotone(t, g, lv) {
 		t.Fatalf("order with levels %v over cached order should be non-monotone", lv.Level)
 	}
 	if lv.Level[2] != 0 {
@@ -104,75 +104,22 @@ func TestLevelsNonMonotoneAfterRemove(t *testing.T) {
 	if got := p.At(3).Nominal(); got != 5 {
 		t.Fatalf("arrival at v: nominal %g, want 5", got)
 	}
-	pp := g.AcquirePass().WithWorkers(4)
-	defer pp.Release()
-	if err := pp.Arrivals(g.Inputs...); err != nil {
+}
+
+// levelMonotone reports whether the graph's cached topological order visits
+// the levels in non-decreasing order.
+func levelMonotone(t *testing.T, g *Graph, lv *Levels) bool {
+	t.Helper()
+	order, err := g.Order()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if pp.Reached(2) || pp.At(3).Nominal() != 5 {
-		t.Fatal("parallel pass diverges on non-monotone order")
-	}
-}
-
-// TestWavefrontParallelMatchesSerial locks in the parallel kernels'
-// bit-identity contract on real benchmark graphs: every arrival and
-// required form must match the serial pass exactly (not just within
-// tolerance), for forward and backward passes, at several worker counts.
-func TestWavefrontParallelMatchesSerial(t *testing.T) {
-	names := []string{"c432", "c880"}
-	if !testing.Short() {
-		names = append(names, "c7552")
-	}
-	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
-			g := buildBench(t, name, 7)
-			ser := g.AcquirePass()
-			defer ser.Release()
-			if err := ser.Arrivals(g.Inputs...); err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 4} {
-				par := g.AcquirePass().WithWorkers(workers)
-				if err := par.Arrivals(g.Inputs...); err != nil {
-					t.Fatal(err)
-				}
-				compareExact(t, g, ser, par, "forward", workers)
-				par.Release()
-			}
-			if err := ser.Required(g.Outputs...); err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 4} {
-				par := g.AcquirePass().WithWorkers(workers)
-				if err := par.Required(g.Outputs...); err != nil {
-					t.Fatal(err)
-				}
-				compareExact(t, g, ser, par, "backward", workers)
-				par.Release()
-			}
-		})
-	}
-}
-
-// compareExact requires bit-identical pass results: same reach mask, same
-// form words.
-func compareExact(t *testing.T, g *Graph, want, got *Pass, dir string, workers int) {
-	t.Helper()
-	for v := 0; v < g.NumVerts; v++ {
-		if want.Reached(v) != got.Reached(v) {
-			t.Fatalf("%s workers=%d vertex %d: reach %v != %v", dir, workers, v, got.Reached(v), want.Reached(v))
-		}
-		if !want.Reached(v) {
-			continue
-		}
-		wv, gv := want.At(v), got.At(v)
-		for k := range wv {
-			if wv[k] != gv[k] {
-				t.Fatalf("%s workers=%d vertex %d word %d: %g != %g (bit-identity violated)",
-					dir, workers, v, k, gv[k], wv[k])
-			}
+	for i := 1; i < len(order); i++ {
+		if lv.Level[order[i]] < lv.Level[order[i-1]] {
+			return false
 		}
 	}
+	return true
 }
 
 // TestPassPoolMixedSizes pins the size-classed pool contract: recycling a

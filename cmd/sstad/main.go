@@ -16,7 +16,12 @@
 //
 // The coordinator answers the public API and shards sweep and micro-batch
 // executions across its worker pool, with consistent-hash session affinity
-// and automatic local fallback when no worker is healthy.
+// and automatic local fallback when no worker is healthy. It talks plain
+// HTTP to each worker's -rpc-listen address: shards are POST /v1/sweep,
+// session requests are reverse-proxied, and extracted models are pushed
+// with PUT /cluster/models/{key}. -rpc-listen trusts its callers (a
+// session create may pick its own id there, and models may be seeded), so
+// expose it to the coordinator only; -addr serves the public API.
 //
 // Endpoints (see internal/server for the wire schema):
 //
@@ -83,9 +88,9 @@ func main() {
 	storeDir := flag.String("store-dir", "", "durable-state directory: sessions and extracted models are checkpointed here and restored at boot (empty: in-memory only)")
 	storeFlush := flag.Duration("store-flush-interval", time.Second, "write-behind checkpoint flush interval")
 	storeSync := flag.Bool("store-sync", false, "fsync durable-state writes (slower, survives power loss)")
-	role := flag.String("role", "standalone", "serving role: standalone, coordinator (shards sweeps across -nodes) or worker (serves cluster RPC on -rpc-listen)")
-	nodes := flag.String("nodes", "", "coordinator only: comma-separated worker RPC addresses (host:port,...)")
-	rpcListen := flag.String("rpc-listen", ":9090", "worker only: cluster RPC listen address")
+	role := flag.String("role", "standalone", "serving role: standalone, coordinator (shards sweeps across -nodes) or worker (serves its coordinator on -rpc-listen)")
+	nodes := flag.String("nodes", "", "coordinator only: comma-separated worker -rpc-listen addresses (host:port,...)")
+	rpcListen := flag.String("rpc-listen", ":9090", "worker only: listen address for the coordinator: the HTTP API plus coordinator-only routes (trusted; do not expose publicly)")
 	flag.Parse()
 
 	// Decode and validate the default scenario set at startup so a bad
@@ -124,8 +129,8 @@ func main() {
 
 	// Cluster topology. One binary serves all three roles: a coordinator
 	// answers the public API and shards sweep/batch executions across its
-	// worker pool; a worker additionally listens for the coordinator's
-	// framed RPC; standalone is the default single-process mode.
+	// worker pool; a worker additionally serves its coordinator over HTTP on
+	// -rpc-listen; standalone is the default single-process mode.
 	var pool *cluster.Pool
 	switch *role {
 	case "standalone", "worker":
@@ -189,10 +194,10 @@ func main() {
 		}
 		go func() {
 			if err := cluster.Serve(ctx, ln, srv.WorkerService()); err != nil && ctx.Err() == nil {
-				log.Printf("sstad: cluster rpc: %v", err)
+				log.Printf("sstad: coordinator listener: %v", err)
 			}
 		}()
-		log.Printf("sstad worker serving cluster rpc on %s", ln.Addr())
+		log.Printf("sstad worker serving its coordinator on %s", ln.Addr())
 	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()

@@ -1,215 +1,34 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/store"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
-	body := []byte(`{"x":1}`)
-	buf, err := encodeFrame(frameHeader{Type: frameRequest, ID: 42, Method: "m"}, body)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	h, got, err := readFrame(bytes.NewReader(buf))
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if h.Type != frameRequest || h.ID != 42 || h.Method != "m" {
-		t.Fatalf("header round trip: %+v", h)
-	}
-	if !bytes.Equal(got, body) {
-		t.Fatalf("body round trip: %q", got)
-	}
-}
-
-func TestFrameTornAndCorrupt(t *testing.T) {
-	buf, err := encodeFrame(frameHeader{Type: frameResponse, ID: 1}, []byte("payload"))
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	// Torn: length prefix promises more bytes than arrive.
-	if _, _, err := readFrame(bytes.NewReader(buf[:len(buf)-3])); err == nil {
-		t.Fatal("torn frame read succeeded")
-	}
-	// Corrupt: flip a payload bit; the envelope CRC must catch it.
-	bad := append([]byte(nil), buf...)
-	bad[len(bad)-1] ^= 0x01
-	if _, _, err := readFrame(bytes.NewReader(bad)); !errors.Is(err, store.ErrCorrupt) {
-		t.Fatalf("corrupt frame: got %v, want ErrCorrupt", err)
-	}
-}
-
-// pipeConns returns two connected transport Conns, the second serving svc.
-func pipeConns(t *testing.T, svc Service) (*Conn, *Conn) {
+// startWorker serves h on an httptest server and returns its address plus
+// a stop function that closes the listener and every connection.
+func startWorker(t *testing.T, h http.Handler) (string, func()) {
 	t.Helper()
-	a, b := net.Pipe()
-	ca := NewConn(context.Background(), a, nil)
-	cb := NewConn(context.Background(), b, svc)
-	t.Cleanup(func() { ca.Close(); cb.Close() })
-	return ca, cb
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return strings.TrimPrefix(ts.URL, "http://"), ts.Close
 }
 
-func TestCallResponseAndEvents(t *testing.T) {
-	svc := Service{
-		"echo": func(ctx context.Context, req *Request) ([]byte, error) {
-			for i := 0; i < 3; i++ {
-				if err := req.Emit([]byte{byte('0' + i)}); err != nil {
-					return nil, err
-				}
-			}
-			return req.Body, nil
-		},
-		"boom": func(ctx context.Context, req *Request) ([]byte, error) {
-			return nil, errors.New("kaput")
-		},
-	}
-	caller, _ := pipeConns(t, svc)
-
-	var events []string
-	res, err := caller.Call(context.Background(), "echo", []byte("hi"), func(b []byte) {
-		events = append(events, string(b))
+// pingMux answers the pool's health check.
+func pingMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc(PingMethod, func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"status":"ok"}`))
 	})
-	if err != nil {
-		t.Fatalf("call: %v", err)
-	}
-	if string(res) != "hi" {
-		t.Fatalf("response %q", res)
-	}
-	if len(events) != 3 || events[0] != "0" || events[2] != "2" {
-		t.Fatalf("events %v", events)
-	}
-
-	_, err = caller.Call(context.Background(), "boom", nil, nil)
-	var remote *RemoteError
-	if !errors.As(err, &remote) || remote.Msg != "kaput" {
-		t.Fatalf("remote error: %v", err)
-	}
-
-	_, err = caller.Call(context.Background(), "nope", nil, nil)
-	if !errors.As(err, &remote) {
-		t.Fatalf("unknown method: %v", err)
-	}
-}
-
-func TestCallCancelPropagates(t *testing.T) {
-	started := make(chan struct{})
-	stopped := make(chan struct{})
-	svc := Service{
-		"wait": func(ctx context.Context, req *Request) ([]byte, error) {
-			close(started)
-			<-ctx.Done()
-			close(stopped)
-			return nil, ctx.Err()
-		},
-	}
-	caller, _ := pipeConns(t, svc)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, err := caller.Call(ctx, "wait", nil, nil)
-		errc <- err
-	}()
-	<-started
-	cancel()
-	if err := <-errc; !errors.Is(err, context.Canceled) {
-		t.Fatalf("caller error: %v", err)
-	}
-	select {
-	case <-stopped:
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancel frame never reached the handler")
-	}
-}
-
-func TestConnDeathFailsPendingCalls(t *testing.T) {
-	block := make(chan struct{})
-	svc := Service{
-		"hang": func(ctx context.Context, req *Request) ([]byte, error) {
-			<-block
-			return nil, nil
-		},
-	}
-	caller, callee := pipeConns(t, svc)
-	errc := make(chan error, 1)
-	go func() {
-		_, err := caller.Call(context.Background(), "hang", nil, nil)
-		errc <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	callee.Close()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrConnClosed) {
-			t.Fatalf("pending call error: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("pending call never failed after conn death")
-	}
-	close(block)
-}
-
-// callerPeer exercises the symmetric direction: the callee's handler
-// calls back to a service on the caller's side of the same connection.
-func TestSymmetricCallback(t *testing.T) {
-	a, b := net.Pipe()
-	callerSvc := Service{
-		"lookup": func(ctx context.Context, req *Request) ([]byte, error) {
-			return append([]byte("found:"), req.Body...), nil
-		},
-	}
-	workerSvc := Service{
-		"work": func(ctx context.Context, req *Request) ([]byte, error) {
-			return req.Conn.Call(ctx, "lookup", req.Body, nil)
-		},
-	}
-	caller := NewConn(context.Background(), a, callerSvc)
-	worker := NewConn(context.Background(), b, workerSvc)
-	defer caller.Close()
-	defer worker.Close()
-
-	res, err := caller.Call(context.Background(), "work", []byte("k1"), nil)
-	if err != nil {
-		t.Fatalf("call: %v", err)
-	}
-	if string(res) != "found:k1" {
-		t.Fatalf("callback result %q", res)
-	}
-}
-
-// startWorker serves svc on a real TCP listener and returns its address
-// plus a stop function.
-func startWorker(t *testing.T, svc Service) (string, context.CancelFunc) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		Serve(ctx, ln, svc)
-	}()
-	t.Cleanup(func() { cancel(); <-done })
-	return ln.Addr().String(), cancel
-}
-
-func pingSvc() Service {
-	return Service{
-		PingMethod: func(ctx context.Context, req *Request) ([]byte, error) {
-			return json.Marshal(map[string]int{"ok": 1})
-		},
-	}
+	return mux
 }
 
 func waitHealthy(t *testing.T, p *Pool, want int) {
@@ -225,8 +44,8 @@ func waitHealthy(t *testing.T, p *Pool, want int) {
 }
 
 func TestPoolHealthAndFailover(t *testing.T) {
-	addrA, stopA := startWorker(t, pingSvc())
-	addrB, _ := startWorker(t, pingSvc())
+	addrA, stopA := startWorker(t, pingMux())
+	addrB, _ := startWorker(t, pingMux())
 
 	p := NewPool(PoolConfig{
 		Addrs:        []string{addrA, addrB},
@@ -260,12 +79,15 @@ func TestPoolHealthAndFailover(t *testing.T) {
 
 func TestPoolDoCountsAndDemotes(t *testing.T) {
 	var served atomic.Int64
-	svc := pingSvc()
-	svc["job"] = func(ctx context.Context, req *Request) ([]byte, error) {
+	mux := pingMux()
+	mux.HandleFunc("POST /job", func(w http.ResponseWriter, r *http.Request) {
 		served.Add(1)
-		return []byte("done"), nil
-	}
-	addr, stop := startWorker(t, svc)
+		w.Write([]byte("done"))
+	})
+	mux.HandleFunc("POST /boom", func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "kaput", http.StatusInternalServerError)
+	})
+	addr, stop := startWorker(t, mux)
 
 	p := NewPool(PoolConfig{
 		Addrs:        []string{addr},
@@ -279,7 +101,7 @@ func TestPoolDoCountsAndDemotes(t *testing.T) {
 	waitHealthy(t, p, 1)
 
 	n := p.Nodes()[0]
-	res, err := p.Do(context.Background(), n, "job", nil, nil)
+	res, err := p.Do(context.Background(), n, "POST /job", nil, nil)
 	if err != nil || string(res) != "done" {
 		t.Fatalf("do: %v %q", err, res)
 	}
@@ -287,9 +109,19 @@ func TestPoolDoCountsAndDemotes(t *testing.T) {
 		t.Fatalf("dispatch accounting: %d sent, %d served", n.Dispatches.Load(), served.Load())
 	}
 
+	// A worker's non-2xx answer is the request's problem, not the node's.
+	_, err = p.Do(context.Background(), n, "POST /boom", []byte("{}"), nil)
+	var status *StatusError
+	if !errors.As(err, &status) || status.Code != http.StatusInternalServerError || !strings.Contains(string(status.Body), "kaput") {
+		t.Fatalf("non-2xx answer: %v", err)
+	}
+	if n.Errors.Load() != 0 || !n.Healthy() {
+		t.Fatalf("non-2xx answer counted as a transport failure: %d errors, healthy %v", n.Errors.Load(), n.Healthy())
+	}
+
 	stop()
 	waitHealthy(t, p, 0)
-	if _, err := p.Do(context.Background(), n, "job", nil, nil); err == nil {
+	if _, err := p.Do(context.Background(), n, "POST /job", nil, nil); err == nil {
 		t.Fatal("dispatch to dead node succeeded")
 	}
 	if n.Errors.Load() == 0 {
@@ -298,61 +130,185 @@ func TestPoolDoCountsAndDemotes(t *testing.T) {
 }
 
 func TestFaultDialerDropAndTear(t *testing.T) {
-	svc := pingSvc()
-	svc["job"] = func(ctx context.Context, req *Request) ([]byte, error) {
-		return []byte("ok"), nil
-	}
-	addr, _ := startWorker(t, svc)
+	mux := pingMux()
+	mux.HandleFunc("POST /job", func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("ok"))
+	})
+	addr, _ := startWorker(t, mux)
 	base := func(ctx context.Context, a string) (net.Conn, error) {
 		var d net.Dialer
 		return d.DialContext(ctx, "tcp", a)
 	}
-
-	// Torn frame: the peer sees a CRC/short-read failure and the caller's
-	// connection dies deterministically on the first request frame.
+	// Every case dials afresh: a failed exchange kills its connection, so
+	// the transport never reuses it.
 	fd := NewFaultDialer(base, FaultConfig{TearAtWrite: 1})
-	nc, err := fd.Dial(context.Background(), addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	c := NewConn(context.Background(), nc, nil)
-	defer c.Close()
+	p := NewPool(PoolConfig{Addrs: []string{addr}, Dial: fd.Dial})
+	defer p.Close()
+	n := p.Nodes()[0]
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := c.Call(ctx, "job", []byte("x"), nil); err == nil {
-		t.Fatal("call over torn connection succeeded")
+
+	// Torn request: the first write is cut halfway and the connection
+	// closes, so the exchange fails.
+	if _, err := p.Do(ctx, n, "POST /job", []byte("x"), nil); err == nil {
+		t.Fatal("exchange over torn connection succeeded")
 	}
 
-	// Dropped connection after the first successful frame: the call's
-	// response never arrives and the pending call fails with conn death.
+	// Dropped connection after the request is written: the response
+	// never arrives and the exchange fails.
 	fd.SetConfig(FaultConfig{DropAfterWrites: 1})
-	nc2, err := fd.Dial(context.Background(), addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	c2 := NewConn(context.Background(), nc2, nil)
-	defer c2.Close()
-	if _, err := c2.Call(ctx, "job", []byte("x"), nil); err == nil {
-		t.Fatal("call over dropped connection succeeded")
+	if _, err := p.Do(ctx, n, "POST /job", []byte("x"), nil); err == nil {
+		t.Fatal("exchange over dropped connection succeeded")
 	}
 
-	// Latency injection slows but does not break the call.
+	// Latency injection slows but does not break the exchange.
 	fd.SetConfig(FaultConfig{WriteLatency: 5 * time.Millisecond})
-	nc3, err := fd.Dial(context.Background(), addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	c3 := NewConn(context.Background(), nc3, nil)
-	defer c3.Close()
 	start := time.Now()
-	if _, err := c3.Call(ctx, "job", []byte("x"), nil); err != nil {
-		t.Fatalf("latent call: %v", err)
+	if _, err := p.Do(ctx, n, "POST /job", []byte("x"), nil); err != nil {
+		t.Fatalf("latent exchange: %v", err)
 	}
 	if time.Since(start) < 5*time.Millisecond {
 		t.Fatal("latency not injected")
 	}
 	if dials, writes := fd.Counters(); dials != 3 || writes == 0 {
 		t.Fatalf("fault counters: %d dials %d writes", dials, writes)
+	}
+	if n.Errors.Load() != 2 {
+		t.Fatalf("transport errors = %d, want 2 (torn, dropped)", n.Errors.Load())
+	}
+}
+
+// TestDoEventsBeforeFinalBody: an event-stream answer reaches onEvent one
+// event at a time, in order, while the worker is still writing it, and
+// the returned body is the stream's last event.
+func TestDoEventsBeforeFinalBody(t *testing.T) {
+	seen := make(chan int, 3)
+	mux := pingMux()
+	mux.HandleFunc("POST /stream", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		fl := w.(http.Flusher)
+		for i := 0; i < 3; i++ {
+			fmt.Fprintf(w, "event: scenario\ndata: {\"i\":%d}\n\n", i)
+			fl.Flush()
+			// The next event is written only once the caller has seen
+			// this one: events cannot be buffered until the end.
+			select {
+			case got := <-seen:
+				if got != i {
+					return
+				}
+			case <-time.After(5 * time.Second):
+				return
+			}
+		}
+		w.Write([]byte("event: summary\ndata: {\"done\":true}\n\n"))
+	})
+	addr, _ := startWorker(t, mux)
+	p := NewPool(PoolConfig{Addrs: []string{addr}})
+	defer p.Close()
+
+	var events []string
+	body, err := p.Do(context.Background(), p.Nodes()[0], "POST /stream", []byte("{}"), func(ev []byte) {
+		events = append(events, string(ev))
+		if len(events) <= 3 {
+			seen <- len(events) - 1
+		}
+	})
+	if err != nil {
+		t.Fatalf("do: %v", err)
+	}
+	want := []string{
+		"event: scenario\ndata: {\"i\":0}",
+		"event: scenario\ndata: {\"i\":1}",
+		"event: scenario\ndata: {\"i\":2}",
+		"event: summary\ndata: {\"done\":true}",
+	}
+	if strings.Join(events, "|") != strings.Join(want, "|") {
+		t.Fatalf("events %q, want %q", events, want)
+	}
+	if string(body) != want[3] {
+		t.Fatalf("final body %q, want the last event", body)
+	}
+
+	// A plain 404 to a call that asked for events is a StatusError with
+	// the whole body; a malformed method never leaves the pool.
+	_, err = p.Do(context.Background(), p.Nodes()[0], "POST /nope", nil, func([]byte) {})
+	var status *StatusError
+	if !errors.As(err, &status) || status.Code != http.StatusNotFound || !strings.Contains(string(status.Body), "not found") {
+		t.Fatalf("unknown route: %v", err)
+	}
+	if _, err := p.Do(context.Background(), p.Nodes()[0], "nope", nil, nil); err == nil {
+		t.Fatal("malformed method accepted")
+	}
+	if n := p.Nodes()[0]; n.Errors.Load() != 0 {
+		t.Fatalf("a refused call counted %d transport errors", n.Errors.Load())
+	}
+}
+
+// TestDoCancelPropagates: canceling the caller's context cancels the
+// handler's request context on the worker, without demoting the node;
+// canceling Serve's context closes the connection and returns nil.
+func TestDoCancelPropagates(t *testing.T) {
+	started := make(chan struct{})
+	stopped := make(chan struct{})
+	mux := pingMux()
+	mux.HandleFunc("POST /wait", func(w http.ResponseWriter, r *http.Request) {
+		close(started)
+		<-r.Context().Done()
+		close(stopped)
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sctx, scancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- Serve(sctx, ln, mux) }()
+	defer scancel()
+
+	p := NewPool(PoolConfig{Addrs: []string{ln.Addr().String()}})
+	defer p.Close()
+	n := p.Nodes()[0]
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := p.Do(ctx, n, "POST /wait", nil, nil)
+		errc <- err
+	}()
+	<-started
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("caller error: %v", err)
+	}
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancellation never reached the handler")
+	}
+	if n.Errors.Load() != 0 {
+		t.Fatalf("caller cancellation counted as %d transport errors", n.Errors.Load())
+	}
+
+	// A request in flight when Serve's context ends has its connection
+	// closed under it; Serve reports a clean shutdown.
+	started = make(chan struct{})
+	stopped = make(chan struct{})
+	go func() {
+		_, err := p.Do(context.Background(), n, "POST /wait", nil, nil)
+		errc <- err
+	}()
+	<-started
+	scancel()
+	if err := <-errc; err == nil {
+		t.Fatal("exchange survived the server shutting down")
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve after shutdown: %v", err)
+	}
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("shutdown never canceled the in-flight handler")
 	}
 }
 

@@ -1,27 +1,24 @@
 // Package cluster is the distributed-serving substrate for sstad: a
-// compact binary RPC transport plus a health-checked worker pool with
-// consistent-hash placement.
+// health-checked worker pool with consistent-hash placement, speaking
+// plain HTTP/1.1 to workers that serve the sstad API.
 //
-// The transport is deliberately small. Every frame on the wire is a
-// 4-byte big-endian length prefix followed by a store envelope
-// (store.Seal, kind "sstad-rpc"), so each frame carries the same
-// version + CRC-32C seal as durable snapshots and torn or corrupt
-// frames are detected before a decoder runs. Inside the envelope sits a
-// one-line JSON header (frame type, request id, method, error) followed
-// by an opaque body. Connections are symmetric: either peer may issue
-// requests, return responses, stream mid-request event frames, or
-// cancel an in-flight request, all multiplexed over one TCP connection.
-// That symmetry is what lets a worker consult the coordinator's model
-// cache over the same connection the coordinator uses to dispatch
-// shards.
+// Pool keeps one keep-alive http.Transport for every node, dialing
+// through PoolConfig.Dial (so NewFaultDialer can inject dropped, torn
+// or slow connections). Each node is health-checked with a periodic
+// GET /healthz, and keys are placed with a consistent-hash ring
+// (virtual nodes) so session affinity survives membership changes with
+// minimal reshuffling. Pool.Do is one request/response exchange that
+// delivers an event-stream answer one event at a time; Pool is also an
+// http.RoundTripper, so an httputil.ReverseProxy can run on it. Both
+// count the exchange on the node, and a transport failure demotes the
+// node until its next successful ping. A worker's non-2xx answer is a
+// *StatusError and leaves the node healthy.
 //
-// Pool tracks a fixed set of worker addresses, dials lazily, health-
-// checks each node with a periodic ping, and places keys on nodes with
-// a consistent-hash ring (virtual nodes) so session affinity survives
-// membership changes with minimal reshuffling. Dispatch policy —
-// retry, failover, local fallback — belongs to the caller; the pool
-// only reports node health and moves bytes.
+// Serve runs an http.Server for a handler on a listener and closes live
+// connections when its context ends.
 //
-// The package knows nothing about timing analysis: methods are strings,
-// bodies are bytes. Protocol message shapes live with the server.
+// Dispatch policy — retry, failover, local fallback — belongs to the
+// caller; the pool only reports node health and moves requests. The
+// package knows nothing about timing analysis: methods are
+// "METHOD /path" strings, bodies are bytes.
 package cluster

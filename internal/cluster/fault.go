@@ -8,19 +8,25 @@ import (
 )
 
 // Deterministic transport fault injection, mirroring the store.Fault
-// wrapper pattern: wrap the pool's DialFunc, count frames, and fail on
-// a schedule. Because the transport writes each frame with exactly one
-// Write call, counting Write calls counts frames.
+// wrapper pattern: wrap the pool's DialFunc, count Write calls per
+// connection, and fail on a schedule. The HTTP transport buffers each
+// request and flushes it with one Write when headers and body fit its
+// 4 KiB write buffer, so on small requests counting writes counts
+// requests; a larger body takes one Write per buffer flush.
 
 // FaultConfig schedules transport faults. Zero value injects nothing.
 type FaultConfig struct {
-	// DropAfterWrites closes the connection immediately after the Nth
-	// successful frame write (1-based). Zero disables.
+	// DropAfterWrites drops the connection after the Nth write (1-based),
+	// as if the peer died holding the request: whatever arrives next is
+	// discarded and the connection closes. The close waits for that
+	// read so the write is fully accounted first; closing inside the write
+	// would let an HTTP transport take the request for unsent and quietly
+	// replay it. Zero disables.
 	DropAfterWrites int
-	// TearAtWrite truncates the Nth frame write halfway and then closes
-	// the connection, producing a torn frame at the peer. Zero disables.
+	// TearAtWrite truncates the Nth write halfway and then closes the
+	// connection, leaving a torn request at the peer. Zero disables.
 	TearAtWrite int
-	// WriteLatency delays every frame write.
+	// WriteLatency delays every write.
 	WriteLatency time.Duration
 	// FailDials makes subsequent dials fail outright.
 	FailDials bool
@@ -35,7 +41,7 @@ type FaultDialer struct {
 	mu     sync.Mutex
 	cfg    FaultConfig
 	dials  int
-	writes int // total frame writes across connections, for assertions
+	writes int // total writes across connections, for assertions
 }
 
 // NewFaultDialer wraps inner with fault injection.
@@ -50,7 +56,7 @@ func (f *FaultDialer) SetConfig(cfg FaultConfig) {
 	f.mu.Unlock()
 }
 
-// Counters reports total dials and frame writes through this dialer.
+// Counters reports total dials and writes through this dialer.
 func (f *FaultDialer) Counters() (dials, writes int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -79,8 +85,21 @@ type faultConn struct {
 	dialer *FaultDialer
 	cfg    FaultConfig
 
-	mu     sync.Mutex
-	writes int
+	mu      sync.Mutex
+	writes  int
+	dropped bool
+}
+
+func (c *faultConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.mu.Lock()
+	dropped := c.dropped
+	c.mu.Unlock()
+	if dropped {
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	return n, err
 }
 
 func (c *faultConn) Write(b []byte) (int, error) {
@@ -90,6 +109,11 @@ func (c *faultConn) Write(b []byte) (int, error) {
 	c.mu.Lock()
 	c.writes++
 	w := c.writes
+	// Marked before the write goes out, so even an instant answer to it is
+	// discarded.
+	if c.cfg.DropAfterWrites > 0 && w >= c.cfg.DropAfterWrites {
+		c.dropped = true
+	}
 	c.mu.Unlock()
 	c.dialer.mu.Lock()
 	c.dialer.writes++
@@ -101,9 +125,5 @@ func (c *faultConn) Write(b []byte) (int, error) {
 		c.Conn.Close()
 		return n, net.ErrClosed
 	}
-	n, err := c.Conn.Write(b)
-	if err == nil && c.cfg.DropAfterWrites > 0 && w >= c.cfg.DropAfterWrites {
-		c.Conn.Close()
-	}
-	return n, err
+	return c.Conn.Write(b)
 }

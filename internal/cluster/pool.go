@@ -1,20 +1,26 @@
 package cluster
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"hash/fnv"
+	"io"
 	"net"
+	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// PingMethod is the health-check RPC every worker must serve. The pool
-// calls it on every interval tick; any response counts as healthy.
-const PingMethod = "ping"
+// PingMethod is the health check the pool sends every worker on each
+// interval tick; any 2xx answer counts as healthy.
+const PingMethod = "GET /healthz"
 
 // DialFunc opens a transport connection to a worker address. Tests and
 // fault injection substitute their own.
@@ -26,13 +32,11 @@ const ringVnodes = 64
 
 // PoolConfig configures a worker pool.
 type PoolConfig struct {
-	// Addrs are the worker RPC addresses (host:port).
+	// Addrs are the worker addresses (host:port) of their -rpc-listen
+	// listeners.
 	Addrs []string
 	// Dial opens connections; nil uses a net.Dialer with PingTimeout.
 	Dial DialFunc
-	// Service is served on the pool's side of every connection, so
-	// workers can call back (remote model cache). May be nil.
-	Service Service
 	// PingInterval is the health-check cadence. Default 500ms.
 	PingInterval time.Duration
 	// PingTimeout bounds one ping round trip (and the default dial).
@@ -45,17 +49,17 @@ type PoolConfig struct {
 }
 
 func (c PoolConfig) withDefaults() PoolConfig {
-	if c.Dial == nil {
-		c.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
-			d := net.Dialer{Timeout: c.PingTimeout}
-			return d.DialContext(ctx, "tcp", addr)
-		}
-	}
 	if c.PingInterval <= 0 {
 		c.PingInterval = 500 * time.Millisecond
 	}
 	if c.PingTimeout <= 0 {
 		c.PingTimeout = 2 * time.Second
+	}
+	if c.Dial == nil {
+		d := net.Dialer{Timeout: c.PingTimeout}
+		c.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
+			return d.DialContext(ctx, "tcp", addr)
+		}
 	}
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 1
@@ -68,7 +72,6 @@ type Node struct {
 	addr string
 
 	mu         sync.Mutex
-	conn       *Conn
 	healthy    bool
 	lastErr    error
 	lastSeen   time.Time
@@ -76,9 +79,12 @@ type Node struct {
 
 	// InFlight is the number of dispatches currently on this node.
 	InFlight atomic.Int64
-	// Dispatches counts RPCs issued to this node.
+	// Dispatches counts exchanges issued to this node, health pings
+	// excluded.
 	Dispatches atomic.Int64
-	// Errors counts RPCs that failed at the transport layer.
+	// Errors counts exchanges, health pings included, that failed in
+	// transport. It only grows, so a caller can tell whether the node has
+	// failed since it last looked.
 	Errors atomic.Int64
 	// Sessions counts stateful sessions currently routed to this node.
 	Sessions atomic.Int64
@@ -108,18 +114,25 @@ func (n *Node) LastSeen() time.Time {
 	return n.lastSeen
 }
 
-// ErrNoNodes reports a dispatch attempted with no healthy worker.
-var ErrNoNodes = errors.New("cluster: no healthy nodes")
+// StatusError is a worker's non-2xx answer: the exchange worked, the
+// request did not. It never demotes the node.
+type StatusError struct {
+	Code int
+	Body []byte
+}
 
-// Pool is a fixed-membership worker pool: it dials lazily, health-
-// checks every node, and places keys with a consistent-hash ring.
+func (e *StatusError) Error() string {
+	return fmt.Sprintf("cluster: worker answered %d: %s", e.Code, bytes.TrimSpace(e.Body))
+}
+
+// Pool is a fixed-membership worker pool: one keep-alive HTTP transport
+// for every node, a health check per node, and a consistent-hash ring
+// for placement.
 type Pool struct {
-	cfg   PoolConfig
-	nodes []*Node
-	ring  []ringEntry
-
-	mu  sync.Mutex
-	svc Service
+	cfg       PoolConfig
+	nodes     []*Node
+	ring      []ringEntry
+	transport *http.Transport
 
 	stop context.CancelFunc
 	wg   sync.WaitGroup
@@ -131,10 +144,19 @@ type ringEntry struct {
 }
 
 // NewPool builds a pool over the given worker addresses. Call Start to
-// begin health checking.
+// begin health checking; Do works before that.
 func NewPool(cfg PoolConfig) *Pool {
 	cfg = cfg.withDefaults()
-	p := &Pool{cfg: cfg, svc: cfg.Service}
+	p := &Pool{
+		cfg: cfg,
+		transport: &http.Transport{
+			DialContext: func(ctx context.Context, _, addr string) (net.Conn, error) {
+				return cfg.Dial(ctx, addr)
+			},
+			MaxIdleConnsPerHost: 64,
+			IdleConnTimeout:     90 * time.Second,
+		},
+	}
 	for _, addr := range cfg.Addrs {
 		n := &Node{addr: addr}
 		p.nodes = append(p.nodes, n)
@@ -152,16 +174,8 @@ func ringHash(s string) uint64 {
 	return h.Sum64()
 }
 
-// SetService installs the service served on the pool's side of every
-// connection. Must be called before Start.
-func (p *Pool) SetService(svc Service) {
-	p.mu.Lock()
-	p.svc = svc
-	p.mu.Unlock()
-}
-
 // Start launches the health-check loops. ctx bounds the pool's
-// lifetime; when it ends all connections close.
+// lifetime.
 func (p *Pool) Start(ctx context.Context) {
 	ctx, cancel := context.WithCancel(ctx)
 	p.stop = cancel
@@ -175,24 +189,16 @@ func (p *Pool) Start(ctx context.Context) {
 	}
 }
 
-// Close stops health checking and closes all connections.
+// Close stops health checking and closes idle connections.
 func (p *Pool) Close() {
 	if p.stop != nil {
 		p.stop()
 	}
 	p.wg.Wait()
-	for _, n := range p.nodes {
-		n.mu.Lock()
-		c := n.conn
-		n.conn = nil
-		n.mu.Unlock()
-		if c != nil {
-			c.Close()
-		}
-	}
+	p.transport.CloseIdleConnections()
 }
 
-// healthLoop pings one node forever, dialing as needed.
+// healthLoop pings one node forever.
 func (p *Pool) healthLoop(ctx context.Context, n *Node) {
 	t := time.NewTicker(p.cfg.PingInterval)
 	defer t.Stop()
@@ -206,16 +212,19 @@ func (p *Pool) healthLoop(ctx context.Context, n *Node) {
 	}
 }
 
-// ping performs one health check round trip.
+// ping performs one health check round trip. A ping that times out
+// fails like any other: a hung worker is demoted too.
 func (p *Pool) ping(ctx context.Context, n *Node) {
 	cctx, cancel := context.WithTimeout(ctx, p.cfg.PingTimeout)
 	defer cancel()
-	conn, err := p.connFor(cctx, n)
+	req, err := newRequest(cctx, n, PingMethod, nil, false)
 	if err == nil {
-		_, err = conn.Call(cctx, PingMethod, nil, nil)
+		_, err = p.exchange(req, nil)
 	}
 	if err != nil {
-		p.noteFailure(n, err)
+		if ctx.Err() == nil {
+			p.noteFailure(n, err)
+		}
 		return
 	}
 	n.mu.Lock()
@@ -226,51 +235,14 @@ func (p *Pool) ping(ctx context.Context, n *Node) {
 	n.mu.Unlock()
 }
 
-// connFor returns the node's live connection, dialing if needed.
-func (p *Pool) connFor(ctx context.Context, n *Node) (*Conn, error) {
-	n.mu.Lock()
-	if c := n.conn; c != nil {
-		select {
-		case <-c.Done():
-			n.conn = nil
-		default:
-			n.mu.Unlock()
-			return c, nil
-		}
-	}
-	n.mu.Unlock()
-
-	nc, err := p.cfg.Dial(ctx, n.addr)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	svc := p.svc
-	p.mu.Unlock()
-	c := NewConn(context.WithoutCancel(ctx), nc, svc)
-
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.conn != nil {
-		// Another dial won the race; keep the established one.
-		select {
-		case <-n.conn.Done():
-			n.conn.Close()
-			n.conn = c
-		default:
-			c.Close()
-			return n.conn, nil
-		}
-	} else {
-		n.conn = c
-	}
-	return n.conn, nil
-}
-
-// noteFailure records a transport failure and demotes the node once the
-// consecutive-failure threshold is crossed. The dead connection is
-// dropped so the next attempt redials.
+// noteFailure records a failed exchange and demotes the node once the
+// consecutive-failure threshold is crossed. Failures other than a
+// worker's non-2xx answer also count in Errors.
 func (p *Pool) noteFailure(n *Node, err error) {
+	var status *StatusError
+	if !errors.As(err, &status) {
+		n.Errors.Add(1)
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.lastErr = err
@@ -278,38 +250,130 @@ func (p *Pool) noteFailure(n *Node, err error) {
 	if n.consecFail >= p.cfg.FailThreshold {
 		n.healthy = false
 	}
-	if n.conn != nil {
-		select {
-		case <-n.conn.Done():
-			n.conn = nil // dead; next attempt redials
-		default:
-		}
-	}
 }
 
-// Do issues one RPC to a node, maintaining in-flight and error
-// accounting. A transport failure demotes the node so subsequent
-// dispatches skip it until the next successful ping; a RemoteError is
-// the handler's problem, not the node's.
+// transportFailed reports whether err is a transport failure that is the
+// node's fault: not a worker's answer, and not a caller giving up.
+func transportFailed(ctx context.Context, err error) bool {
+	var status *StatusError
+	return err != nil && ctx.Err() == nil && !errors.As(err, &status)
+}
+
+// Do performs one HTTP exchange with a node. method is a "METHOD /path"
+// pattern such as "POST /v1/sweep"; a non-nil body is sent as JSON. When
+// onEvent is non-nil the request asks for an event stream, and a
+// text/event-stream answer is handed to onEvent one event at a time as it
+// arrives (the event's lines, without the blank line that ends it); the
+// returned body is then the stream's last event. Any other answer returns
+// its whole body. A transport failure demotes the node so dispatches skip
+// it until the next successful ping; a non-2xx answer returns a
+// *StatusError and leaves the node alone.
 func (p *Pool) Do(ctx context.Context, n *Node, method string, body []byte, onEvent func([]byte)) ([]byte, error) {
-	conn, err := p.connFor(ctx, n)
+	req, err := newRequest(ctx, n, method, body, onEvent != nil)
 	if err != nil {
-		n.Errors.Add(1)
-		p.noteFailure(n, err)
 		return nil, err
 	}
 	n.Dispatches.Add(1)
 	n.InFlight.Add(1)
 	defer n.InFlight.Add(-1)
-	res, err := conn.Call(ctx, method, body, onEvent)
+	out, err := p.exchange(req, onEvent)
+	if transportFailed(ctx, err) {
+		p.noteFailure(n, err)
+	}
+	return out, err
+}
+
+// newRequest builds the request for a "METHOD /path" call to n.
+func newRequest(ctx context.Context, n *Node, method string, body []byte, events bool) (*http.Request, error) {
+	verb, path, ok := strings.Cut(method, " ")
+	if !ok || !strings.HasPrefix(path, "/") {
+		return nil, fmt.Errorf("cluster: method %q is not \"METHOD /path\"", method)
+	}
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, verb, "http://"+n.addr+path, rd)
 	if err != nil {
-		var remote *RemoteError
-		if !errors.As(err, &remote) && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			n.Errors.Add(1)
-			p.noteFailure(n, err)
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if events {
+		req.Header.Set("Accept", "text/event-stream")
+	}
+	return req, nil
+}
+
+// exchange sends req and reads its answer (see Do).
+func (p *Pool) exchange(req *http.Request, onEvent func([]byte)) ([]byte, error) {
+	resp, err := p.transport.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var out []byte
+	if strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
+		out, err = readEvents(resp.Body, onEvent)
+	} else {
+		out, err = io.ReadAll(resp.Body)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode/100 != 2 {
+		return out, &StatusError{Code: resp.StatusCode, Body: out}
+	}
+	return out, nil
+}
+
+// readEvents splits an event stream at its blank lines, hands each event
+// to onEvent (if set) and returns the last one.
+func readEvents(r io.Reader, onEvent func([]byte)) ([]byte, error) {
+	br := bufio.NewReader(r)
+	var ev, last []byte
+	for {
+		line, err := br.ReadBytes('\n')
+		if len(bytes.TrimRight(line, "\r\n")) > 0 {
+			ev = append(ev, line...)
+		} else if len(ev) > 0 {
+			last = bytes.TrimRight(ev, "\r\n")
+			if onEvent != nil {
+				onEvent(last)
+			}
+			ev = nil
+		}
+		if err == io.EOF {
+			if len(ev) > 0 {
+				return nil, io.ErrUnexpectedEOF // stream cut mid-event
+			}
+			return last, nil
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-	return res, err
+}
+
+// RoundTrip sends a request addressed to a pool member (its URL host is
+// the node's address) over the pool's transport, with Do's accounting:
+// the exchange counts as a dispatch while its response headers are
+// pending, and a transport failure demotes the node. Reverse proxies to
+// workers run on it.
+func (p *Pool) RoundTrip(req *http.Request) (*http.Response, error) {
+	n := p.NodeByAddr(req.URL.Host)
+	if n == nil {
+		return nil, fmt.Errorf("cluster: %s is not a pool member", req.URL.Host)
+	}
+	n.Dispatches.Add(1)
+	n.InFlight.Add(1)
+	defer n.InFlight.Add(-1)
+	resp, err := p.transport.RoundTrip(req)
+	if transportFailed(req.Context(), err) {
+		p.noteFailure(n, err)
+	}
+	return resp, err
 }
 
 // Nodes returns all pool members in configuration order.

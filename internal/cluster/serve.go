@@ -4,50 +4,22 @@ import (
 	"context"
 	"errors"
 	"net"
-	"sync"
+	"net/http"
+	"time"
 )
 
-// Serve accepts RPC connections on ln and serves svc on each until ctx
-// ends or the listener fails. It closes every accepted connection on
-// the way out and returns the accept error (nil after a clean
-// shutdown).
-func Serve(ctx context.Context, ln net.Listener, svc Service) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stop := context.AfterFunc(ctx, func() { ln.Close() })
+// Serve runs an HTTP server for h on ln until ctx ends or the listener
+// fails. When ctx ends it closes the listener and every live connection,
+// so in-flight handlers see their request contexts canceled. It returns
+// nil after a clean shutdown and the accept error otherwise.
+func Serve(ctx context.Context, ln net.Listener, h http.Handler) error {
+	hs := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	stop := context.AfterFunc(ctx, func() { hs.Close() })
 	defer stop()
-
-	var mu sync.Mutex
-	conns := make(map[*Conn]struct{})
-	var wg sync.WaitGroup
-	defer func() {
-		mu.Lock()
-		for c := range conns {
-			c.Close()
-		}
-		mu.Unlock()
-		wg.Wait()
-	}()
-
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		c := NewConn(ctx, nc, svc)
-		mu.Lock()
-		conns[c] = struct{}{}
-		mu.Unlock()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-c.Done()
-			mu.Lock()
-			delete(conns, c)
-			mu.Unlock()
-		}()
+	defer hs.Close()
+	err := hs.Serve(ln)
+	if ctx.Err() != nil || errors.Is(err, http.ErrServerClosed) || errors.Is(err, net.ErrClosed) {
+		return nil
 	}
+	return err
 }

@@ -250,8 +250,8 @@ func (c *ExtractCache) Len() int {
 // caller that wants to wait should use ExtractCtx. A hit counts toward
 // the cache's hit statistics; a miss is not counted here because the
 // caller typically follows up with ExtractCtx, which does the counting.
-// The cluster layer uses this to decide whether to consult the remote
-// model-cache tier before paying for a local extraction.
+// A coordinator uses it to find the models its prep extracted, to push
+// them to its workers.
 func (c *ExtractCache) Lookup(g *timing.Graph, opt Options) (*Model, bool) {
 	if c == nil {
 		return nil, false

@@ -397,3 +397,27 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 		t.Fatal("wrong version accepted")
 	}
 }
+
+// TestExtractDeterministic: extracting the same circuit twice gives the
+// same model, bit for bit. Parallel-edge bundles used to merge in map
+// order, so the model's edge order, and every Clark max downstream of it,
+// changed from run to run (a quad-c1908 sweep moved by ~1e-3 ps between
+// processes).
+func TestExtractDeterministic(t *testing.T) {
+	var want []byte
+	for run := 0; run < 4; run++ {
+		m, err := Extract(buildGraph(t, "c1908", 3), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.EncodeSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("extraction %d differs from the first", run)
+		}
+	}
+}

@@ -132,11 +132,21 @@ func (m *modelGraph) parallelMerge() bool {
 		if !m.vAlive[v] || len(m.outE[v]) < 2 {
 			continue
 		}
+		// Bundles merge in the order their sinks first appear in outE,
+		// never in map order: the merged edges' order becomes the model's
+		// edge order, which fixes the contribution order of every later
+		// Clark max, so it must be the same on every run.
 		groups := make(map[int][]int) // sink -> edge ids
+		var sinks []int
 		for _, ei := range m.outE[v] {
-			groups[m.edges[ei].to] = append(groups[m.edges[ei].to], ei)
+			to := m.edges[ei].to
+			if _, seen := groups[to]; !seen {
+				sinks = append(sinks, to)
+			}
+			groups[to] = append(groups[to], ei)
 		}
-		for to, eids := range groups {
+		for _, to := range sinks {
+			eids := groups[to]
 			if len(eids) < 2 {
 				continue
 			}

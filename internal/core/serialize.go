@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/canon"
 	"repro/internal/store"
@@ -121,6 +122,17 @@ func (m *Model) WriteJSON(w io.Writer) error {
 	return enc.Encode(&mj)
 }
 
+// Model size caps, checked before anything is allocated so a hostile
+// model costs no more than its own bytes: the graph snapshot's caps on
+// vertices and form dimensions, and a grid cap twice the largest grid a
+// servable model has (8x8, the 32x32 multiplier), since rebuilding a
+// grid's PCA is cubic in its cells.
+const (
+	maxModelVerts     = 1 << 21
+	maxModelFormDim   = 1 << 18 // globals + components of a delay form
+	maxModelGridCells = 12 * 12
+)
+
 // ReadJSON deserializes a model written by WriteJSON.
 func ReadJSON(r io.Reader) (*Model, error) {
 	var mj modelJSON
@@ -129,6 +141,22 @@ func ReadJSON(r io.Reader) (*Model, error) {
 	}
 	if mj.FormatVersion != modelFormatVersion {
 		return nil, fmt.Errorf("core: unsupported model format version %d", mj.FormatVersion)
+	}
+	if mj.NumVerts < 0 || mj.NumVerts > maxModelVerts {
+		return nil, fmt.Errorf("core: model vertex count %d out of range", mj.NumVerts)
+	}
+	if mj.Globals < 0 || mj.Components < 0 || mj.Globals > maxModelFormDim-mj.Components {
+		return nil, fmt.Errorf("core: model form dimensions %d+%d out of range", mj.Globals, mj.Components)
+	}
+	if gr := mj.Grid; gr != nil {
+		if gr.NX < 1 || gr.NY < 1 || gr.NX > maxModelGridCells/gr.NY {
+			return nil, fmt.Errorf("core: model grid %dx%d out of range", gr.NX, gr.NY)
+		}
+		// Grid coordinates are multiples of the pitch; they must stay
+		// finite, or the correlation matrix fills with NaN.
+		if !(gr.Pitch > 0) || math.IsInf(gr.Pitch*maxModelGridCells, 0) {
+			return nil, fmt.Errorf("core: model grid pitch %g out of range", gr.Pitch)
+		}
 	}
 	space := canon.Space{Globals: mj.Globals, Components: mj.Components}
 	var params []variation.Parameter
@@ -140,11 +168,11 @@ func ReadJSON(r io.Reader) (*Model, error) {
 	}
 	g := timing.NewGraph(space, mj.NumVerts, params)
 	for i, e := range mj.Edges {
-		f := space.NewForm()
-		f.Nominal = e.Nominal
 		if len(e.Glob) != space.Globals || len(e.Loc) != space.Components {
 			return nil, fmt.Errorf("core: edge %d has inconsistent form dimensions", i)
 		}
+		f := space.NewForm()
+		f.Nominal = e.Nominal
 		copy(f.Glob, e.Glob)
 		copy(f.Loc, e.Loc)
 		f.Rand = e.Rand

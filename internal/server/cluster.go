@@ -1,31 +1,32 @@
 package server
 
 // Distributed serving: sstad can run as a coordinator fronting a pool of
-// worker nodes (ROADMAP "distributed sstad"). The coordinator partitions a
-// sweep's scenario set into contiguous shards, dispatches each shard to a
-// healthy worker over the cluster RPC transport, and streams per-scenario
-// results back so SSE delivery and the per-scenario metrics hook behave
-// exactly as in standalone mode. Stateful sessions pin to a worker by
-// subject fingerprint (consistent hashing in the pool) and are served
-// through a transparent HTTP proxy RPC, so session bodies — including SSE
-// edit streams — are byte-identical to a locally served session.
+// worker nodes. Workers serve the ordinary HTTP API, plus two
+// coordinator-only extras, on their -rpc-listen listener
+// (Server.WorkerService), and everything between coordinator and worker
+// is plain HTTP over the pool's keep-alive transport:
 //
-// Degradation ladder, in order: a failed shard dispatch retries on the same
-// node with jittered backoff, then re-homes to a surviving worker, then
-// executes locally on the coordinator; a sweep with no healthy workers runs
-// entirely locally. A cluster of one (or zero) workers therefore behaves
-// exactly like standalone. Session proxying does not failover (the session's
+//   - A sweep splits its scenario set into contiguous shards, one per
+//     healthy worker, and each shard is a POST /v1/sweep with its
+//     scenarios already named by their global index. Results map back to
+//     the full sweep by their position in the shard. A shard streams over
+//     SSE only when the coordinator has a progress consumer (an SSE
+//     client), so per-scenario events reach it as the workers finish them.
+//   - Stateful sessions pin to a worker by subject fingerprint (consistent
+//     hashing in the pool) and are served through httputil.ReverseProxy,
+//     so session bodies, SSE edit streams included, are the worker's own.
+//   - Before a node's first shard for a subject, the coordinator pushes
+//     the sealed model snapshots its own prep already extracted (the quad
+//     module and any swap benches) with PUT /cluster/models/{key}, and the
+//     worker seeds its extract cache from them instead of extracting.
+//
+// Degradation ladder, in order: a failed shard dispatch retries with
+// jittered backoff, re-homing to a surviving worker, then executes locally
+// on the coordinator; a sweep with no healthy workers runs entirely
+// locally. A cluster of one (or zero) workers therefore behaves exactly
+// like standalone. Session proxying does not fail over (the session's
 // state lives on its worker); a dead worker yields 503 until the worker
 // returns or the client re-creates the session.
-//
-// The remote model-cache tier runs in the other direction on the same
-// connections: before paying a local extraction, a worker asks the
-// coordinator's extract-cache index for the sealed model snapshot
-// (cache.get) and seeds its own cache on a hit; after a local extraction it
-// uploads the snapshot (cache.put) so the coordinator can serve the next
-// worker and persist the model. A miss or a slow coordinator never blocks a
-// worker — the consult is bounded by a short timeout and falls back to
-// local extraction.
 
 import (
 	"bytes"
@@ -34,7 +35,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httputil"
+	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,232 +50,106 @@ import (
 	"repro/ssta"
 )
 
-// RPC methods of the cluster protocol. Shard and proxy are served by
-// workers; the cache methods are served by the coordinator on the same
-// pool connections (the transport is symmetric).
 const (
-	shardMethod    = "sweep.shard"
-	proxyMethod    = "http.proxy"
-	cacheGetMethod = "cache.get"
-	cachePutMethod = "cache.put"
-)
-
-const (
-	// remoteCacheTimeout bounds a worker's consult of the coordinator's
-	// model index; on expiry the worker extracts locally.
-	remoteCacheTimeout = 2 * time.Second
-	// remoteCachePutTimeout bounds the best-effort async snapshot upload.
-	remoteCachePutTimeout = 5 * time.Second
-	// maxModelIndex bounds the coordinator's in-memory model index.
-	maxModelIndex = 64
 	// sessionIDHeader carries the coordinator-allocated session id on a
 	// proxied create, so the worker registers the session under the id the
-	// coordinator routes by.
+	// coordinator routes by. Only WorkerService honours it.
 	sessionIDHeader = "X-Sstad-Session-Id"
+	// maxPushLog bounds the coordinator's record of pushed models; on
+	// overflow it forgets everything and re-pushes on demand.
+	maxPushLog = 4096
 )
 
-// Wire error kinds: per-scenario errors cross the wire as a message plus a
-// classification, so the coordinator's metrics accounting (rejected vs
-// failed) matches standalone behavior.
+// Error kinds a SweepScenarioResult names, so a coordinator classifies a
+// worker's scenario failures (rejected vs failed) like local ones.
 const (
-	errKindNone = iota
-	errKindCanceled
-	errKindDeadline
-	errKindOther
+	errKindCanceled = "canceled"
+	errKindDeadline = "deadline"
 )
 
-// shardRequest asks a worker to run a contiguous slice of a sweep.
-// Scenario names are pre-assigned by the coordinator (global default
-// names), so the worker-local Normalize cannot rename them.
-type shardRequest struct {
-	Item      ItemSpec            `json:"item"`
-	Scenarios []SweepScenarioSpec `json:"scenarios"`
-	// Indices maps each scenario to its global index in the sweep.
-	Indices   []int `json:"indices"`
-	Workers   int   `json:"workers,omitempty"`
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Stream asks for per-scenario event frames as results land. Only set
-	// when the coordinator has a live progress consumer (SSE); a sync sweep
-	// reads everything from the final response, and skipping the per-result
-	// frames avoids a write syscall plus a coordinator wakeup per scenario.
-	Stream bool `json:"stream,omitempty"`
-}
-
-// wireScenarioResult is one scenario outcome crossing the wire: scalar
-// statistics only — canonical delay forms stay on the worker. Setup/Hold
-// carry the worst setup/hold slack statistics on sequential subjects.
-type wireScenarioResult struct {
-	Index     int             `json:"i"`
-	Name      string          `json:"name"`
-	Mean      float64         `json:"mean,omitempty"`
-	Std       float64         `json:"std,omitempty"`
-	Quantile  float64         `json:"q,omitempty"`
-	Setup     *ssta.SlackStat `json:"setup,omitempty"`
-	Hold      *ssta.SlackStat `json:"hold,omitempty"`
-	Shared    bool            `json:"shared,omitempty"`
-	ElapsedUS int64           `json:"us,omitempty"`
-	Err       string          `json:"err,omitempty"`
-	ErrKind   int             `json:"errk,omitempty"`
-}
-
-// shardResponse carries the shard's results plus the worker-side subject
-// graph's size. The graph itself never crosses the wire, so these scalars
-// are the only way a coordinator can report verts/edges for a distributed
-// sweep (the PR 9 Top-loss bug: quad sweeps through the coordinator came
-// back with no graph stats at all).
-type shardResponse struct {
-	Results []wireScenarioResult `json:"results"`
-	Verts   int                  `json:"verts,omitempty"`
-	Edges   int                  `json:"edges,omitempty"`
-}
-
-// proxyRequest replays one HTTP request against a worker's own mux.
-type proxyRequest struct {
-	Method string            `json:"method"`
-	Path   string            `json:"path"`
-	Header map[string]string `json:"header,omitempty"`
-	Body   []byte            `json:"body,omitempty"`
-}
-
-// proxyChunk is one streamed slice of a proxied response (SSE edit
-// streams); the first chunk carries the status and headers.
-type proxyChunk struct {
-	Status int               `json:"status,omitempty"`
-	Header map[string]string `json:"header,omitempty"`
-	Data   []byte            `json:"data,omitempty"`
-}
-
-// proxyResponse closes a proxied request: the full response when nothing
-// streamed, or the trailing bytes of a streamed one.
-type proxyResponse struct {
-	Status   int               `json:"status"`
-	Header   map[string]string `json:"header,omitempty"`
-	Body     []byte            `json:"body,omitempty"`
-	Streamed bool              `json:"streamed,omitempty"`
-}
-
-type cacheGetRequest struct {
-	Key string `json:"key"`
-}
-
-type cacheGetResponse struct {
-	Found bool   `json:"found"`
-	Data  []byte `json:"data,omitempty"`
-}
-
-type cachePutRequest struct {
-	Key  string `json:"key"`
-	Data []byte `json:"data"`
-}
-
-// remoteScenarioError reconstructs a worker-side scenario error on the
-// coordinator: the message survives verbatim while errors.Is still matches
-// the context sentinels, so metrics classification is wire-transparent.
-type remoteScenarioError struct {
-	msg  string
-	kind int
-}
-
-func (e *remoteScenarioError) Error() string { return e.msg }
-
-func (e *remoteScenarioError) Unwrap() error {
-	switch e.kind {
-	case errKindCanceled:
-		return context.Canceled
-	case errKindDeadline:
-		return context.DeadlineExceeded
-	}
-	return nil
-}
-
-func errKindOf(err error) int {
+func errorKind(err error) string {
 	switch {
-	case err == nil:
-		return errKindNone
 	case errors.Is(err, context.Canceled):
 		return errKindCanceled
 	case errors.Is(err, context.DeadlineExceeded):
 		return errKindDeadline
 	}
-	return errKindOther
+	return ""
 }
 
-func wireErrOf(kind int, msg string) error {
-	if kind == errKindNone {
-		return nil
-	}
-	if msg == "" {
-		msg = "scenario failed on worker"
-	}
+// scenarioErr rebuilds a worker's scenario error: the message verbatim,
+// with errors.Is still matching the context sentinel its kind names.
+func scenarioErr(msg, kind string) error {
+	var sentinel error
 	switch kind {
 	case errKindCanceled:
-		if msg == context.Canceled.Error() {
-			return context.Canceled
-		}
+		sentinel = context.Canceled
 	case errKindDeadline:
-		if msg == context.DeadlineExceeded.Error() {
-			return context.DeadlineExceeded
+		sentinel = context.DeadlineExceeded
+	default:
+		if msg == "" {
+			return nil
 		}
+		return errors.New(msg)
 	}
-	return &remoteScenarioError{msg: msg, kind: kind}
+	if prefix, ok := strings.CutSuffix(msg, sentinel.Error()); ok {
+		return fmt.Errorf("%s%w", prefix, sentinel)
+	}
+	return fmt.Errorf("%s: %w", msg, sentinel)
 }
 
-func toWire(global int, r *ssta.ScenarioResult) wireScenarioResult {
-	w := wireScenarioResult{
-		Index:     global,
-		Name:      r.Name,
-		Shared:    r.Shared,
-		ElapsedUS: r.Elapsed.Microseconds(),
+// scenarioResultOf is sweepScenarioView's inverse.
+func scenarioResultOf(v *SweepScenarioResult) ssta.ScenarioResult {
+	r := ssta.ScenarioResult{
+		Name:     v.Name,
+		Mean:     v.MeanPS,
+		Std:      v.StdPS,
+		Quantile: v.P9987PS,
+		Shared:   v.Shared,
+		Elapsed:  time.Duration(math.Round(v.ElapsedMS*1000)) * time.Microsecond,
+		Err:      scenarioErr(v.Error, v.ErrorKind),
 	}
-	if r.Err != nil {
-		w.Err = r.Err.Error()
-		w.ErrKind = errKindOf(r.Err)
-		return w
+	if v.Setup != nil {
+		r.SetupSlack = &ssta.SlackStat{Mean: v.Setup.MeanPS, Std: v.Setup.StdPS, Quantile: v.Setup.QPS}
 	}
-	w.Mean, w.Std, w.Quantile = r.Mean, r.Std, r.Quantile
-	w.Setup, w.Hold = r.SetupSlack, r.HoldSlack
-	return w
-}
-
-func fromWire(w *wireScenarioResult) ssta.ScenarioResult {
-	return ssta.ScenarioResult{
-		Name:       w.Name,
-		Mean:       w.Mean,
-		Std:        w.Std,
-		Quantile:   w.Quantile,
-		SetupSlack: w.Setup,
-		HoldSlack:  w.Hold,
-		Shared:     w.Shared,
-		Elapsed:    time.Duration(w.ElapsedUS) * time.Microsecond,
-		Err:        wireErrOf(w.ErrKind, w.Err),
+	if v.Hold != nil {
+		r.HoldSlack = &ssta.SlackStat{Mean: v.Hold.MeanPS, Std: v.Hold.StdPS, Quantile: v.Hold.QPS}
 	}
+	return r
 }
 
 // clusterState is the coordinator's cluster bookkeeping: the worker pool,
-// the session routing table, the model index backing the remote cache
-// tier, and the dispatch counters.
+// the session routing table, the record of pushed models, and the
+// dispatch counters.
 type clusterState struct {
 	pool *cluster.Pool
 
-	mu         sync.Mutex
-	routes     map[string]*cluster.Node
-	modelIndex map[string][]byte
+	mu     sync.Mutex
+	routes map[string]*cluster.Node
+	// pushed maps (node, model key) to the node's transport-error count
+	// when the model was pushed: once the node has failed since, the
+	// worker may have restarted without it.
+	pushed map[pushKey]int64
 
-	dispatches     atomic.Int64 // shard RPC attempts
+	dispatches     atomic.Int64 // shard dispatch attempts
 	retries        atomic.Int64 // attempts beyond a shard's first
 	failovers      atomic.Int64 // shards re-homed off their first node
 	localFallbacks atomic.Int64 // executions (whole or shard) run locally
 	proxyErrors    atomic.Int64 // session proxy transport failures
-	indexHits      atomic.Int64
-	indexMisses    atomic.Int64
-	putsReceived   atomic.Int64
+	modelPushes    atomic.Int64 // model snapshots a worker accepted
+	modelRefusals  atomic.Int64 // model snapshots a worker refused
+}
+
+type pushKey struct {
+	node *cluster.Node
+	key  string
 }
 
 func newClusterState(pool *cluster.Pool) *clusterState {
 	return &clusterState{
-		pool:       pool,
-		routes:     make(map[string]*cluster.Node),
-		modelIndex: make(map[string][]byte),
+		pool:   pool,
+		routes: make(map[string]*cluster.Node),
+		pushed: make(map[pushKey]int64),
 	}
 }
 
@@ -303,71 +182,44 @@ func (cl *clusterState) routedSessions() int {
 	return len(cl.routes)
 }
 
-func (cl *clusterState) indexLen() int {
+func (cl *clusterState) wasPushed(n *cluster.Node, key string) bool {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	return len(cl.modelIndex)
+	errs, ok := cl.pushed[pushKey{n, key}]
+	return ok && errs == n.Errors.Load()
 }
 
-func (cl *clusterState) indexGet(key string) ([]byte, bool) {
+func (cl *clusterState) markPushed(n *cluster.Node, key string, errs int64) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	data, ok := cl.modelIndex[key]
-	return data, ok
-}
-
-func (cl *clusterState) indexPut(key string, data []byte) {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if _, ok := cl.modelIndex[key]; !ok && len(cl.modelIndex) >= maxModelIndex {
-		// Same pragmatic bound as the quad-design cache: reset rather than
-		// track recency — snapshots are cheap to re-upload.
-		cl.modelIndex = make(map[string][]byte)
+	if len(cl.pushed) >= maxPushLog {
+		cl.pushed = make(map[pushKey]int64)
 	}
-	cl.modelIndex[key] = data
+	cl.pushed[pushKey{n, key}] = errs
 }
 
-// remoteCacheStats counts this node's consults of the remote model-cache
-// tier (worker side; zero on a standalone or coordinator node).
+// remoteCacheStats counts the model snapshots a coordinator pushed to this
+// node (worker side; zero on a standalone or coordinator node): hits
+// seeded the extract cache, misses found the model already there, and
+// rejected ones failed validation.
 type remoteCacheStats struct {
-	hits, misses, puts, putErrs atomic.Int64
+	hits, misses, rejected atomic.Int64
 }
 
-// peerKey carries the cluster connection a worker-side handler is serving,
-// so extraction deep in the request path can consult the coordinator.
-type peerKey struct{}
-
-func withPeer(ctx context.Context, c *cluster.Conn) context.Context {
-	return context.WithValue(ctx, peerKey{}, c)
+// WorkerService is the handler a worker serves its coordinator on
+// -rpc-listen: the public API plus what only a coordinator may do. A
+// session create may claim its id (sessionIDHeader), so the coordinator's
+// routing table and the worker agree on it, and PUT /cluster/models/{key}
+// seeds the extract cache with a model snapshot.
+func (s *Server) WorkerService() http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", s.mux)
+	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
+		s.createSession(w, r, r.Header.Get(sessionIDHeader))
+	})
+	mux.HandleFunc("PUT /cluster/models/{key}", s.handleModelPut)
+	return mux
 }
-
-func peerFromContext(ctx context.Context) *cluster.Conn {
-	c, _ := ctx.Value(peerKey{}).(*cluster.Conn)
-	return c
-}
-
-// WorkerService is the RPC surface a worker node exposes to its
-// coordinator: health pings, sweep shard execution, and the transparent
-// HTTP proxy that serves pinned sessions.
-func (s *Server) WorkerService() cluster.Service {
-	return cluster.Service{
-		cluster.PingMethod: pingHandler,
-		shardMethod:        s.handleShardRPC,
-		proxyMethod:        s.handleProxyRPC,
-	}
-}
-
-// coordinatorService is what the coordinator serves back to workers on the
-// pool connections: the remote model-cache tier.
-func (s *Server) coordinatorService() cluster.Service {
-	return cluster.Service{
-		cluster.PingMethod: pingHandler,
-		cacheGetMethod:     s.handleCacheGet,
-		cachePutMethod:     s.handleCachePut,
-	}
-}
-
-func pingHandler(context.Context, *cluster.Request) ([]byte, error) { return nil, nil }
 
 // ---------------------------------------------------------------------------
 // Coordinator: distributed sweep dispatch
@@ -413,7 +265,7 @@ func (s *Server) runSweepDistributed(ctx context.Context, cl *clusterState, heal
 
 	var timeoutMS int64
 	if dl, ok := ctx.Deadline(); ok {
-		timeoutMS = int64(time.Until(dl) / time.Millisecond)
+		timeoutMS = max(1, int64(time.Until(dl)/time.Millisecond))
 	}
 
 	results := make([]ssta.ScenarioResult, n)
@@ -447,8 +299,8 @@ func (s *Server) runSweepDistributed(ctx context.Context, cl *clusterState, heal
 		return left
 	}
 	// Subject graph size, reassembled from whichever shard (or local
-	// fallback) reports it first — the scalar stand-in for the worker-side
-	// top graph, which never crosses the wire (PR 9 Top-loss fix).
+	// fallback) reports it first: the scalar stand-in for the worker-side
+	// top graph, which never crosses the wire.
 	var topVerts, topEdges int
 	noteTop := func(verts, edges int) {
 		if verts <= 0 {
@@ -535,7 +387,7 @@ func (s *Server) dispatchShard(ctx context.Context, cl *clusterState, node *clus
 		if len(left) == 0 {
 			return nil
 		}
-		return s.callShard(ctx, cl, node, pr, specs, left, timeoutMS, opt.OnScenarioDone != nil, record, noteTop)
+		return s.callShard(ctx, cl, node, pr, specs, left, timeoutMS, record, noteTop)
 	})
 	if err == nil {
 		return
@@ -559,22 +411,20 @@ func pickOther(pool *cluster.Pool, cur *cluster.Node) *cluster.Node {
 	return nil
 }
 
-// callShard performs one shard RPC against one node, recording streamed
-// per-scenario events as they arrive and the final response as backstop. A
-// node that goes unhealthy mid-dispatch (crash, hang) aborts the call so
-// the shard can re-home instead of waiting out the request deadline.
-func (s *Server) callShard(ctx context.Context, cl *clusterState, node *cluster.Node, pr *sweepPrep, specs []SweepScenarioSpec, idx []int, timeoutMS int64, stream bool, record func(int, ssta.ScenarioResult), noteTop func(int, int)) error {
-	sub := make([]SweepScenarioSpec, len(idx))
-	for k, i := range idx {
-		sub[k] = specs[i]
-	}
-	req := shardRequest{
-		Item:      pr.spec,
-		Scenarios: sub,
-		Indices:   idx,
+// callShard sends one shard to one node as a POST /v1/sweep, recording
+// streamed per-scenario events as they arrive and the final answer as
+// backstop. A node that goes unhealthy mid-dispatch (crash, hang) aborts
+// the call so the shard can re-home instead of waiting out the request
+// deadline.
+func (s *Server) callShard(ctx context.Context, cl *clusterState, node *cluster.Node, pr *sweepPrep, specs []SweepScenarioSpec, idx []int, timeoutMS int64, record func(int, ssta.ScenarioResult), noteTop func(int, int)) error {
+	req := SweepRequest{
+		ItemSpec:  pr.spec,
+		Scenarios: make([]SweepScenarioSpec, len(idx)),
 		Workers:   pr.workers,
 		TimeoutMS: timeoutMS,
-		Stream:    stream,
+	}
+	for k, i := range idx {
+		req.Scenarios[k] = specs[i]
 	}
 	body, err := json.Marshal(&req)
 	if err != nil {
@@ -604,24 +454,109 @@ func (s *Server) callShard(ctx context.Context, cl *clusterState, node *cluster.
 		}
 	}()
 
-	onEvent := func(b []byte) {
-		var ev wireScenarioResult
-		if json.Unmarshal(b, &ev) != nil {
-			return
-		}
-		record(ev.Index, fromWire(&ev))
+	if err := s.pushModels(cctx, cl, node, pr); err != nil {
+		return err
 	}
-	respBody, err := cl.pool.Do(cctx, node, shardMethod, body, onEvent)
+	// A shard result's position in the shard is its index in idx.
+	put := func(k int, v *SweepScenarioResult) {
+		if k >= 0 && k < len(idx) {
+			record(idx[k], scenarioResultOf(v))
+		}
+	}
+	var onEvent func([]byte)
+	if pr.progress {
+		onEvent = func(ev []byte) {
+			if name, data := parseEvent(ev); name == "scenario" {
+				var se SweepScenarioEvent
+				if json.Unmarshal(data, &se) == nil {
+					put(se.Index, &se.SweepScenarioResult)
+				}
+			}
+		}
+	}
+	answer, err := cl.pool.Do(cctx, node, "POST /v1/sweep", body, onEvent)
 	if err != nil {
 		return err
 	}
-	var resp shardResponse
-	if err := json.Unmarshal(respBody, &resp); err != nil {
+	if pr.progress {
+		name, data := parseEvent(answer)
+		if name != "summary" {
+			return fmt.Errorf("shard stream ended with a %q event: %s", name, data)
+		}
+		answer = data
+	}
+	var resp SweepResponse
+	if err := json.Unmarshal(answer, &resp); err != nil {
 		return err
+	}
+	if len(resp.Results) != len(idx) {
+		return fmt.Errorf("shard of %d scenarios answered %d results", len(idx), len(resp.Results))
 	}
 	noteTop(resp.Verts, resp.Edges)
 	for k := range resp.Results {
-		record(resp.Results[k].Index, fromWire(&resp.Results[k]))
+		put(k, &resp.Results[k])
+	}
+	return nil
+}
+
+// parseEvent splits one SSE event into its name and data line.
+func parseEvent(ev []byte) (name string, data []byte) {
+	for _, line := range bytes.Split(ev, []byte("\n")) {
+		if v, ok := bytes.CutPrefix(line, []byte("event: ")); ok {
+			name = string(v)
+		} else if v, ok := bytes.CutPrefix(line, []byte("data: ")); ok {
+			data = v
+		}
+	}
+	return name, data
+}
+
+// pushModels sends node the sealed snapshots of the models pr's prep
+// already extracted here (the quad module and any swap benches) before
+// its first shard of them, so the worker seeds its extract cache instead
+// of extracting. Each model goes once per (node, key), and again once the
+// node has failed in transport since: a restarted worker breaks its old
+// connections and has lost its cache. Only a transport failure fails the
+// shard attempt; a worker that refuses a snapshot extracts for itself.
+func (s *Server) pushModels(ctx context.Context, cl *clusterState, node *cluster.Node, pr *sweepPrep) error {
+	var gks []graphKey
+	if q := pr.spec.Quad; q != nil {
+		gks = append(gks, graphKey{bench: q.Bench, seed: q.Seed})
+	}
+	for i := range pr.specs {
+		for _, sw := range pr.specs[i].Swaps {
+			gks = append(gks, graphKey{bench: sw.Bench, seed: sw.Seed})
+		}
+	}
+	for _, gk := range gks {
+		key, ok := modelKey(gk)
+		if !ok || cl.wasPushed(node, key) {
+			continue
+		}
+		g := s.graphs.peek(gk)
+		if g == nil {
+			continue
+		}
+		m, ok := s.flow.Cache.Lookup(g, ssta.ExtractOptions{})
+		if !ok {
+			continue
+		}
+		data, err := m.EncodeSnapshot()
+		if err != nil {
+			continue
+		}
+		errs := node.Errors.Load()
+		_, err = cl.pool.Do(ctx, node, "PUT /cluster/"+key, data, nil)
+		var status *cluster.StatusError
+		switch {
+		case errors.As(err, &status):
+			cl.modelRefusals.Add(1)
+		case err != nil:
+			return err
+		default:
+			cl.modelPushes.Add(1)
+		}
+		cl.markPushed(node, key, errs)
 	}
 	return nil
 }
@@ -654,206 +589,57 @@ func (s *Server) runShardLocal(ctx context.Context, pr *sweepPrep, idx []int, op
 }
 
 // ---------------------------------------------------------------------------
-// Worker: shard execution
+// Worker: model push
 
-func (s *Server) handleShardRPC(ctx context.Context, req *cluster.Request) ([]byte, error) {
-	var sr shardRequest
-	if err := json.Unmarshal(req.Body, &sr); err != nil {
-		return nil, fmt.Errorf("sweep.shard: bad request: %v", err)
+// handleModelPut seeds this worker's extract cache with a model snapshot
+// its coordinator pushed. The key names the graph the model belongs to;
+// the worker builds (or reuses) that graph itself and checks the model's
+// ports against it, so a bad key, a corrupt snapshot or a foreign model is
+// refused with a 4xx and leaves the cache unseeded.
+func (s *Server) handleModelPut(w http.ResponseWriter, r *http.Request) {
+	refuse := func(code int, msg string) {
+		s.remoteCache.rejected.Add(1)
+		httpError(w, code, msg)
 	}
-	if len(sr.Scenarios) == 0 || len(sr.Scenarios) != len(sr.Indices) {
-		return nil, errors.New("sweep.shard: malformed shard")
+	gk, ok := parseModelKey(modelKeyPrefix + r.PathValue("key"))
+	if !ok || gk.mult > maxMult {
+		refuse(http.StatusBadRequest, fmt.Sprintf("bad model key %q", r.PathValue("key")))
+		return
 	}
-	if sr.TimeoutMS > 0 {
-		d := time.Duration(sr.TimeoutMS) * time.Millisecond
-		if d > s.cfg.MaxTimeout {
-			d = s.cfg.MaxTimeout
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	ctx = withPeer(ctx, req.Conn)
-	if err := s.acquireSlotWait(ctx, s.cfg.AdmissionWait); err != nil {
-		s.metrics.rejected.Add(1)
-		return nil, err
-	}
-	defer s.releaseSlot()
-
-	item, _, isQuad, mode, err := s.resolveSweepItem(ctx, &sr.Item)
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		return nil, err
-	}
-	scens := make([]ssta.Scenario, len(sr.Scenarios))
-	for k := range sr.Scenarios {
-		sc, err := s.convertScenario(ctx, &sr.Scenarios[k], isQuad)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %d: %v", sr.Indices[k], err)
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
 		}
-		scens[k] = sc
+		refuse(code, "model snapshot: "+err.Error())
+		return
 	}
-
-	metricsHook := s.scenarioMetricsHook()
-	opt := ssta.SweepOptions{
-		Workers: sr.Workers,
-		OnScenarioDone: func(k int, r *ssta.ScenarioResult) {
-			metricsHook(k, r)
-			if !sr.Stream || k < 0 || k >= len(sr.Indices) {
-				return
-			}
-			ev := toWire(sr.Indices[k], r)
-			// Best effort: the final response repeats every result.
-			_ = req.Emit(marshalJSON(ev))
-		},
+	m, err := ssta.DecodeModelSnapshot(data)
+	if err != nil {
+		refuse(http.StatusBadRequest, "model snapshot: "+err.Error())
+		return
 	}
-	var rep *ssta.SweepReport
-	if isQuad {
-		rep, err = ssta.SweepAnalyze(ctx, item.Design, mode, scens, opt)
+	g, err := s.cachedGraph(r.Context(), gk)
+	if err != nil {
+		refuse(http.StatusBadRequest, "model graph: "+err.Error())
+		return
+	}
+	if len(m.Graph.Inputs) != len(g.Inputs) || len(m.Graph.Outputs) != len(g.Outputs) {
+		refuse(http.StatusBadRequest, fmt.Sprintf("model has %d/%d ports, graph %d/%d",
+			len(m.Graph.Inputs), len(m.Graph.Outputs), len(g.Inputs), len(g.Outputs)))
+		return
+	}
+	if s.flow.Cache.Seed(g, ssta.ExtractOptions{}, m) {
+		s.remoteCache.hits.Add(1)
 	} else {
-		rep, err = ssta.SweepAnalyzeGraph(ctx, item.Graph, scens, opt)
+		s.remoteCache.misses.Add(1)
 	}
-	if err != nil {
-		return nil, err
-	}
-	out := shardResponse{
-		Results: make([]wireScenarioResult, len(rep.Results)),
-		Verts:   rep.TopVerts,
-		Edges:   rep.TopEdges,
-	}
-	for k := range rep.Results {
-		out.Results[k] = toWire(sr.Indices[k], &rep.Results[k])
-	}
-	return marshalJSON(out), nil
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // ---------------------------------------------------------------------------
-// Remote model-cache tier
-
-// extractModel resolves the extracted timing model for a cached graph: the
-// local extract cache first, then — on a worker — the coordinator's model
-// index, and finally a local extraction (checkpointed, and uploaded to the
-// coordinator so the tier warms for the other workers).
-func (s *Server) extractModel(ctx context.Context, gk graphKey, g *ssta.Graph) (*ssta.Model, error) {
-	if m, ok := s.flow.Cache.Lookup(g, ssta.ExtractOptions{}); ok {
-		return m, nil
-	}
-	key, durable := modelKey(gk)
-	peer := peerFromContext(ctx)
-	if peer != nil && durable {
-		if m := s.remoteCacheGet(ctx, peer, key, g); m != nil {
-			return m, nil
-		}
-	}
-	m, err := s.flow.ExtractCtx(ctx, g, ssta.ExtractOptions{})
-	if err != nil {
-		return nil, err
-	}
-	s.checkpointModel(gk, m)
-	if peer != nil && durable {
-		s.remoteCachePutAsync(peer, key, m)
-	}
-	return m, nil
-}
-
-func (s *Server) remoteCacheGet(ctx context.Context, peer *cluster.Conn, key string, g *ssta.Graph) *ssta.Model {
-	cctx, cancel := context.WithTimeout(ctx, remoteCacheTimeout)
-	defer cancel()
-	resp, err := peer.Call(cctx, cacheGetMethod, marshalJSON(cacheGetRequest{Key: key}), nil)
-	if err != nil {
-		s.remoteCache.misses.Add(1)
-		return nil
-	}
-	var out cacheGetResponse
-	if json.Unmarshal(resp, &out) != nil || !out.Found {
-		s.remoteCache.misses.Add(1)
-		return nil
-	}
-	m, err := ssta.DecodeModelSnapshot(out.Data)
-	if err != nil {
-		s.remoteCache.misses.Add(1)
-		return nil
-	}
-	s.flow.Cache.Seed(g, ssta.ExtractOptions{}, m)
-	s.remoteCache.hits.Add(1)
-	return m
-}
-
-func (s *Server) remoteCachePutAsync(peer *cluster.Conn, key string, m *ssta.Model) {
-	go func() {
-		data, err := m.EncodeSnapshot()
-		if err != nil {
-			s.remoteCache.putErrs.Add(1)
-			return
-		}
-		cctx, cancel := context.WithTimeout(context.Background(), remoteCachePutTimeout)
-		defer cancel()
-		if _, err := peer.Call(cctx, cachePutMethod, marshalJSON(cachePutRequest{Key: key, Data: data}), nil); err != nil {
-			s.remoteCache.putErrs.Add(1)
-			return
-		}
-		s.remoteCache.puts.Add(1)
-	}()
-}
-
-// handleCacheGet serves the coordinator's extract-cache index: the
-// in-memory model index first, falling back to encoding a model the
-// coordinator's own extract cache already holds for an already built
-// graph. It never builds graphs or extracts on a worker's behalf.
-func (s *Server) handleCacheGet(ctx context.Context, req *cluster.Request) ([]byte, error) {
-	var q cacheGetRequest
-	if err := json.Unmarshal(req.Body, &q); err != nil {
-		return nil, fmt.Errorf("cache.get: bad request: %v", err)
-	}
-	cl := s.cluster
-	if cl == nil {
-		return marshalJSON(cacheGetResponse{}), nil
-	}
-	if data, ok := cl.indexGet(q.Key); ok {
-		cl.indexHits.Add(1)
-		return marshalJSON(cacheGetResponse{Found: true, Data: data}), nil
-	}
-	if gk, ok := parseModelKey(q.Key); ok {
-		if g := s.graphs.peek(gk); g != nil {
-			if m, ok := s.flow.Cache.Lookup(g, ssta.ExtractOptions{}); ok {
-				if data, err := m.EncodeSnapshot(); err == nil {
-					cl.indexPut(q.Key, data)
-					cl.indexHits.Add(1)
-					return marshalJSON(cacheGetResponse{Found: true, Data: data}), nil
-				}
-			}
-		}
-	}
-	cl.indexMisses.Add(1)
-	return marshalJSON(cacheGetResponse{}), nil
-}
-
-// handleCachePut receives a worker's extracted-model snapshot: validated,
-// indexed for the other workers, and fed to the persister.
-func (s *Server) handleCachePut(ctx context.Context, req *cluster.Request) ([]byte, error) {
-	var q cachePutRequest
-	if err := json.Unmarshal(req.Body, &q); err != nil {
-		return nil, fmt.Errorf("cache.put: bad request: %v", err)
-	}
-	gk, ok := parseModelKey(q.Key)
-	if !ok {
-		return nil, fmt.Errorf("cache.put: bad key %q", q.Key)
-	}
-	m, err := ssta.DecodeModelSnapshot(q.Data)
-	if err != nil {
-		return nil, fmt.Errorf("cache.put: %v", err)
-	}
-	cl := s.cluster
-	if cl == nil {
-		return nil, nil
-	}
-	cl.indexPut(q.Key, q.Data)
-	cl.putsReceived.Add(1)
-	s.checkpointModel(gk, m)
-	return nil, nil
-}
-
-// ---------------------------------------------------------------------------
-// Session affinity: coordinator-side routing and the worker-side proxy
+// Session affinity: coordinator-side routing through a reverse proxy
 
 // validSessionID bounds the ids a proxied create will honor (they become
 // store keys on the worker).
@@ -873,8 +659,9 @@ func validSessionID(id string) bool {
 
 // clusterSessionCreate routes a session create to its affinity worker.
 // It reports true when it fully handled the request; false means the
-// caller should serve it locally (no healthy node, or dispatch failed —
-// the degradation ladder's local fallback), with r.Body restored.
+// caller should serve it locally (no healthy node, or the worker could
+// not be reached — the degradation ladder's local fallback), with r.Body
+// restored.
 func (s *Server) clusterSessionCreate(w http.ResponseWriter, r *http.Request) bool {
 	cl := s.cluster
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
@@ -882,6 +669,10 @@ func (s *Server) clusterSessionCreate(w http.ResponseWriter, r *http.Request) bo
 		s.metrics.badRequests.Add(1)
 		httpError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
 		return true
+	}
+	restore := func() {
+		r.Body = io.NopCloser(bytes.NewReader(raw))
+		r.ContentLength = int64(len(raw))
 	}
 	var req SessionCreateRequest
 	dec := json.NewDecoder(bytes.NewReader(raw))
@@ -895,36 +686,23 @@ func (s *Server) clusterSessionCreate(w http.ResponseWriter, r *http.Request) bo
 	node := cl.pool.Pick(fp[:])
 	if node == nil {
 		cl.localFallbacks.Add(1)
-		r.Body = io.NopCloser(bytes.NewReader(raw))
+		restore()
 		return false
 	}
 	id := s.sessions.nextID()
-	pq := &proxyRequest{
-		Method: http.MethodPost,
-		Path:   "/v1/sessions",
-		Header: map[string]string{
-			"Content-Type":  "application/json",
-			sessionIDHeader: id,
-		},
-		Body: raw,
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxTimeout)
-	defer cancel()
-	status, started, err := s.proxyRoundTrip(ctx, w, node, pq)
-	if err != nil {
-		cl.proxyErrors.Add(1)
-		if started {
-			return true // response already underway; nothing safe to add
+	restore()
+	failed := s.proxySession(w, r, node, id, func(status int) {
+		if status == http.StatusCreated {
+			cl.setRoute(id, node)
 		}
+	})
+	if failed && r.Context().Err() == nil {
 		// The worker may or may not have created the session; an orphan is
 		// reaped by its idle janitor. Serving locally keeps the request
-		// answered — the degradation the issue demands.
+		// answered.
 		cl.failovers.Add(1)
-		r.Body = io.NopCloser(bytes.NewReader(raw))
+		restore()
 		return false
-	}
-	if status == http.StatusCreated {
-		cl.setRoute(id, node)
 	}
 	return true
 }
@@ -940,198 +718,46 @@ func (s *Server) clusterSessionProxy(w http.ResponseWriter, r *http.Request, id 
 	if node == nil {
 		return false
 	}
-	var raw []byte
-	if r.Body != nil {
-		var err error
-		raw, err = io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-		if err != nil {
-			s.metrics.badRequests.Add(1)
-			httpError(w, http.StatusBadRequest, "invalid request body: "+err.Error())
-			return true
+	failed := s.proxySession(w, r, node, "", func(status int) {
+		// A 404 means the worker no longer has the session (restart,
+		// eviction): drop the stale route so a re-created session can pin
+		// afresh.
+		if status == http.StatusNotFound || r.Method == http.MethodDelete && status == http.StatusOK {
+			cl.dropRoute(id)
 		}
-	}
-	pq := &proxyRequest{
-		Method: r.Method,
-		Path:   r.URL.Path,
-		Header: map[string]string{},
-		Body:   raw,
-	}
-	for _, h := range []string{"Accept", "Content-Type"} {
-		if v := r.Header.Get(h); v != "" {
-			pq.Header[h] = v
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxTimeout)
-	defer cancel()
-	status, started, err := s.proxyRoundTrip(ctx, w, node, pq)
-	if err != nil {
-		cl.proxyErrors.Add(1)
-		if !started {
-			httpError(w, http.StatusServiceUnavailable, "session worker unavailable")
-		}
-		return true
-	}
-	switch {
-	case status == http.StatusNotFound:
-		// The worker no longer has the session (restart, eviction): drop
-		// the stale route so a re-created session can pin afresh.
-		cl.dropRoute(id)
-	case r.Method == http.MethodDelete && status == http.StatusOK:
-		cl.dropRoute(id)
+	})
+	if failed {
+		httpError(w, http.StatusServiceUnavailable, "session worker unavailable")
 	}
 	return true
 }
 
-// proxyRoundTrip replays one HTTP request on the node and copies the
-// response — streamed chunks as they arrive, then the closing frame —
-// onto w. It reports whether any bytes reached w (after which no error
-// response can be written).
-func (s *Server) proxyRoundTrip(ctx context.Context, w http.ResponseWriter, node *cluster.Node, pq *proxyRequest) (status int, started bool, err error) {
-	body, err := json.Marshal(pq)
-	if err != nil {
-		return 0, false, err
-	}
-	fl, _ := w.(http.Flusher)
-	streamStatus := 0
-	onEvent := func(b []byte) {
-		var ch proxyChunk
-		if json.Unmarshal(b, &ch) != nil {
-			return
-		}
-		if !started {
-			started = true
-			streamStatus = ch.Status
-			for k, v := range ch.Header {
-				w.Header().Set(k, v)
+// proxySession serves r from node's worker through httputil.ReverseProxy
+// on the pool's transport; event streams flush through as they arrive.
+// claimID, when set, names the session a create registers. onStatus sees
+// the worker's status before its answer is copied out. It reports a
+// transport failure, in which case nothing was written to w.
+func (s *Server) proxySession(w http.ResponseWriter, r *http.Request, node *cluster.Node, claimID string, onStatus func(int)) (failed bool) {
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.MaxTimeout)
+	defer cancel()
+	rp := &httputil.ReverseProxy{
+		Transport: s.cluster.pool,
+		Rewrite: func(pr *httputil.ProxyRequest) {
+			pr.SetURL(&url.URL{Scheme: "http", Host: node.Addr()})
+			pr.Out.Header.Del(sessionIDHeader)
+			if claimID != "" {
+				pr.Out.Header.Set(sessionIDHeader, claimID)
 			}
-			w.WriteHeader(ch.Status)
-		}
-		if len(ch.Data) > 0 {
-			_, _ = w.Write(ch.Data)
-		}
-		if fl != nil {
-			fl.Flush()
-		}
+		},
+		ModifyResponse: func(resp *http.Response) error {
+			onStatus(resp.StatusCode)
+			return nil
+		},
+		ErrorHandler: func(http.ResponseWriter, *http.Request, error) {
+			s.cluster.proxyErrors.Add(1)
+			failed = true
+		},
 	}
-	respBody, err := s.cluster.pool.Do(ctx, node, proxyMethod, body, onEvent)
-	if err != nil {
-		return streamStatus, started, err
-	}
-	var pr proxyResponse
-	if err := json.Unmarshal(respBody, &pr); err != nil {
-		return streamStatus, started, err
-	}
-	if pr.Streamed || started {
-		if len(pr.Body) > 0 {
-			_, _ = w.Write(pr.Body)
-			if fl != nil {
-				fl.Flush()
-			}
-		}
-		if streamStatus == 0 {
-			streamStatus = pr.Status
-		}
-		return streamStatus, true, nil
-	}
-	for k, v := range pr.Header {
-		w.Header().Set(k, v)
-	}
-	w.WriteHeader(pr.Status)
-	_, _ = w.Write(pr.Body)
-	return pr.Status, true, nil
-}
-
-// handleProxyRPC replays a coordinator's HTTP request against this
-// worker's own mux, so proxied sessions behave byte-identically to local
-// ones. Flushes stream back as event frames (SSE transparency).
-func (s *Server) handleProxyRPC(ctx context.Context, req *cluster.Request) ([]byte, error) {
-	var pq proxyRequest
-	if err := json.Unmarshal(req.Body, &pq); err != nil {
-		return nil, fmt.Errorf("http.proxy: bad request: %v", err)
-	}
-	hr, err := http.NewRequestWithContext(withPeer(ctx, req.Conn), pq.Method, pq.Path, bytes.NewReader(pq.Body))
-	if err != nil {
-		return nil, fmt.Errorf("http.proxy: %v", err)
-	}
-	for k, v := range pq.Header {
-		hr.Header.Set(k, v)
-	}
-	pw := &proxyWriter{req: req, header: make(http.Header)}
-	s.mux.ServeHTTP(pw, hr)
-	return marshalJSON(pw.response()), nil
-}
-
-// proxyWriter is the worker-side ResponseWriter behind handleProxyRPC: a
-// buffering writer whose Flush ships the buffered bytes to the
-// coordinator as one event frame. Implementing http.Flusher is what makes
-// the worker's SSE path stream instead of buffer.
-type proxyWriter struct {
-	req         *cluster.Request
-	header      http.Header
-	status      int
-	wroteHeader bool
-	buf         bytes.Buffer
-	streamed    bool
-	sendErr     error
-}
-
-func (p *proxyWriter) Header() http.Header { return p.header }
-
-func (p *proxyWriter) WriteHeader(code int) {
-	if !p.wroteHeader {
-		p.status = code
-		p.wroteHeader = true
-	}
-}
-
-func (p *proxyWriter) Write(b []byte) (int, error) {
-	if !p.wroteHeader {
-		p.WriteHeader(http.StatusOK)
-	}
-	return p.buf.Write(b)
-}
-
-func (p *proxyWriter) Flush() {
-	if p.sendErr != nil {
-		return
-	}
-	if !p.wroteHeader {
-		p.WriteHeader(http.StatusOK)
-	}
-	ch := proxyChunk{Data: append([]byte(nil), p.buf.Bytes()...)}
-	if !p.streamed {
-		ch.Status = p.status
-		ch.Header = flattenHeader(p.header)
-		p.streamed = true
-	}
-	p.buf.Reset()
-	p.sendErr = p.req.Emit(marshalJSON(ch))
-}
-
-func (p *proxyWriter) response() proxyResponse {
-	if !p.wroteHeader {
-		p.status = http.StatusOK
-	}
-	resp := proxyResponse{
-		Status:   p.status,
-		Body:     p.buf.Bytes(),
-		Streamed: p.streamed,
-	}
-	if !p.streamed {
-		resp.Header = flattenHeader(p.header)
-	}
-	return resp
-}
-
-func flattenHeader(h http.Header) map[string]string {
-	if len(h) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(h))
-	for k, vs := range h {
-		if len(vs) > 0 {
-			out[k] = vs[0]
-		}
-	}
-	return out
+	rp.ServeHTTP(w, r.WithContext(ctx))
+	return failed
 }

@@ -25,9 +25,10 @@ var clusterBenchScens = flag.Int("cluster-bench-scenarios", 32, "scenario count 
 // standalone versus through a coordinator sharding across two localhost
 // workers. On a single-CPU host the workers and the coordinator share one
 // core, so the cluster arm can never be faster — the honest number is the
-// coordination overhead (RPC framing, shard result encode/decode, remote
-// cache chatter, result reassembly) on top of the same shard compute. The
-// "rpc" sub-benchmark isolates one framed round trip through the pool.
+// coordination overhead (one HTTP exchange per shard, shard request and
+// response encode/decode, result reassembly) on top of the same shard
+// compute. The "rpc" sub-benchmark isolates one exchange through the pool:
+// the health check, GET /healthz.
 func BenchmarkClusterSweep(b *testing.B) {
 	scens := make([]SweepScenarioSpec, *clusterBenchScens)
 	for i := range scens {
@@ -99,8 +100,8 @@ func BenchmarkClusterSweep(b *testing.B) {
 		run(b, s)
 	})
 
-	// One framed request/response round trip over a live pool connection —
-	// the fixed per-dispatch cost the coordinator pays per shard.
+	// One HTTP exchange over a live keep-alive pool connection — the fixed
+	// per-dispatch cost the coordinator pays per shard.
 	b.Run("rpc", func(b *testing.B) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -125,7 +126,7 @@ func BenchmarkClusterSweep(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := pool.Do(ctx, n, "ping", nil, nil); err != nil {
+			if _, err := pool.Do(ctx, n, cluster.PingMethod, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

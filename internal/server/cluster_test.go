@@ -21,9 +21,10 @@ import (
 	"repro/ssta"
 )
 
-// workerNode is one in-process worker: a full Server plus its cluster RPC
-// listener. stop severs the transport (listener and every live connection)
-// without closing the Server — the test-level analogue of kill -9.
+// workerNode is one in-process worker: a full Server plus its coordinator
+// listener (WorkerService). stop severs the transport (listener and every
+// live connection) without closing the Server — the test-level analogue
+// of kill -9.
 type workerNode struct {
 	srv  *Server
 	addr string
@@ -177,6 +178,44 @@ func compareSweepResponses(t *testing.T, label string, got, want SweepResponse) 
 	}
 	if got.Verts != want.Verts || got.Edges != want.Edges {
 		t.Fatalf("%s: graph stats %d/%d vs standalone %d/%d", label, got.Verts, got.Edges, want.Verts, want.Edges)
+	}
+}
+
+// TestClusterModelPushOncePerNode: a quad sweep pushes the coordinator's
+// extracted module to each worker before its first shard, once; repeat
+// sweeps push nothing, and a transport failure on a node makes the next
+// shard push again (a restarted worker has lost its cache).
+func TestClusterModelPushOncePerNode(t *testing.T) {
+	workers, cs, chs := startCluster(t, 2, Config{}, nil)
+	req := SweepRequest{
+		ItemSpec:  ItemSpec{Quad: &QuadSpec{Bench: "c432", Seed: 1}, Mode: "full"},
+		Scenarios: testSweepSpecs(),
+	}
+	sweepHTTP(t, chs.URL, req)
+	sweepHTTP(t, chs.URL, req)
+	if got := cs.cluster.modelPushes.Load(); got != 2 {
+		t.Fatalf("model pushes after two sweeps = %d, want 2 (one per worker)", got)
+	}
+	for i, w := range workers {
+		if h, m := w.srv.remoteCache.hits.Load(), w.srv.remoteCache.misses.Load(); h != 1 || m != 0 {
+			t.Fatalf("worker %d: %d seeded, %d redundant pushes; want 1 and 0", i, h, m)
+		}
+		if _, misses := w.srv.flow.Cache.Stats(); misses != 0 {
+			t.Fatalf("worker %d extracted %d models despite the push", i, misses)
+		}
+	}
+
+	n := cs.cluster.pool.NodeByAddr(workers[0].addr)
+	n.Errors.Add(1) // as if a dispatch to this node had failed in transport
+	sweepHTTP(t, chs.URL, req)
+	if got := cs.cluster.modelPushes.Load(); got != 3 {
+		t.Fatalf("model pushes after a transport failure = %d, want 3", got)
+	}
+	if m := workers[0].srv.remoteCache.misses.Load(); m != 1 {
+		t.Fatalf("re-pushed worker counted %d redundant pushes, want 1", m)
+	}
+	if v := metricValue(t, chs.URL, `sstad_cluster_model_pushes_total{result="accepted"}`); v != 3 {
+		t.Fatalf(`sstad_cluster_model_pushes_total{result="accepted"} = %g, want 3`, v)
 	}
 }
 
@@ -387,7 +426,7 @@ func TestClusterWorkerDeathFailover(t *testing.T) {
 	}
 }
 
-// TestClusterTransportFaults: dropped and torn RPC frames (satellite
+// TestClusterTransportFaults: dropped and torn requests (the
 // fault-injection matrix at the serving layer — the transport-level cases
 // live in internal/cluster). Each fault surfaces as a failed dispatch; the
 // retry ladder absorbs it and the answer stays standalone-identical.
@@ -401,8 +440,9 @@ func TestClusterTransportFaults(t *testing.T) {
 		cfg  cluster.FaultConfig
 	}{
 		// Write 1 on the pool conn is the health-check ping; write 2 is the
-		// first shard dispatch. Dropping or tearing it kills that RPC; the
-		// retry dials a clean connection (per-connection fault counters).
+		// first shard dispatch (each request is one Write). Dropping or
+		// tearing it kills that exchange; the retry dials a clean connection
+		// (per-connection fault counters).
 		{"dropped", cluster.FaultConfig{DropAfterWrites: 2}},
 		{"torn", cluster.FaultConfig{TearAtWrite: 2}},
 		{"latent", cluster.FaultConfig{WriteLatency: 30 * time.Millisecond}},

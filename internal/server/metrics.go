@@ -276,13 +276,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p("# HELP sstad_store_sessions_restored_total Sessions restored at warm start.")
 		p("sstad_store_sessions_restored_total %d", ps.restored.Load())
 	}
-	if rc := &s.remoteCache; rc.hits.Load()+rc.misses.Load()+rc.puts.Load()+rc.putErrs.Load() > 0 {
-		p("# HELP sstad_remote_model_cache_total Worker-side remote model-cache lookups against the coordinator.")
+	if rc := &s.remoteCache; rc.hits.Load()+rc.misses.Load()+rc.rejected.Load() > 0 {
+		p("# HELP sstad_remote_model_cache_total Model snapshots the coordinator pushed to this worker: hit seeded the extract cache, miss found the model there already, rejected failed validation.")
 		p(`sstad_remote_model_cache_total{result="hit"} %d`, rc.hits.Load())
 		p(`sstad_remote_model_cache_total{result="miss"} %d`, rc.misses.Load())
-		p("# HELP sstad_remote_model_cache_puts_total Models pushed back to the coordinator after local extraction.")
-		p("sstad_remote_model_cache_puts_total %d", rc.puts.Load())
-		p("sstad_remote_model_cache_put_errors_total %d", rc.putErrs.Load())
+		p(`sstad_remote_model_cache_total{result="rejected"} %d`, rc.rejected.Load())
 	}
 	if cl := s.cluster; cl != nil {
 		p("# HELP sstad_cluster_dispatches_total Sweep shards dispatched to workers.")
@@ -293,15 +291,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		p("sstad_cluster_failovers_total %d", cl.failovers.Load())
 		p("# HELP sstad_cluster_local_fallbacks_total Executions served locally because no worker could.")
 		p("sstad_cluster_local_fallbacks_total %d", cl.localFallbacks.Load())
-		p("# HELP sstad_cluster_proxy_errors_total Session proxy round-trips that failed in transport.")
+		p("# HELP sstad_cluster_proxy_errors_total Session proxy requests that failed in transport.")
 		p("sstad_cluster_proxy_errors_total %d", cl.proxyErrors.Load())
 		p("# HELP sstad_cluster_routed_sessions Sessions currently pinned to a worker node.")
 		p("sstad_cluster_routed_sessions %d", cl.routedSessions())
-		p("# HELP sstad_cluster_model_index Coordinator-side remote model-cache index.")
-		p("sstad_cluster_model_index_entries %d", cl.indexLen())
-		p(`sstad_cluster_model_index_total{result="hit"} %d`, cl.indexHits.Load())
-		p(`sstad_cluster_model_index_total{result="miss"} %d`, cl.indexMisses.Load())
-		p("sstad_cluster_model_index_puts_total %d", cl.putsReceived.Load())
+		p("# HELP sstad_cluster_model_pushes_total Extracted-model snapshots pushed to workers, by the worker's answer.")
+		p(`sstad_cluster_model_pushes_total{result="accepted"} %d`, cl.modelPushes.Load())
+		p(`sstad_cluster_model_pushes_total{result="refused"} %d`, cl.modelRefusals.Load())
 		p("# HELP sstad_cluster_node Per-node health and dispatch counters.")
 		for _, n := range cl.pool.Nodes() {
 			healthy := 0

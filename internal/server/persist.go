@@ -437,10 +437,13 @@ func (p *persister) flush(ctx context.Context) {
 		return
 	}
 
+	// Anything that fails is re-queued, including writes a shutdown cut
+	// short: the final flush then writes them. A cut is not a store
+	// failure, so it does not count toward degradation.
 	bo := p.retryPolicy()
 	var firstErr error
 	fail := func(err error) {
-		if firstErr == nil {
+		if firstErr == nil && ctx.Err() == nil {
 			firstErr = err
 		}
 	}
@@ -448,7 +451,7 @@ func (p *persister) flush(ctx context.Context) {
 	for id := range dead {
 		key := sessionKey(id)
 		err := bo.Retry(ctx, func() error { return p.store.Delete(ctx, key) })
-		if err != nil && ctx.Err() == nil {
+		if err != nil {
 			fail(fmt.Errorf("delete %s: %w", key, err))
 			p.mu.Lock()
 			p.dead[id] = struct{}{}
@@ -471,7 +474,7 @@ func (p *persister) flush(ctx context.Context) {
 		}
 		key := sessionKey(id)
 		err = bo.Retry(ctx, func() error { return p.store.Put(ctx, key, data) })
-		if err != nil && ctx.Err() == nil {
+		if err != nil {
 			fail(fmt.Errorf("put %s: %w", key, err))
 			p.mu.Lock()
 			if _, gone := p.dead[id]; !gone {
@@ -489,7 +492,7 @@ func (p *persister) flush(ctx context.Context) {
 			continue
 		}
 		err = bo.Retry(ctx, func() error { return p.store.Put(ctx, key, data) })
-		if err != nil && ctx.Err() == nil {
+		if err != nil {
 			fail(fmt.Errorf("put %s: %w", key, err))
 			p.mu.Lock()
 			if _, seen := p.models[key]; !seen {
@@ -507,7 +510,7 @@ func (p *persister) flush(ctx context.Context) {
 			continue
 		}
 		err = bo.Retry(ctx, func() error { return p.store.Put(ctx, key, data) })
-		if err != nil && ctx.Err() == nil {
+		if err != nil {
 			fail(fmt.Errorf("put %s: %w", key, err))
 			p.mu.Lock()
 			if _, seen := p.preps[key]; !seen {

@@ -131,11 +131,29 @@ func (s *ItemSpec) inputs() []string {
 	return set
 }
 
+// maxMult caps {"mult": N}. An N x N array multiplier has about 6N²
+// vertices and its build is paid before any other bound applies: N=32
+// builds 5952 vertices in about 50 ms, N=64 takes seconds, and larger N
+// exhausts memory.
+const maxMult = 32
+
+// checkCost refuses an item whose graph build alone is unbounded. It runs
+// before any cache is touched.
+func (s *ItemSpec) checkCost() error {
+	if s.Mult > maxMult {
+		return fmt.Errorf("mult %d exceeds the limit of %d", s.Mult, maxMult)
+	}
+	return nil
+}
+
 // prepareItem converts one wire spec into a runnable ssta.BatchItem.
 // Flat graphs come out of the server's bounded graph cache, so a repeated
 // bench/mult/quad request reuses one *Graph — which is also what makes the
 // extraction cache hit on repeats (it is keyed by graph identity).
 func (s *Server) prepareItem(ctx context.Context, spec *ItemSpec) (ssta.BatchItem, error) {
+	if err := spec.checkCost(); err != nil {
+		return ssta.BatchItem{}, err
+	}
 	set := spec.inputs()
 	switch len(set) {
 	case 0:
@@ -317,9 +335,8 @@ func (c *graphCache) stats() (hits, misses int64) {
 }
 
 // peek returns the completed cached graph for the key without building or
-// waiting. The coordinator's cache.get handler uses it to consult its own
-// extract cache on behalf of a worker — serving what it has, never paying
-// a graph build for a remote miss.
+// waiting. A coordinator uses it to find the graphs behind the models it
+// pushes to its workers; a model whose graph left the cache is not pushed.
 func (c *graphCache) peek(key graphKey) *ssta.Graph {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -471,6 +488,21 @@ func (s *Server) quadDesign(ctx context.Context, q *QuadSpec) (*ssta.Design, err
 	}
 	s.quadMu.Unlock()
 	return d, nil
+}
+
+// extractModel resolves the extracted timing model for a cached graph: the
+// extract cache (which a coordinator's model push may have seeded) or a
+// local extraction, checkpointed for the durable store.
+func (s *Server) extractModel(ctx context.Context, gk graphKey, g *ssta.Graph) (*ssta.Model, error) {
+	if m, ok := s.flow.Cache.Lookup(g, ssta.ExtractOptions{}); ok {
+		return m, nil
+	}
+	m, err := s.flow.ExtractCtx(ctx, g, ssta.ExtractOptions{})
+	if err != nil {
+		return nil, err
+	}
+	s.checkpointModel(gk, m)
+	return m, nil
 }
 
 type quadKey struct {

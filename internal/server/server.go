@@ -102,10 +102,11 @@ type Config struct {
 	StoreFlushInterval time.Duration
 	// Cluster, when set, makes this server a coordinator over the given
 	// worker pool: sweeps shard across healthy workers, sessions pin to a
-	// worker by subject fingerprint, and the pool connections serve the
-	// remote model-cache tier back to the workers. The server owns the
-	// pool's lifecycle (started in New, closed in Close). Nil — and a pool
-	// whose workers are all down — serves exactly like standalone.
+	// worker by subject fingerprint, and the models a sweep's prep
+	// extracted are pushed to the workers that run its shards. The server
+	// owns the pool's lifecycle (started in New, closed in Close). Nil —
+	// and a pool whose workers are all down — serves exactly like
+	// standalone.
 	Cluster *cluster.Pool
 }
 
@@ -182,8 +183,8 @@ type Server struct {
 	persist *persister
 
 	// cluster is the coordinator's dispatch state; nil unless Config.Cluster
-	// was set. remoteCache counts this node's consults of the remote
-	// model-cache tier (only a worker node ever increments it).
+	// was set. remoteCache counts the model snapshots a coordinator pushed
+	// to this node (only a worker node ever increments it).
 	cluster     *clusterState
 	remoteCache remoteCacheStats
 
@@ -226,7 +227,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Cluster != nil {
 		s.cluster = newClusterState(cfg.Cluster)
-		cfg.Cluster.SetService(s.coordinatorService())
 		cfg.Cluster.Start(base)
 	}
 	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
@@ -320,6 +320,13 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (AnalyzeR
 		httpError(w, http.StatusBadRequest,
 			fmt.Sprintf("request has %d items, limit %d", len(req.Items), s.cfg.MaxItems))
 		return req, false
+	}
+	for k := range req.Items {
+		if err := req.Items[k].checkCost(); err != nil {
+			s.metrics.badRequests.Add(1)
+			httpError(w, http.StatusBadRequest, fmt.Sprintf("item %d: %v", k, err))
+			return req, false
+		}
 	}
 	return req, true
 }

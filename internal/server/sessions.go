@@ -174,6 +174,11 @@ func (st *sessionStore) add(name string, sess *ssta.Session) (*srvSession, error
 	return s, nil
 }
 
+// maxSessionSeq caps what a claimed or restored "sess-<n>" id may move the
+// id sequence to: far beyond any real session count, and far enough below
+// the int64 ceiling that add can keep incrementing without overflow.
+const maxSessionSeq = 1 << 53
+
 // addID registers a session under a caller-chosen id — the coordinator
 // allocated it and routes by it, so the worker must register it verbatim.
 // The sequence advances past numeric "sess-<n>" ids so local creates can
@@ -188,8 +193,8 @@ func (st *sessionStore) addID(id, name string, sess *ssta.Session) (*srvSession,
 		return nil, fmt.Errorf("session id %q already live", id)
 	}
 	if rest, ok := strings.CutPrefix(id, "sess-"); ok {
-		if n, err := strconv.ParseInt(rest, 10, 64); err == nil && n > st.seq {
-			st.seq = n
+		if n, err := strconv.ParseInt(rest, 10, 64); err == nil {
+			st.bumpSeqLocked(n)
 		}
 	}
 	now := time.Now()
@@ -276,7 +281,11 @@ func (st *sessionStore) evictIdle(now time.Time) []string {
 func (st *sessionStore) bumpSeq(n int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if n > st.seq {
+	st.bumpSeqLocked(n)
+}
+
+func (st *sessionStore) bumpSeqLocked(n int64) {
+	if n > st.seq && n <= maxSessionSeq {
 		st.seq = n
 	}
 }
@@ -364,6 +373,13 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if s.cluster != nil && s.clusterSessionCreate(w, r) {
 		return
 	}
+	s.createSession(w, r, "")
+}
+
+// createSession builds and registers a session. claimedID, when valid,
+// is the id to register it under: a coordinator's allocation, which only
+// WorkerService passes on.
+func (s *Server) createSession(w http.ResponseWriter, r *http.Request, claimedID string) {
 	var req SessionCreateRequest
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := decodeJSONStrict(r, &req); err != nil {
@@ -414,10 +430,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var reg *srvSession
-	if id := r.Header.Get(sessionIDHeader); id != "" && validSessionID(id) {
-		// A proxied create: register under the coordinator-assigned id so
-		// its routing table and this worker agree on the session identity.
-		reg, err = s.sessions.addID(id, name, sess)
+	if validSessionID(claimedID) {
+		reg, err = s.sessions.addID(claimedID, name, sess)
 	} else {
 		reg, err = s.sessions.add(name, sess)
 	}
@@ -460,6 +474,9 @@ func (s *Server) installSessionSweep(ctx context.Context, sess *ssta.Session, sp
 // come from the design cache (the session copies their structure), so the
 // expensive artifacts — built graphs, extracted models — stay shared.
 func (s *Server) buildSession(ctx context.Context, spec *ItemSpec) (*ssta.Session, string, error) {
+	if err := spec.checkCost(); err != nil {
+		return nil, "", err
+	}
 	set := spec.inputs()
 	if len(set) != 1 {
 		return nil, "", fmt.Errorf("session needs exactly one input of bench, netlist, mult or quad (got %d)", len(set))

@@ -125,6 +125,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req *SweepR
 		writeRaw(w, status, body)
 		return
 	}
+	pr.progress = true
 
 	sse := &sseWriter{w: w, fl: fl}
 	sse.start()

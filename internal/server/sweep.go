@@ -55,8 +55,12 @@ type SwapSpec struct {
 // the worst statistical setup/hold slack under the scenario's clock when the
 // swept subject is sequential; absent on combinational sweeps.
 type SweepScenarioResult struct {
-	Name      string     `json:"name"`
-	Error     string     `json:"error,omitempty"`
+	Name  string `json:"name"`
+	Error string `json:"error,omitempty"`
+	// ErrorKind classifies Error when the scenario was cut short:
+	// "canceled" (the request was canceled) or "deadline" (its deadline
+	// fired). Empty for other failures.
+	ErrorKind string     `json:"error_kind,omitempty"`
 	MeanPS    float64    `json:"mean_ps,omitempty"`
 	StdPS     float64    `json:"std_ps,omitempty"`
 	P9987PS   float64    `json:"p9987_ps,omitempty"`
@@ -200,6 +204,9 @@ type sweepPrep struct {
 	// (Server.runSweep); the local path ignores them.
 	spec  ItemSpec
 	specs []SweepScenarioSpec
+	// progress marks a sweep whose caller consumes per-scenario results as
+	// they land (SSE): a coordinator then has its workers stream them too.
+	progress bool
 }
 
 func (p *sweepPrep) run(ctx context.Context, opt ssta.SweepOptions) (*ssta.SweepReport, error) {
@@ -306,6 +313,7 @@ func sweepScenarioView(res *ssta.ScenarioResult) SweepScenarioResult {
 	}
 	if res.Err != nil {
 		out.Error = res.Err.Error()
+		out.ErrorKind = errorKind(res.Err)
 	} else {
 		out.MeanPS, out.StdPS, out.P9987PS = res.Mean, res.Std, res.Quantile
 		out.Setup = slackViewOfStat(res.SetupSlack)

@@ -192,8 +192,9 @@
 //     distributions stay correlated with the parameter space exactly
 //     like delays.
 //
-// timing.SequentialSlacks is the engine entry; batch results, sweeps,
-// sessions, /v1/analyze ("setup"/"hold" views) and /v1/sweep expose it,
+// timing.Graph.AnalyzeCtx is the engine entry (one late walk for delay
+// and setup, one early walk for hold); batch results, sweeps, sessions,
+// /v1/analyze ("setup"/"hold" views) and /v1/sweep expose it,
 // and mc.ValidateSequential is the Monte-Carlo oracle for both slack
 // kinds. See README.md ("Sequential timing & setup/hold").
 //

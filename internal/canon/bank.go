@@ -83,6 +83,18 @@ func (v View) Form(s Space) *Form {
 	return f
 }
 
+// Alias points f at the view's storage instead of copying it: f.Glob and
+// f.Loc become capacity-capped subslices of v, so an append can never spill
+// into a neighbouring slot, and Nominal and Rand are copied. The form lives
+// as long as the view's storage and must be treated as read-only; this is
+// how one slab backs many boundary forms.
+func (v View) Alias(s Space, f *Form) *Form {
+	g, d := 1+s.Globals, len(v)-1
+	f.Nominal, f.Rand = v[0], v[d]
+	f.Glob, f.Loc = v[1:g:g], v[g:d:d]
+	return f
+}
+
 // CopyView copies src into dst.
 func CopyView(dst, src View) { copy(dst, src) }
 

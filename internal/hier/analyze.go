@@ -2,7 +2,6 @@ package hier
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -156,35 +155,14 @@ func (d *Design) AnalyzeCtx(ctx context.Context, mode Mode, opt AnalyzeOptions) 
 	if err != nil {
 		return nil, err
 	}
-	// The design-level forward pass runs in a flat propagation arena; only
-	// the per-output forms surfaced in the result are materialized. Launch
+	// The design-level passes run in flat propagation arenas; only the
+	// per-output forms surfaced in the result are materialized. Launch
 	// sources include the instance clock roots on sequential designs, so
 	// register-launched cones reach the primary outputs.
-	p := res.Graph.AcquirePass().WithContext(ctx)
-	defer p.Release()
-	if err := p.Arrivals(res.Graph.LaunchSources()...); err != nil {
-		return nil, err
-	}
 	res.OutputArrivals = make([]*canon.Form, len(res.Graph.Outputs))
-	reach := make([]*canon.Form, 0, len(res.Graph.Outputs))
-	for k, o := range res.Graph.Outputs {
-		res.OutputArrivals[k] = p.Form(o)
-		if res.OutputArrivals[k] != nil {
-			reach = append(reach, res.OutputArrivals[k])
-		}
-	}
-	if len(reach) == 0 {
-		return nil, errors.New("hier: no primary output reachable")
-	}
-	res.Delay, err = canon.MaxAll(reach)
+	res.Delay, res.Sequential, err = res.Graph.AnalyzeCtx(ctx, nil, opt.Clock, res.OutputArrivals)
 	if err != nil {
-		return nil, err
-	}
-	if res.Graph.Sequential() {
-		res.Sequential, err = res.Graph.SequentialSlacks(opt.Clock)
-		if err != nil {
-			return nil, fmt.Errorf("hier: sequential slacks: %w", err)
-		}
+		return nil, fmt.Errorf("hier: %w", err)
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil

@@ -264,8 +264,9 @@ func fillUnrun(ctx context.Context, scens []Scenario, results []Result, opt Opti
 }
 
 // runScenario rescales the base bank per the scenario into a pooled bank
-// and runs one forward pass, folding the output arrivals into the circuit
-// delay. The fold order matches Graph.MaxDelayCtx exactly.
+// and analyzes the graph over it: one late pass for the circuit delay and,
+// on sequential graphs, one early pass for the worst setup/hold slack under
+// the scenario's clock, both over the same scaled bank.
 func runScenario(ctx context.Context, g *timing.Graph, base *canon.Bank, sc *Scenario, q float64, r *Result) (*canon.Form, error) {
 	delays := base
 	if !sc.Identity() {
@@ -273,53 +274,23 @@ func runScenario(ctx context.Context, g *timing.Graph, base *canon.Bank, sc *Sce
 		defer timing.ReleaseBank(delays)
 		sc.scaleBank(g, base, delays)
 	}
-	p := g.AcquirePass().WithContext(ctx)
-	defer p.Release()
-	if err := p.ArrivalsOver(delays, g.LaunchSources()...); err != nil {
+	delay, seq, err := g.AnalyzeCtx(ctx, delays, sc.ClockSpec(), nil)
+	if err != nil {
 		return nil, err
 	}
-	acc := p.Scratch()
-	first := true
-	for _, o := range g.Outputs {
-		if !p.Reached(o) {
-			continue
-		}
-		if first {
-			canon.CopyView(acc, p.At(o))
-			first = false
-		} else {
-			canon.MaxViews(acc, acc, p.At(o))
-		}
-	}
-	if first {
-		return nil, errors.New("scenario: no output reachable from any input")
-	}
-	delay := acc.Form(g.Space)
 	r.Mean, r.Std, r.Quantile = delay.Mean(), delay.Std(), delay.Quantile(q)
-
-	// Sequential graphs additionally report worst setup/hold slack under the
-	// scenario's clock, over the same scaled bank the delay fold read.
-	if g.Sequential() {
-		var err error
-		r.SetupSlack, r.HoldSlack, err = SeqSlackStats(g, delays, sc.ClockSpec(), q)
-		if err != nil {
-			return nil, err
-		}
+	if seq != nil {
+		r.SetupSlack, r.HoldSlack = SeqSlackStats(seq, q)
 	}
 	return delay, nil
 }
 
-// SeqSlackStats computes the worst setup/hold slack statistics of a
-// sequential graph under the given clock, reading edge delays from bank
-// (nil: the graph's own delays). q is the high-tail delay quantile of the
-// sweep; the slack quantiles are reported at the mirrored low tail — the
-// yield-side margin. The session layer shares this with the sweep engine
-// so incremental sweep refreshes report identical slack statistics.
-func SeqSlackStats(g *timing.Graph, bank *canon.Bank, clock timing.ClockSpec, q float64) (setup, hold *SlackStat, err error) {
-	seq, err := g.SequentialSlacksOver(bank, clock)
-	if err != nil {
-		return nil, nil, err
-	}
+// SeqSlackStats summarizes the worst setup/hold slack of a sequential
+// analysis. q is the high-tail delay quantile of the sweep; the slack
+// quantiles are reported at the mirrored low tail — the yield-side margin.
+// The session layer shares this with the sweep engine so incremental sweep
+// refreshes report identical slack statistics.
+func SeqSlackStats(seq *timing.SeqResult, q float64) (setup, hold *SlackStat) {
 	lo := 1 - q
 	setup = &SlackStat{
 		Mean: seq.WorstSetup.Mean(), Std: seq.WorstSetup.Std(),
@@ -329,7 +300,7 @@ func SeqSlackStats(g *timing.Graph, bank *canon.Bank, clock timing.ClockSpec, q 
 		Mean: seq.WorstHold.Mean(), Std: seq.WorstHold.Std(),
 		Quantile: seq.WorstHold.Quantile(lo),
 	}
-	return setup, hold, nil
+	return setup, hold
 }
 
 // SweepDesign evaluates every scenario against a hierarchical design with

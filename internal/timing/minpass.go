@@ -26,18 +26,6 @@ func (p *Pass) ArrivalsMinOver(delays *canon.Bank, sources ...int) error {
 	return p.walker(delays, forward, canon.MinViews).pass(p.ctx, sources)
 }
 
-// EarliestArrivalAll propagates earliest arrivals from every launch source
-// (inputs plus clock roots) and returns the per-vertex forms; unreachable
-// vertices are nil.
-func (g *Graph) EarliestArrivalAll() ([]*canon.Form, error) {
-	p := g.AcquirePass()
-	defer p.Release()
-	if err := p.ArrivalsMin(g.LaunchSources()...); err != nil {
-		return nil, err
-	}
-	return p.Forms(), nil
-}
-
 // MinDelay returns the statistical minimum delay over all outputs with every
 // launch source at time zero — the shortest-path dual of MaxDelay, the
 // quantity hold analysis bounds from below.

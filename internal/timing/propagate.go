@@ -415,9 +415,20 @@ func (g *Graph) MaxDelayCtx(ctx context.Context) (*canon.Form, error) {
 	if err := p.Arrivals(g.LaunchSources()...); err != nil {
 		return nil, err
 	}
+	return p.outputMax(nil)
+}
+
+// outputMax folds the last pass's reached output arrivals with Clark max,
+// in output order, in the scratch slot, and materializes the result. When
+// outputs is non-nil, each output's arrival form is materialized into its
+// slot as well (nil when unreached).
+func (p *Pass) outputMax(outputs []*canon.Form) (*canon.Form, error) {
 	acc := p.Scratch()
 	first := true
-	for _, o := range g.Outputs {
+	for k, o := range p.g.Outputs {
+		if outputs != nil {
+			outputs[k] = p.Form(o)
+		}
 		if !p.Reached(o) {
 			continue
 		}
@@ -431,7 +442,7 @@ func (g *Graph) MaxDelayCtx(ctx context.Context) (*canon.Form, error) {
 	if first {
 		return nil, errors.New("timing: no output reachable from any input")
 	}
-	return acc.Form(g.Space), nil
+	return acc.Form(p.g.Space), nil
 }
 
 // AllPairs holds the maximum input-output delay forms M_ij (paper eq. 12).

@@ -1,8 +1,10 @@
 package timing
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/canon"
 )
@@ -60,11 +62,31 @@ type RegSlack struct {
 // SeqResult is the sequential analysis of a graph under one clock.
 type SeqResult struct {
 	Clock ClockSpec
-	Regs  []RegSlack
+	// Regs holds one entry per register whose D pin a launch source
+	// reaches, in Graph.Registers order. Every slack form of the result,
+	// the worst slacks included, aliases one shared slab: treat them as
+	// read-only.
+	Regs []RegSlack
 	// WorstSetup/WorstHold are the statistical minima of the per-register
 	// slacks — the design-level setup and hold margins.
 	WorstSetup *canon.Form
 	WorstHold  *canon.Form
+}
+
+// AnalyzeCtx is the one analysis of a graph under a clock. A single late
+// (Clark max) pass from the launch sources yields the circuit delay — the
+// statistical maximum over the reached outputs, folded in output order —
+// and, on sequential graphs, the setup side of every register's slack; a
+// single early (Clark min) pass, run only on sequential graphs, yields the
+// hold side. seq is nil for combinational graphs, which ignore clock.
+//
+// A nil delays bank reads the graph's own edge delays; otherwise edge
+// delays come from the bank (the scenario-sweep hook, see ArrivalsOver).
+// Both passes poll ctx between vertices (nil disables polling). When
+// outputs is non-nil it must hold one slot per Graph.Outputs entry; each
+// slot receives that output's late arrival form, nil when unreached.
+func (g *Graph) AnalyzeCtx(ctx context.Context, delays *canon.Bank, clock ClockSpec, outputs []*canon.Form) (delay *canon.Form, seq *SeqResult, err error) {
+	return g.analyze(ctx, delays, clock, true, outputs)
 }
 
 // SequentialSlacks computes per-register statistical setup and hold slack
@@ -78,39 +100,67 @@ func (g *Graph) SequentialSlacks(clock ClockSpec) (*SeqResult, error) {
 // given bank instead of the graph's own — the scenario-sweep hook. A nil
 // bank uses the graph's delays.
 func (g *Graph) SequentialSlacksOver(delays *canon.Bank, clock ClockSpec) (*SeqResult, error) {
-	if !g.Sequential() {
-		return nil, errors.New("timing: graph has no registers")
+	_, seq, err := g.analyze(nil, delays, clock, false, nil)
+	return seq, err
+}
+
+// analyze is AnalyzeCtx with the delay fold optional: without it, a
+// combinational graph is an error and unreached outputs are not.
+func (g *Graph) analyze(ctx context.Context, delays *canon.Bank, clock ClockSpec, withDelay bool, outputs []*canon.Form) (delay *canon.Form, seq *SeqResult, err error) {
+	sequential := g.Sequential()
+	if sequential {
+		if clock, err = clock.normalize(); err != nil {
+			return nil, nil, err
+		}
+	} else if !withDelay {
+		return nil, nil, errors.New("timing: graph has no registers")
 	}
-	clock, err := clock.normalize()
-	if err != nil {
-		return nil, err
+	if delays == nil {
+		delays = g.EdgeDelays()
 	}
 	sources := g.LaunchSources()
 
-	late := g.AcquirePass()
+	late := g.AcquirePass().WithContext(ctx)
 	defer late.Release()
-	early := g.AcquirePass()
-	defer early.Release()
-	if delays != nil {
-		if err := late.ArrivalsOver(delays, sources...); err != nil {
-			return nil, err
-		}
-		if err := early.ArrivalsMinOver(delays, sources...); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := late.Arrivals(sources...); err != nil {
-			return nil, err
-		}
-		if err := early.ArrivalsMin(sources...); err != nil {
-			return nil, err
+	if err := late.ArrivalsOver(delays, sources...); err != nil {
+		return nil, nil, err
+	}
+	if withDelay {
+		if delay, err = late.outputMax(outputs); err != nil {
+			return nil, nil, err
 		}
 	}
+	if !sequential {
+		return delay, nil, nil
+	}
+	early := g.AcquirePass().WithContext(ctx)
+	defer early.Release()
+	if err := early.ArrivalsMinOver(delays, sources...); err != nil {
+		return nil, nil, err
+	}
+	if seq, err = g.slacks(late, early, clock); err != nil {
+		return nil, nil, err
+	}
+	return delay, seq, nil
+}
 
-	res := &SeqResult{Clock: clock, Regs: make([]RegSlack, 0, len(g.Registers))}
-	setups := make([]*canon.Form, 0, len(g.Registers))
-	holds := make([]*canon.Form, 0, len(g.Registers))
-	for _, r := range g.Registers {
+// slacks assembles the per-register slacks from a late and an early pass
+// and folds the worst ones. Everything is written in views of one slab —
+// slots 2k and 2k+1 hold register k's setup and hold, the last two slots
+// the worst setup and hold — so the assembly allocates the same handful of
+// objects whatever the register count.
+func (g *Graph) slacks(late, early *Pass, clock ClockSpec) (*SeqResult, error) {
+	space, n := g.Space, len(g.Registers)
+	stride := space.Stride()
+	slab := make([]float64, (2*n+2)*stride)
+	forms := make([]canon.Form, 2*n+2)
+	view := func(i int) canon.View { return slab[i*stride : (i+1)*stride] }
+	worstSetup, worstHold := view(2*n), view(2*n+1)
+
+	res := &SeqResult{Clock: clock, Regs: make([]RegSlack, 0, n)}
+	capture := clock.PeriodPS - clock.SkewPS
+	for i := range g.Registers {
+		r := &g.Registers[i]
 		if r.D < 0 || r.D >= g.NumVerts {
 			return nil, fmt.Errorf("timing: register %q D vertex %d out of range", r.Name, r.D)
 		}
@@ -119,39 +169,67 @@ func (g *Graph) SequentialSlacksOver(delays *canon.Bank, clock ClockSpec) (*SeqR
 			// aggressively reduced models); the register is unconstrained.
 			continue
 		}
-		arrMax := late.At(r.D).Form(g.Space)
-		arrMin := early.At(r.D).Form(g.Space)
-
-		// Setup: the data must beat the capture edge at T - skew by the
-		// setup requirement. Jitter rides on the capture edge as an
-		// independent random term (the Sub RSS-combines it with the path
-		// and constraint randomness).
-		capture := g.Space.NewForm()
-		capture.Nominal = clock.PeriodPS - clock.SkewPS
-		capture.Rand = clock.JitterPS
-		setup := canon.Sub(capture, canon.Add(arrMax, r.Setup))
-
-		// Hold: the earliest next-cycle data must stay beyond the hold
-		// requirement after a capture edge that may arrive skew late.
-		edge := g.Space.NewForm()
-		edge.Nominal = clock.SkewPS
-		edge.Rand = clock.JitterPS
-		hold := canon.Sub(arrMin, canon.Add(edge, r.Hold))
-
-		res.Regs = append(res.Regs, RegSlack{Name: r.Name, Setup: setup, Hold: hold})
-		setups = append(setups, setup)
-		holds = append(holds, hold)
+		k := len(res.Regs)
+		setup, hold := view(2*k), view(2*k+1)
+		setupSlack(setup, late.At(r.D), r.Setup, capture, clock.JitterPS)
+		holdSlack(hold, early.At(r.D), r.Hold, clock.SkewPS, clock.JitterPS)
+		if k == 0 {
+			canon.CopyView(worstSetup, setup)
+			canon.CopyView(worstHold, hold)
+		} else {
+			canon.MinViews(worstSetup, worstSetup, setup)
+			canon.MinViews(worstHold, worstHold, hold)
+		}
+		res.Regs = append(res.Regs, RegSlack{
+			Name:  r.Name,
+			Setup: setup.Alias(space, &forms[2*k]),
+			Hold:  hold.Alias(space, &forms[2*k+1]),
+		})
 	}
 	if len(res.Regs) == 0 {
 		return nil, errors.New("timing: no register D pin reachable from any launch source")
 	}
-	if res.WorstSetup, err = canon.MinAll(setups); err != nil {
-		return nil, err
-	}
-	if res.WorstHold, err = canon.MinAll(holds); err != nil {
-		return nil, err
-	}
+	res.WorstSetup = worstSetup.Alias(space, &forms[2*n])
+	res.WorstHold = worstHold.Alias(space, &forms[2*n+1])
 	return res, nil
+}
+
+// setupSlack writes the setup slack (T - skew) - (arr + c) into dst: the
+// data must beat the capture edge at T - skew by the setup requirement c.
+// Jitter rides on the capture edge as an independent random term, RSS'd
+// with the path and constraint randomness. The arithmetic is exactly that
+// of canon.Sub(capture, canon.Add(arr, c)), whose capture form has zero
+// shared coefficients: 0 - x keeps the sign of zero that -x would flip, and
+// the private part squares the intermediate root rather than simplifying.
+func setupSlack(dst, arr canon.View, c *canon.Form, capture, jitter float64) {
+	d, g := len(dst)-1, 1+len(c.Glob)
+	dst[0] = capture - (arr[0] + c.Nominal)
+	for i, x := range c.Glob {
+		dst[1+i] = 0 - (arr[1+i] + x)
+	}
+	for i, x := range c.Loc {
+		dst[g+i] = 0 - (arr[g+i] + x)
+	}
+	r := math.Sqrt(arr[d]*arr[d] + c.Rand*c.Rand)
+	dst[d] = math.Sqrt(jitter*jitter + r*r)
+}
+
+// holdSlack writes the hold slack arr - (skew + c) into dst: the earliest
+// next-cycle data must stay beyond the hold requirement c after a capture
+// edge that may arrive skew late, jitter again in the private part. The
+// arithmetic is exactly that of canon.Sub(arr, canon.Add(edge, c)) with the
+// edge form {skew, 0..., jitter}: 0 + x keeps that sum's sign of zero.
+func holdSlack(dst, arr canon.View, c *canon.Form, skew, jitter float64) {
+	d, g := len(dst)-1, 1+len(c.Glob)
+	dst[0] = arr[0] - (skew + c.Nominal)
+	for i, x := range c.Glob {
+		dst[1+i] = arr[1+i] - (0 + x)
+	}
+	for i, x := range c.Loc {
+		dst[g+i] = arr[g+i] - (0 + x)
+	}
+	r := math.Sqrt(jitter*jitter + c.Rand*c.Rand)
+	dst[d] = math.Sqrt(arr[d]*arr[d] + r*r)
 }
 
 // SegMatrix holds the register-to-register path segmentation of a sequential

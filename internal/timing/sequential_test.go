@@ -13,7 +13,7 @@ import (
 )
 
 // buildSeq builds the full stack for a clocked circuit.
-func buildSeq(t *testing.T, c *circuit.Circuit) *Graph {
+func buildSeq(t testing.TB, c *circuit.Circuit) *Graph {
 	t.Helper()
 	lib := cell.Synthetic90nm()
 	plan, err := place.Topological(c, place.DefaultPitch)

@@ -233,26 +233,16 @@ func (f *Flow) runItem(ctx context.Context, item BatchItem, itemWorkers int) (re
 		res.Graph, res.Plan = g, plan
 	}
 
-	// MaxDelay folds the whole forward pass inside the graph's pooled
-	// propagation arena, so repeated batch items against one graph reuse
-	// the same flat storage and allocate only the returned form.
-	delay, err := res.Graph.MaxDelayCtx(ctx)
+	// One late and (on sequential graphs) one early pass in the graph's
+	// pooled propagation arenas: the circuit delay, plus worst setup/hold
+	// slack under the default clock for sequential graphs — per-scenario
+	// clocks belong to the sweep surface.
+	delay, seq, err := res.Graph.AnalyzeCtx(ctx, nil, ClockSpec{}, nil)
 	if err != nil {
 		res.Err = fmt.Errorf("ssta: %s: %w", res.Name, err)
 		return res
 	}
-	res.Delay = delay
-
-	// Sequential graphs additionally report worst setup/hold slack under
-	// the default clock; per-scenario clocks belong to the sweep surface.
-	if res.Graph.Sequential() {
-		seq, err := res.Graph.SequentialSlacks(ClockSpec{})
-		if err != nil {
-			res.Err = fmt.Errorf("ssta: %s: sequential slacks: %w", res.Name, err)
-			return res
-		}
-		res.Seq = seq
-	}
+	res.Delay, res.Seq = delay, seq
 
 	if item.Extract {
 		model, err := f.ExtractCtx(ctx, res.Graph, item.ExtractOptions)

@@ -2,7 +2,9 @@ package ssta
 
 import (
 	"context"
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mc"
@@ -138,19 +140,143 @@ func TestGeneratedRegisteredDesignOracle(t *testing.T) {
 	}
 }
 
-// BenchmarkSequentialAnalyze measures the full sequential slack pass —
-// late + early arrival propagation plus per-register slack assembly —
-// over a registered c880.
-func BenchmarkSequentialAnalyze(b *testing.B) {
-	g, _, err := DefaultFlow().ClockedBenchGraph("c880", 1)
-	if err != nil {
-		b.Fatal(err)
+// lastPollCtx reports context.Canceled from its cancelAt-th Err poll on
+// (0: never) and counts every poll.
+type lastPollCtx struct {
+	context.Context
+	polls    atomic.Int64
+	cancelAt int64
+}
+
+func (c *lastPollCtx) Err() error {
+	if n := c.polls.Add(1); c.cancelAt > 0 && n >= c.cancelAt {
+		return context.Canceled
 	}
+	return nil
+}
+
+// TestClockedAnalyzeCancelled: a clocked analysis observes cancellation
+// through its slack walks. Through AnalyzeBatchCtx, a ctx that fires on the
+// last poll of a full c7552-clk item — inside the early walk that feeds
+// hold slack — fails the item with an error wrapping context.Canceled and
+// no partial result; through SweepAnalyzeGraph, a cancelled ctx fails
+// every scenario likewise.
+func TestClockedAnalyzeCancelled(t *testing.T) {
+	flow := DefaultFlow()
+	g, _, err := flow.ClockedBenchGraph("c7552", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := []BatchItem{{Name: "c7552-clk", Graph: g}}
+	count := &lastPollCtx{Context: context.Background()}
+	if r := flow.AnalyzeBatchCtx(count, items, BatchOptions{Workers: 1})[0]; r.Err != nil || r.Seq == nil {
+		t.Fatalf("uncancelled clocked item: seq %v, err %v", r.Seq, r.Err)
+	}
+	// The early walk polls as often as the late one: the item must poll at
+	// least twice as often as the delay walk alone.
+	late := &lastPollCtx{Context: context.Background()}
+	if _, err := g.MaxDelayCtx(late); err != nil {
+		t.Fatal(err)
+	}
+	if n, l := count.polls.Load(), late.polls.Load(); n < 2*l {
+		t.Fatalf("clocked item polled ctx %d times, delay walk alone %d: the slack walks do not poll", n, l)
+	}
+	cut := &lastPollCtx{Context: context.Background(), cancelAt: count.polls.Load()}
+	r := flow.AnalyzeBatchCtx(cut, items, BatchOptions{Workers: 1})[0]
+	if !errors.Is(r.Err, context.Canceled) || r.Delay != nil || r.Seq != nil {
+		t.Fatalf("item cancelled at its last poll: delay %v, seq %v, err %v", r.Delay, r.Seq, r.Err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep, err := SweepAnalyzeGraph(ctx, g, []Scenario{{Name: "base"}, {Name: "fast", ClockPeriodPS: 400}}, SweepOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sr := range rep.Results {
+		if !errors.Is(sr.Err, context.Canceled) || sr.SetupSlack != nil {
+			t.Fatalf("scenario %q under a cancelled ctx: setup %v, err %v", sr.Name, sr.SetupSlack, sr.Err)
+		}
+	}
+}
+
+// TestClockedSessionSweepCancelled: a session edit whose ctx fires inside
+// the last scenario's slack walks fails the re-analysis with an error
+// wrapping context.Canceled, and the next edit rebuilds the sweep with
+// slack for every scenario.
+func TestClockedSessionSweepCancelled(t *testing.T) {
+	flow := DefaultFlow()
+	// Session analysis launches from the primary inputs only, so the
+	// design needs an output reachable from them: the hand-written smoke
+	// netlist, not a GenerateClocked one with registered inputs.
+	c, err := ParseBench("smoke.bench", strings.NewReader(clockedSmokeBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := flow.Graph(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	s, err := flow.NewGraphSession(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scens := []Scenario{{Name: "base"}, {Name: "fast", ClockPeriodPS: 400}}
+	if _, err := s.SetSweep(ctx, scens, SweepOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	edit := []Edit{{Op: EditScaleDelay, Edge: 1, Scale: 1.25}}
+	count := &lastPollCtx{Context: ctx}
+	if _, err := s.Apply(count, edit); err != nil {
+		t.Fatal(err)
+	}
+	cut := &lastPollCtx{Context: ctx, cancelAt: count.polls.Load()}
+	if _, err := s.Apply(cut, edit); !errors.Is(err, context.Canceled) {
+		t.Fatalf("edit cancelled at its last poll: err %v, want context.Canceled", err)
+	}
+	rep, err := s.Apply(ctx, edit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sr := range rep.Sweep.Results {
+		if sr.Err != nil || sr.SetupSlack == nil || sr.HoldSlack == nil {
+			t.Fatalf("scenario %q after the cut edit: setup %v, hold %v, err %v", sr.Name, sr.SetupSlack, sr.HoldSlack, sr.Err)
+		}
+	}
+}
+
+// BenchmarkSequentialAnalyze measures clocked analysis on registered
+// generated benchmarks: the sequential slack pass alone (late + early
+// arrival propagation plus per-register slack assembly) on c880 and
+// c7552, and a full clocked batch item (delay plus slack) on c7552.
+func BenchmarkSequentialAnalyze(b *testing.B) {
+	flow := DefaultFlow()
 	clock := ClockSpec{PeriodPS: 700, JitterPS: 8}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.SequentialSlacks(clock); err != nil {
+	for _, name := range []string{"c880", "c7552"} {
+		g, _, err := flow.ClockedBenchGraph(name, 1)
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(name+"-clk", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := g.SequentialSlacks(clock); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if name != "c7552" {
+			continue
+		}
+		items := []BatchItem{{Name: name + "-clk", Graph: g}}
+		b.Run(name+"-clk-item", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if r := flow.AnalyzeBatch(items, BatchOptions{Workers: 1})[0]; r.Err != nil {
+					b.Fatal(r.Err)
+				}
+			}
+		})
 	}
 }

@@ -636,7 +636,9 @@ func (s *Session) refreshSweep(ctx context.Context, rebuild bool, obs func(int, 
 		} else {
 			r.Delay = delay
 			r.Mean, r.Std, r.Quantile = delay.Mean(), delay.Std(), delay.Quantile(q)
-			fillSeqSlack(r, sw.graphs[i], &sw.scens[i], q)
+			if err := fillSeqSlack(ctx, r, sw.graphs[i], &sw.scens[i], q); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
 		r.Elapsed = time.Since(t0)
 		if fire != nil {
@@ -654,18 +656,22 @@ func (s *Session) refreshSweep(ctx context.Context, rebuild bool, obs func(int, 
 
 // fillSeqSlack attaches worst setup/hold slack statistics to a session
 // scenario result when its graph is sequential. The scenario's transform is
-// already materialized in the per-scenario graph clone, so the slack pass
-// reads the graph's own delays under the scenario's clock.
-func fillSeqSlack(r *ScenarioResult, g *Graph, sc *Scenario, q float64) {
+// already materialized in the per-scenario graph clone, so the analysis
+// reads the graph's own delays under the scenario's clock. A failed
+// analysis lands in r.Err; when ctx cut it short, the context's error is
+// also returned, so the caller fails the sweep instead of keeping a result
+// that only says the request went away.
+func fillSeqSlack(ctx context.Context, r *ScenarioResult, g *Graph, sc *Scenario, q float64) error {
 	if g == nil || !g.Sequential() {
-		return
+		return nil
 	}
-	setup, hold, err := scenario.SeqSlackStats(g, nil, sc.ClockSpec(), q)
+	_, seq, err := g.AnalyzeCtx(ctx, nil, sc.ClockSpec(), nil)
 	if err != nil {
 		r.Err = err
-		return
+		return ctx.Err()
 	}
-	r.SetupSlack, r.HoldSlack = setup, hold
+	r.SetupSlack, r.HoldSlack = scenario.SeqSlackStats(seq, q)
+	return nil
 }
 
 // stampSweepTop records the session graph's size on the sweep report, so
@@ -715,18 +721,19 @@ func (s *Session) buildSweepState(ctx context.Context, scens []Scenario, opt Swe
 			return err
 		}
 		sw.graphs[i], sw.incs[i] = g, inc
+		var cut error
 		if delay, err := inc.MaxDelay(); err != nil {
 			r.Err = err
 		} else {
 			r.Delay = delay
 			r.Mean, r.Std, r.Quantile = delay.Mean(), delay.Std(), delay.Quantile(q)
-			fillSeqSlack(r, g, &scens[i], q)
+			cut = fillSeqSlack(ctx, r, g, &scens[i], q)
 		}
 		r.Elapsed = time.Since(t0)
 		if fire != nil {
 			fire(i, r)
 		}
-		return nil
+		return cut
 	})
 	if err != nil {
 		if fire != nil {

@@ -198,7 +198,7 @@ func BenchmarkFig6CriticalityPruned(b *testing.B) {
 // date. "scratch" reruns the full screened engine; "incremental" refreshes
 // an IncrementalCriticality tracker, which re-derives only the input rows
 // the edit can affect (results are bit-identical; tests lock that in). The
-// c1908 pair is the CI smoke size; c7552 is the BENCH_5.json headline.
+// c1908 pair is the CI smoke size; c7552 is the headline size.
 func BenchmarkIncrementalCriticality(b *testing.B) {
 	for _, name := range []string{"c1908", "c7552"} {
 		base := benchGraph(b, name)
@@ -445,8 +445,7 @@ func BenchmarkAnalyzeBatch(b *testing.B) {
 // complete forward pass per edit (the stateless pre-session behavior);
 // "incremental" maintains persistent session state and re-propagates only
 // the edited edge's fan-out cone. The recomputed-vertices metric is the
-// structural side of the win; the ns/op ratio is the latency side
-// (recorded in BENCH_3.json).
+// structural side of the win; the ns/op ratio is the latency side.
 func BenchmarkIncrementalEdit(b *testing.B) {
 	base := benchGraph(b, "c7552")
 	scales := [2]float64{2, 0.5} // exact inverses: the graph never drifts
@@ -575,7 +574,7 @@ func sweepScenarios() []ssta.Scenario {
 // scenarios, one bank-rescale + propagation each) versus 8 independent
 // AnalyzeOpt calls (each re-stitching the design). Both run with the
 // geometry/PCA prep cache warm, so the measured gap is the stitch work the
-// sweep amortizes; speedup is recorded in BENCH_4.json.
+// sweep amortizes.
 func BenchmarkSweep(b *testing.B) {
 	flow := ssta.DefaultFlow()
 	g, plan, err := flow.BenchGraph("c1355", 1)

@@ -75,11 +75,10 @@
 //     allocations from 4881 to 32 KiB.
 //   - ssta.AnalyzeBatch fans flat and hierarchical analyses out across a
 //     bounded pool with those caches shared, which is the one scheduling
-//     path used by cmd/ssta, cmd/report, cmd/table1, examples/corners and
-//     the sstad serving layer. AnalyzeBatchCtx threads a context through
-//     the whole stack — batch items, hierarchical stitching, and the
-//     per-vertex propagation loops — so cancellation and deadlines are
-//     honored mid-analysis.
+//     path used by cmd/ssta, cmd/report, cmd/table1 and examples/corners.
+//     AnalyzeBatchCtx threads a context through the whole stack — batch
+//     items, hierarchical stitching, and the per-vertex propagation loops
+//     — so cancellation and deadlines are honored mid-analysis.
 //
 // Parallel and cached runs produce results identical (within 1e-9, in
 // practice bitwise) to the serial engine; see internal/hier's equivalence
@@ -87,14 +86,19 @@
 //
 // # Serving (sstad)
 //
-// cmd/sstad wraps the batch engine in a daemon (internal/server): POST
-// /v1/analyze runs a batch synchronously under a per-request deadline,
-// POST /v1/jobs queues it on a bounded async job queue (poll/cancel via
-// GET/DELETE /v1/jobs/{id}), and /healthz and /metrics expose liveness,
-// cache hit rates, queue depth and per-item latency. Admission is bounded
-// by an analysis-slot semaphore and the fixed-depth job queue; request
-// cancellation propagates down to individual graph vertices. See the
-// internal/server package docs for the wire schema.
+// cmd/sstad wraps the engine in a daemon (internal/server): POST
+// /v1/analyze analyzes a list of items synchronously under a per-request
+// deadline, POST /v1/jobs queues the same body on a bounded async job
+// queue (poll/cancel via GET/DELETE /v1/jobs/{id}), POST /v1/sweep
+// evaluates MCMM scenarios, and /healthz and /metrics expose liveness,
+// cache hit rates, queue depth and per-item latency. Every analysis runs
+// on one path: the subject is resolved through the server's caches and
+// its scenarios run through the sweep engine, an analyze item being the
+// identity scenario, so sync, job, micro-batched and clustered answers
+// agree. Admission is bounded by an analysis-slot semaphore and the
+// fixed-depth job queue; request cancellation propagates down to
+// individual graph vertices. See the internal/server package docs for the
+// wire schema.
 //
 // # The arena hot path
 //
@@ -111,7 +115,7 @@
 // (canon.MaxViews or canon.MinViews), reading edge delays from the
 // graph's flat delay bank or a caller's scenario bank. Each vertex folds
 // its contributions in a fixed order, so results never depend on visit
-// order. See README.md ("Performance") and BENCH_2.json for measurements.
+// order. See README.md ("Performance") for measurements.
 //
 // # Incremental analysis: the edit and invalidation model
 //
@@ -144,7 +148,7 @@
 // internal/server exposes it as HTTP sessions (POST /v1/sessions, POST
 // /v1/sessions/{id}/edits) with idle-TTL eviction — clients pay one full
 // analysis per session and incremental cost per edit batch. See README.md
-// ("Incremental analysis & sessions") and BENCH_3.json.
+// ("Incremental analysis & sessions").
 //
 // # Multi-corner/multi-scenario sweeps: the scenario model
 //
@@ -164,8 +168,7 @@
 // baseline scenario. Sessions keep sweeps live across edits: SetSweep
 // maintains one transformed clone + incremental state per scenario, and
 // every edit batch is mirrored into the clones and re-propagated through
-// dirty cones only. See README.md ("Multi-scenario sweeps") and
-// BENCH_4.json.
+// dirty cones only. See README.md ("Multi-scenario sweeps").
 //
 // # Sequential timing: min propagation and the clock-scenario model
 //

@@ -22,6 +22,10 @@ import (
 // interval tick; any 2xx answer counts as healthy.
 const PingMethod = "GET /healthz"
 
+// BootIDHeader carries a worker process's boot id on its health answer. A
+// changed id means the worker restarted and lost its in-memory state.
+const BootIDHeader = "X-Sstad-Boot-Id"
+
 // DialFunc opens a transport connection to a worker address. Tests and
 // fault injection substitute their own.
 type DialFunc func(ctx context.Context, addr string) (net.Conn, error)
@@ -75,6 +79,7 @@ type Node struct {
 	healthy    bool
 	lastErr    error
 	lastSeen   time.Time
+	bootID     string
 	consecFail int
 
 	// InFlight is the number of dispatches currently on this node.
@@ -83,8 +88,7 @@ type Node struct {
 	// excluded.
 	Dispatches atomic.Int64
 	// Errors counts exchanges, health pings included, that failed in
-	// transport. It only grows, so a caller can tell whether the node has
-	// failed since it last looked.
+	// transport.
 	Errors atomic.Int64
 	// Sessions counts stateful sessions currently routed to this node.
 	Sessions atomic.Int64
@@ -112,6 +116,14 @@ func (n *Node) LastSeen() time.Time {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.lastSeen
+}
+
+// BootID reports the boot id of the worker process that answered the last
+// successful health check ("" before the first).
+func (n *Node) BootID() string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.bootID
 }
 
 // StatusError is a worker's non-2xx answer: the exchange worked, the
@@ -218,8 +230,9 @@ func (p *Pool) ping(ctx context.Context, n *Node) {
 	cctx, cancel := context.WithTimeout(ctx, p.cfg.PingTimeout)
 	defer cancel()
 	req, err := newRequest(cctx, n, PingMethod, nil, false)
+	var h http.Header
 	if err == nil {
-		_, err = p.exchange(req, nil)
+		_, h, err = p.exchange(req, nil)
 	}
 	if err != nil {
 		if ctx.Err() == nil {
@@ -228,6 +241,7 @@ func (p *Pool) ping(ctx context.Context, n *Node) {
 		return
 	}
 	n.mu.Lock()
+	n.bootID = h.Get(BootIDHeader)
 	n.healthy = true
 	n.consecFail = 0
 	n.lastErr = nil
@@ -276,7 +290,7 @@ func (p *Pool) Do(ctx context.Context, n *Node, method string, body []byte, onEv
 	n.Dispatches.Add(1)
 	n.InFlight.Add(1)
 	defer n.InFlight.Add(-1)
-	out, err := p.exchange(req, onEvent)
+	out, _, err := p.exchange(req, onEvent)
 	if transportFailed(ctx, err) {
 		p.noteFailure(n, err)
 	}
@@ -306,11 +320,11 @@ func newRequest(ctx context.Context, n *Node, method string, body []byte, events
 	return req, nil
 }
 
-// exchange sends req and reads its answer (see Do).
-func (p *Pool) exchange(req *http.Request, onEvent func([]byte)) ([]byte, error) {
+// exchange sends req and returns its answer (see Do) and the answer's header.
+func (p *Pool) exchange(req *http.Request, onEvent func([]byte)) ([]byte, http.Header, error) {
 	resp, err := p.transport.RoundTrip(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	var out []byte
@@ -320,12 +334,12 @@ func (p *Pool) exchange(req *http.Request, onEvent func([]byte)) ([]byte, error)
 		out, err = io.ReadAll(resp.Body)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if resp.StatusCode/100 != 2 {
-		return out, &StatusError{Code: resp.StatusCode, Body: out}
+		return out, resp.Header, &StatusError{Code: resp.StatusCode, Body: out}
 	}
-	return out, nil
+	return out, resp.Header, nil
 }
 
 // readEvents splits an event stream at its blank lines, hands each event

@@ -126,10 +126,9 @@ type clusterState struct {
 
 	mu     sync.Mutex
 	routes map[string]*cluster.Node
-	// pushed maps (node, model key) to the node's transport-error count
-	// when the model was pushed: once the node has failed since, the
-	// worker may have restarted without it.
-	pushed map[pushKey]int64
+	// pushed maps (node, model key) to the node's boot id when the model
+	// was pushed: once the id has changed, the worker restarted without it.
+	pushed map[pushKey]string
 
 	dispatches     atomic.Int64 // shard dispatch attempts
 	retries        atomic.Int64 // attempts beyond a shard's first
@@ -149,7 +148,7 @@ func newClusterState(pool *cluster.Pool) *clusterState {
 	return &clusterState{
 		pool:   pool,
 		routes: make(map[string]*cluster.Node),
-		pushed: make(map[pushKey]int64),
+		pushed: make(map[pushKey]string),
 	}
 }
 
@@ -185,17 +184,17 @@ func (cl *clusterState) routedSessions() int {
 func (cl *clusterState) wasPushed(n *cluster.Node, key string) bool {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	errs, ok := cl.pushed[pushKey{n, key}]
-	return ok && errs == n.Errors.Load()
+	boot, ok := cl.pushed[pushKey{n, key}]
+	return ok && boot == n.BootID()
 }
 
-func (cl *clusterState) markPushed(n *cluster.Node, key string, errs int64) {
+func (cl *clusterState) markPushed(n *cluster.Node, key, boot string) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if len(cl.pushed) >= maxPushLog {
-		cl.pushed = make(map[pushKey]int64)
+		cl.pushed = make(map[pushKey]string)
 	}
-	cl.pushed[pushKey{n, key}] = errs
+	cl.pushed[pushKey{n, key}] = boot
 }
 
 // remoteCacheStats counts the model snapshots a coordinator pushed to this
@@ -351,12 +350,12 @@ func (s *Server) runSweepDistributed(ctx context.Context, cl *clusterState, heal
 
 	rep := scenario.NewReport(results, scenario.Options{TopK: opt.TopK, Quantile: opt.Quantile})
 	rep.Elapsed = time.Since(start)
-	if !pr.isQuad {
+	if pr.graph != nil {
 		// The shared flat graph is local; report its size as standalone
 		// would. A distributed design sweep has no local stitched top — its
 		// scalar stats come back in the shard responses instead.
-		rep.Top = pr.item.Graph
-		rep.TopVerts, rep.TopEdges = pr.item.Graph.NumVerts, len(pr.item.Graph.Edges)
+		rep.Top = pr.graph
+		rep.TopVerts, rep.TopEdges = pr.graph.NumVerts, len(pr.graph.Edges)
 	} else {
 		mu.Lock()
 		rep.TopVerts, rep.TopEdges = topVerts, topEdges
@@ -515,9 +514,9 @@ func parseEvent(ev []byte) (name string, data []byte) {
 // already extracted here (the quad module and any swap benches) before
 // its first shard of them, so the worker seeds its extract cache instead
 // of extracting. Each model goes once per (node, key), and again once the
-// node has failed in transport since: a restarted worker breaks its old
-// connections and has lost its cache. Only a transport failure fails the
-// shard attempt; a worker that refuses a snapshot extracts for itself.
+// node's health check reports a new boot id: a restarted worker has lost
+// its cache. Only a transport failure fails the shard attempt; a worker
+// that refuses a snapshot extracts for itself.
 func (s *Server) pushModels(ctx context.Context, cl *clusterState, node *cluster.Node, pr *sweepPrep) error {
 	var gks []graphKey
 	if q := pr.spec.Quad; q != nil {
@@ -545,7 +544,7 @@ func (s *Server) pushModels(ctx context.Context, cl *clusterState, node *cluster
 		if err != nil {
 			continue
 		}
-		errs := node.Errors.Load()
+		boot := node.BootID()
 		_, err = cl.pool.Do(ctx, node, "PUT /cluster/"+key, data, nil)
 		var status *cluster.StatusError
 		switch {
@@ -556,7 +555,7 @@ func (s *Server) pushModels(ctx context.Context, cl *clusterState, node *cluster
 		default:
 			cl.modelPushes.Add(1)
 		}
-		cl.markPushed(node, key, errs)
+		cl.markPushed(node, key, boot)
 	}
 	return nil
 }
@@ -564,11 +563,12 @@ func (s *Server) pushModels(ctx context.Context, cl *clusterState, node *cluster
 // runShardLocal executes the remaining scenario subset on the coordinator,
 // remapping the per-scenario hook back to global indices.
 func (s *Server) runShardLocal(ctx context.Context, pr *sweepPrep, idx []int, opt ssta.SweepOptions, record func(int, ssta.ScenarioResult), noteTop func(int, int)) {
-	sub := make([]ssta.Scenario, len(idx))
+	sub := *pr
+	sub.scens = make([]ssta.Scenario, len(idx))
 	for k, i := range idx {
-		sub[k] = pr.scens[i]
-		if sub[k].Name == "" {
-			sub[k].Name = fmt.Sprintf("scenario-%d", i)
+		sub.scens[k] = pr.scens[i]
+		if sub.scens[k].Name == "" {
+			sub.scens[k].Name = fmt.Sprintf("scenario-%d", i)
 		}
 	}
 	lopt := opt
@@ -577,13 +577,7 @@ func (s *Server) runShardLocal(ctx context.Context, pr *sweepPrep, idx []int, op
 			record(idx[k], *r)
 		}
 	}
-	var rep *ssta.SweepReport
-	if pr.isQuad {
-		rep, _ = ssta.SweepAnalyze(ctx, pr.item.Design, pr.mode, sub, lopt)
-	} else {
-		rep, _ = ssta.SweepAnalyzeGraph(ctx, pr.item.Graph, sub, lopt)
-	}
-	if rep != nil {
+	if rep, _ := sub.run(ctx, lopt); rep != nil {
 		noteTop(rep.TopVerts, rep.TopEdges)
 	}
 }

@@ -31,10 +31,10 @@ type workerNode struct {
 	stop func()
 }
 
-func startWorker(t *testing.T, cfg Config) *workerNode {
+func startWorker(t *testing.T, cfg Config, addr string) *workerNode {
 	t.Helper()
 	s := New(cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func startCluster(t *testing.T, n int, coordCfg Config, dial cluster.DialFunc) (
 	workers := make([]*workerNode, n)
 	addrs := make([]string, n)
 	for i := range workers {
-		workers[i] = startWorker(t, Config{})
+		workers[i] = startWorker(t, Config{}, "127.0.0.1:0")
 		addrs[i] = workers[i].addr
 	}
 	pool := cluster.NewPool(cluster.PoolConfig{
@@ -183,8 +183,8 @@ func compareSweepResponses(t *testing.T, label string, got, want SweepResponse) 
 
 // TestClusterModelPushOncePerNode: a quad sweep pushes the coordinator's
 // extracted module to each worker before its first shard, once; repeat
-// sweeps push nothing, and a transport failure on a node makes the next
-// shard push again (a restarted worker has lost its cache).
+// sweeps push nothing, and neither does a transport failure on a node
+// whose worker did not restart (it still holds the model).
 func TestClusterModelPushOncePerNode(t *testing.T) {
 	workers, cs, chs := startCluster(t, 2, Config{}, nil)
 	req := SweepRequest{
@@ -208,14 +208,52 @@ func TestClusterModelPushOncePerNode(t *testing.T) {
 	n := cs.cluster.pool.NodeByAddr(workers[0].addr)
 	n.Errors.Add(1) // as if a dispatch to this node had failed in transport
 	sweepHTTP(t, chs.URL, req)
-	if got := cs.cluster.modelPushes.Load(); got != 3 {
-		t.Fatalf("model pushes after a transport failure = %d, want 3", got)
+	if got := cs.cluster.modelPushes.Load(); got != 2 {
+		t.Fatalf("model pushes after a transport failure = %d, want 2", got)
 	}
-	if m := workers[0].srv.remoteCache.misses.Load(); m != 1 {
-		t.Fatalf("re-pushed worker counted %d redundant pushes, want 1", m)
+	if m := workers[0].srv.remoteCache.misses.Load(); m != 0 {
+		t.Fatalf("worker counted %d redundant pushes, want 0", m)
 	}
-	if v := metricValue(t, chs.URL, `sstad_cluster_model_pushes_total{result="accepted"}`); v != 3 {
-		t.Fatalf(`sstad_cluster_model_pushes_total{result="accepted"} = %g, want 3`, v)
+	if v := metricValue(t, chs.URL, `sstad_cluster_model_pushes_total{result="accepted"}`); v != 2 {
+		t.Fatalf(`sstad_cluster_model_pushes_total{result="accepted"} = %g, want 2`, v)
+	}
+}
+
+// TestClusterWorkerRestartRepushes: a worker that restarts on the same
+// address between two sweeps, with no failed exchange in between, answers
+// its next health check with a new boot id, and the coordinator pushes it
+// the model exactly once more instead of letting it extract.
+func TestClusterWorkerRestartRepushes(t *testing.T) {
+	w := startWorker(t, Config{}, "127.0.0.1:0")
+	pool := cluster.NewPool(cluster.PoolConfig{Addrs: []string{w.addr}, PingInterval: 20 * time.Millisecond})
+	cs, chs := newTestServer(t, Config{Cluster: pool})
+	node := pool.NodeByAddr(w.addr)
+	waitFor(t, 5*time.Second, "worker healthy", func() bool { return node.Healthy() && node.BootID() != "" })
+	req := SweepRequest{
+		ItemSpec:  ItemSpec{Quad: &QuadSpec{Bench: "c432", Seed: 1}, Mode: "full"},
+		Scenarios: testSweepSpecs(),
+	}
+	sweepHTTP(t, chs.URL, req)
+	if got := cs.cluster.modelPushes.Load(); got != 1 {
+		t.Fatalf("model pushes after the first sweep = %d, want 1", got)
+	}
+
+	boot := node.BootID()
+	w.stop()
+	w = startWorker(t, Config{}, w.addr)
+	waitFor(t, 5*time.Second, "restarted worker's boot id", func() bool {
+		id := node.BootID()
+		return id != boot && id != "" && node.Healthy()
+	})
+	sweepHTTP(t, chs.URL, req)
+	if got := cs.cluster.modelPushes.Load(); got != 2 {
+		t.Fatalf("model pushes after the restart = %d, want 2", got)
+	}
+	if h := w.srv.remoteCache.hits.Load(); h != 1 {
+		t.Fatalf("restarted worker seeded %d pushed models, want 1", h)
+	}
+	if _, misses := w.srv.flow.Cache.Stats(); misses != 0 {
+		t.Fatalf("restarted worker extracted %d models despite the push", misses)
 	}
 }
 

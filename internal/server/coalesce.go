@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,29 +17,25 @@ import (
 )
 
 // This file is the coalescing/batching front of the request path: every
-// synchronous analysis flows through here instead of reaching the engine
-// directly. Two layers, both keyed by the canonical fingerprints of
-// fingerprint.go:
+// synchronous analysis flows through here on its way to the executor. Two
+// layers, both keyed by the canonical fingerprints of fingerprint.go:
 //
 //  1. The coalescer is an in-flight singleflight table over full request
 //     fingerprints: identical concurrent /v1/analyze and /v1/sweep requests
 //     attach to one execution and share its response bytes verbatim. The
 //     graph cache dedupes *completed* work; this dedupes work that is
 //     still running.
-//  2. The micro-batcher gathers *compatible* requests — same analysis
-//     subject (ItemFingerprint) and mode, different scenarios — within a
+//  2. The micro-batcher gathers *compatible* seats — same analysis subject
+//     (ItemFingerprint) and mode, different scenarios — within a
 //     size/latency window (Config.BatchMax / Config.BatchWindow) and
-//     answers them all from ONE shared-prep sweep, splitting the report
-//     back per caller. A plain /v1/analyze request rides along as the
-//     identity scenario, which the sweep engine evaluates over the shared
-//     base bank — numerically identical to a direct analysis at 1e-9.
+//     answers them all from ONE execution, splitting the report back per
+//     caller. Each analyze item takes a seat as the identity scenario.
 //
 // Admission accounting is per-execution: one coalesced or batched
 // execution holds one analysis slot no matter how many callers it answers.
 // Coalescing is always on (it is pure dedup); batching is opt-in via
 // Config.BatchWindow because it trades first-request latency for
-// throughput and changes which per-item metrics fire (batched items are
-// accounted as sweep scenarios).
+// throughput.
 
 // flight is one in-flight coalesced execution. The leader runs it and
 // publishes the response; followers wait on done and replay the bytes.
@@ -152,19 +149,40 @@ type batchKey struct {
 	mode    ssta.Mode
 }
 
+// batchKeyOf validates a subject spec and keys its group. An invalid spec
+// has no group: it fails before any execution.
+func batchKeyOf(spec *ItemSpec) (batchKey, error) {
+	mode, err := spec.validate()
+	return batchKey{subject: ItemFingerprint(spec), mode: mode}, err
+}
+
 // batchCall is one caller's seat in a micro-batch.
 type batchCall struct {
-	endpoint string              // "analyze" or "sweep"
-	name     string              // caller's display name ("" = subject default)
-	specs    []SweepScenarioSpec // caller's scenarios; nil means the identity scenario (analyze)
-	topK     int
-	workers  int
-	timeout  time.Duration   // effective deadline contribution to the group
-	ctx      context.Context // caller-side context (departure tracking)
-	done     chan struct{}
-	status   int
-	body     []byte
-	unionIdx []int // caller scenario k -> union scenario index
+	name string // caller's display name ("" = subject default)
+	// specs are a sweep caller's scenarios; nil seats an analyze item, the
+	// identity scenario.
+	specs       []SweepScenarioSpec
+	extract     bool
+	topK        int
+	workers     int
+	itemWorkers int
+	timeout     time.Duration   // effective deadline contribution to the group
+	ctx         context.Context // caller-side context (departure tracking)
+	done        chan struct{}
+	ans         batchAnswer
+	unionIdx    []int // caller scenario k -> union scenario index
+}
+
+// batchAnswer is what a seat gets back. A sweep caller gets its rendered
+// response; an analyze item gets the execution and the index of its
+// scenario in it, or the error that stopped it, and assembles its result
+// like an unbatched item. status 429 means the group was refused a slot.
+type batchAnswer struct {
+	status int
+	body   []byte
+	x      *execution
+	idx    int
+	err    error
 }
 
 // batchGroup is one gathering micro-batch.
@@ -177,7 +195,7 @@ type batchGroup struct {
 }
 
 // batcher gathers compatible requests and flushes them onto one
-// shared-prep sweep when the group reaches max callers or the window
+// shared-prep execution when the group reaches max callers or the window
 // expires, whichever comes first.
 type batcher struct {
 	s      *Server
@@ -196,8 +214,8 @@ func newBatcher(s *Server, max int, window time.Duration) *batcher {
 
 // do enqueues one call and blocks until the group's execution answers it
 // (or the caller's context dies first — the group then continues for the
-// others and this response is dropped).
-func (b *batcher) do(ctx context.Context, key batchKey, spec ItemSpec, call *batchCall) (int, []byte) {
+// others and this answer is dropped).
+func (b *batcher) do(ctx context.Context, key batchKey, spec ItemSpec, call *batchCall) batchAnswer {
 	call.ctx = ctx
 	call.done = make(chan struct{})
 	b.s.metrics.batchRequests.Add(1)
@@ -217,16 +235,19 @@ func (b *batcher) do(ctx context.Context, key batchKey, spec ItemSpec, call *bat
 	}
 	select {
 	case <-call.done:
-		return call.status, call.body
+		return call.ans
 	case <-ctx.Done():
 		// Late result may have raced the cancellation; prefer it.
 		select {
 		case <-call.done:
-			return call.status, call.body
+			return call.ans
 		default:
 		}
-		return http.StatusRequestTimeout,
-			errorBody(http.StatusRequestTimeout, fmt.Sprintf("request expired before its micro-batch completed: %v", ctx.Err()))
+		err := fmt.Errorf("request expired before its micro-batch completed: %w", ctx.Err())
+		if call.specs == nil {
+			return batchAnswer{err: err}
+		}
+		return batchAnswer{status: http.StatusRequestTimeout, body: errorBody(http.StatusRequestTimeout, err.Error())}
 	}
 }
 
@@ -247,7 +268,7 @@ func (b *batcher) flush(g *batchGroup, reason string) {
 	calls := g.calls
 	b.mu.Unlock()
 	b.s.metrics.batchFlush(reason)
-	go b.run(g.key, g.spec, calls)
+	go b.run(g.spec, calls)
 }
 
 // gathering samples the number of groups currently open for /metrics.
@@ -257,51 +278,35 @@ func (b *batcher) gathering() int {
 	return len(b.groups)
 }
 
-// identitySpec is the scenario a plain analyze request contributes to a
-// batch: the zero transform, evaluated over the shared base bank.
-var identitySpec = []SweepScenarioSpec{{}}
-
-// callSpecs returns the caller's scenario list (identity for analyze).
-func (c *batchCall) callSpecs() []SweepScenarioSpec {
-	if c.specs == nil {
-		return identitySpec
-	}
-	return c.specs
-}
-
 // run executes one flushed micro-batch: dedupe scenarios across callers,
-// take ONE admission slot, resolve the shared subject, run ONE shared-prep
-// sweep, and split the report back per caller.
-func (b *batcher) run(key batchKey, spec ItemSpec, calls []*batchCall) {
+// take ONE admission slot, run ONE shared-prep execution, and split the
+// report back per caller.
+func (b *batcher) run(spec ItemSpec, calls []*batchCall) {
 	s, m := b.s, b.s.metrics
 	m.batchExecutions.Add(1)
 	m.batchOccSum.Add(int64(len(calls)))
-
-	publish := func(c *batchCall, status int, body []byte) {
-		c.status, c.body = status, body
+	publish := func(c *batchCall, ans batchAnswer) {
+		c.ans = ans
 		close(c.done)
-	}
-	failAll := func(alive []*batchCall, status int, msg string) {
-		for _, c := range alive {
-			publish(c, status, errorBody(status, msg))
-		}
-	}
-	classify := func(err error) int {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return http.StatusRequestTimeout
-		}
-		return http.StatusBadRequest
 	}
 
 	// Union of distinct scenario transforms across callers, content-keyed:
 	// two callers naming the same knobs differently share one evaluation.
 	// Union scenarios carry opaque internal names; caller-facing names are
-	// rewritten at reassembly.
+	// rewritten at reassembly. swept marks the union scenarios some sweep
+	// caller asked for: only those count as sweep scenarios, while analyze
+	// items count as items.
 	var union []SweepScenarioSpec
+	var swept []bool
 	index := make(map[Fingerprint]int)
 	total := 0
+	a := &analysis{spec: spec}
+	dur := time.Duration(0)
 	for _, c := range calls {
-		specs := c.callSpecs()
+		specs := c.specs
+		if specs == nil {
+			specs = identitySpec
+		}
 		c.unionIdx = make([]int, len(specs))
 		for k := range specs {
 			total++
@@ -313,24 +318,20 @@ func (b *batcher) run(key batchKey, spec ItemSpec, calls []*batchCall) {
 				sp := specs[k]
 				sp.Name = fmt.Sprintf("u%d", u)
 				union = append(union, sp)
+				swept = append(swept, false)
 			}
+			swept[u] = swept[u] || c.specs != nil
 			c.unionIdx[k] = u
 		}
+		a.extract = a.extract || c.extract
+		a.workers = max(a.workers, c.workers)
+		a.itemWorkers = max(a.itemWorkers, c.itemWorkers)
+		dur = max(dur, c.timeout)
 	}
 	m.scenariosDeduped.Add(int64(total - len(union)))
 
 	// Group execution context: the server's lifetime bounded by the most
 	// generous caller deadline, cancelled early when every caller departs.
-	dur := time.Duration(0)
-	workers := s.cfg.Workers
-	for _, c := range calls {
-		if c.timeout > dur {
-			dur = c.timeout
-		}
-		if c.workers > workers {
-			workers = c.workers
-		}
-	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, dur)
 	defer cancel()
 	var refs atomic.Int64
@@ -346,223 +347,99 @@ func (b *batcher) run(key batchKey, spec ItemSpec, calls []*batchCall) {
 	// ONE admission slot covers the whole batch — this is the accounting
 	// shift from per-request to per-execution.
 	if err := s.acquireSlotWait(ctx, s.admissionWait(ctx)); err != nil {
-		for range calls {
-			m.rejected.Add(1)
+		for _, c := range calls {
+			if c.specs != nil {
+				m.rejected.Add(1)
+			}
+			publish(c, batchAnswer{status: http.StatusTooManyRequests, body: errorBody(http.StatusTooManyRequests, err.Error()), err: err})
 		}
-		failAll(calls, http.StatusTooManyRequests, err.Error())
 		return
 	}
 	defer s.releaseSlot()
 
-	start := time.Now()
-	item, subjName, isQuad, mode, err := s.resolveSweepItem(ctx, &spec)
-	if err != nil {
-		status := classify(err)
-		for range calls {
-			if status == http.StatusRequestTimeout {
-				m.itemsRejected.Add(1)
-			} else {
-				m.badRequests.Add(1)
-			}
+	hook := s.scenarioMetricsHook()
+	a.onScenario = func(i int, r *ssta.ScenarioResult) {
+		if swept[i] {
+			hook(i, r)
 		}
-		failAll(calls, status, err.Error())
-		return
 	}
-	_ = mode // the group key's mode was parsed from the same spec
-
-	// Materialize the union scenarios. A failing scenario fails only the
-	// callers that asked for it; the rest of the batch proceeds without it.
-	scens := make([]ssta.Scenario, len(union))
-	var failedUnion map[int]error
-	for u := range union {
-		sc, cerr := s.convertScenario(ctx, &union[u], isQuad)
-		if cerr != nil {
-			if failedUnion == nil {
-				failedUnion = make(map[int]error)
+	for {
+		a.specs = union
+		x, err := s.execute(ctx, a)
+		var bad *scenarioError
+		if !errors.As(err, &bad) {
+			for _, c := range calls {
+				publish(c, s.answerCall(c, x, err))
 			}
-			failedUnion[u] = cerr
-			continue
-		}
-		scens[u] = sc
-	}
-	alive := calls
-	if failedUnion != nil {
-		var keep []*batchCall
-		for _, c := range calls {
-			bad := -1
-			for k, u := range c.unionIdx {
-				if _, failed := failedUnion[u]; failed {
-					bad = k
-					break
-				}
-			}
-			if bad < 0 {
-				keep = append(keep, c)
-				continue
-			}
-			cerr := failedUnion[c.unionIdx[bad]]
-			status := classify(cerr)
-			if status == http.StatusRequestTimeout {
-				m.itemsRejected.Add(1)
-			} else {
-				m.badRequests.Add(1)
-			}
-			publish(c, status, errorBody(status, fmt.Sprintf("scenario %d: %v", bad, cerr)))
-		}
-		alive = keep
-		if len(alive) == 0 {
 			return
 		}
-		remap := make([]int, len(union))
-		var cs []ssta.Scenario
-		var us []SweepScenarioSpec
-		for u := range union {
-			if _, failed := failedUnion[u]; failed {
-				remap[u] = -1
+		// A scenario that fails to materialize fails only the callers that
+		// asked for it; the rest of the batch runs again without it.
+		var keep []*batchCall
+		for _, c := range calls {
+			if k := slices.Index(c.unionIdx, bad.index); k >= 0 {
+				publish(c, s.answerCall(c, nil, &scenarioError{index: k, err: bad.err}))
 				continue
 			}
-			remap[u] = len(cs)
-			cs = append(cs, scens[u])
-			us = append(us, union[u])
-		}
-		scens, union = cs, us
-		for _, c := range alive {
-			for k := range c.unionIdx {
-				c.unionIdx[k] = remap[c.unionIdx[k]]
+			for k, u := range c.unionIdx {
+				if u > bad.index {
+					c.unionIdx[k] = u - 1
+				}
 			}
+			keep = append(keep, c)
+		}
+		union = slices.Delete(union, bad.index, bad.index+1)
+		swept = slices.Delete(swept, bad.index, bad.index+1)
+		if calls = keep; len(calls) == 0 {
+			return
 		}
 	}
+}
 
-	opt := ssta.SweepOptions{
-		Workers:        workers,
-		OnScenarioDone: s.scenarioMetricsHook(),
+// answerCall splits a batch execution's outcome back to one caller. A
+// sweep caller gets caller-local scenario names and order and a
+// caller-local envelope and divergence ranking, recomputed over exactly
+// its scenarios, so the response matches a solo request.
+func (s *Server) answerCall(c *batchCall, x *execution, err error) batchAnswer {
+	if c.specs == nil {
+		if err != nil {
+			return batchAnswer{err: err}
+		}
+		return batchAnswer{x: x, idx: c.unionIdx[0]}
 	}
-	// The batch runs through the same dispatch seam as a solo sweep, so a
-	// clustered coordinator shards micro-batch executions across workers
-	// exactly like direct /v1/sweep traffic.
-	pr := &sweepPrep{
-		item:    item,
-		name:    subjName,
-		isQuad:  isQuad,
-		mode:    key.mode,
-		scens:   scens,
-		workers: workers,
-		spec:    spec,
-		specs:   union,
-	}
-	rep, err := s.runSweep(ctx, pr, opt)
 	if err != nil {
-		status := classify(err)
-		for range alive {
-			if status == http.StatusRequestTimeout {
-				m.itemsRejected.Add(1)
-			} else {
-				m.badRequests.Add(1)
-			}
-		}
-		failAll(alive, status, err.Error())
-		return
+		status, body := s.sweepFailure(err)
+		return batchAnswer{status: status, body: body}
 	}
-	elapsedMS := float64(time.Since(start).Microseconds()) / 1000
-
-	// Split the shared report back per caller: caller-local scenario names
-	// and order, caller-local envelope/divergence (recomputed over exactly
-	// the caller's scenarios, so the response matches a solo request).
-	for _, c := range alive {
-		name := c.name
-		if name == "" {
-			name = subjName
+	results := make([]ssta.ScenarioResult, len(c.specs))
+	for k, u := range c.unionIdx {
+		r := x.rep.Results[u]
+		r.Name = c.specs[k].Name
+		if r.Name == "" {
+			r.Name = fmt.Sprintf("scenario-%d", k)
 		}
-		if c.endpoint == "analyze" {
-			r := rep.Results[c.unionIdx[0]]
-			out := ItemResult{Name: name, ElapsedMS: float64(r.Elapsed.Microseconds()) / 1000}
-			if r.Err != nil {
-				out.Error = r.Err.Error()
-			} else {
-				out.MeanPS, out.StdPS, out.P9987PS = r.Mean, r.Std, r.Quantile
-				// Scalar graph stats survive distributed execution where
-				// rep.Top stays nil (the worker-side graph never crosses the
-				// wire) — the analyze-rider half of the PR 9 Top-loss fix.
-				out.Verts, out.Edges = rep.TopVerts, rep.TopEdges
-				out.Setup = slackViewOfStat(r.SetupSlack)
-				out.Hold = slackViewOfStat(r.HoldSlack)
-			}
-			publish(c, http.StatusOK, marshalJSON(&AnalyzeResponse{Results: []ItemResult{out}, ElapsedMS: elapsedMS}))
-			continue
-		}
-		specs := c.callSpecs()
-		results := make([]ssta.ScenarioResult, len(specs))
-		for k, u := range c.unionIdx {
-			r := rep.Results[u]
-			r.Name = specs[k].Name
-			if r.Name == "" {
-				r.Name = fmt.Sprintf("scenario-%d", k)
-			}
-			results[k] = r
-		}
-		crep := scenario.NewReport(results, scenario.Options{TopK: c.topK})
-		crep.Top = rep.Top
-		crep.TopVerts, crep.TopEdges = rep.TopVerts, rep.TopEdges
-		publish(c, http.StatusOK, marshalJSON(sweepResponseView(name, crep, elapsedMS)))
+		results[k] = r
 	}
+	rep := scenario.NewReport(results, scenario.Options{TopK: c.topK})
+	rep.Top, rep.TopVerts, rep.TopEdges = x.rep.Top, x.rep.TopVerts, x.rep.TopEdges
+	rep.Elapsed = x.rep.Elapsed
+	name := c.name
+	if name == "" {
+		name = x.name
+	}
+	return batchAnswer{status: http.StatusOK, body: marshalJSON(sweepResponseView(name, rep))}
 }
 
 // scenarioMetricsHook is the shared per-scenario accounting of every sweep
 // execution: deadline-cut scenarios are rejections, not latency samples.
 func (s *Server) scenarioMetricsHook() func(int, *ssta.ScenarioResult) {
 	return func(_ int, res *ssta.ScenarioResult) {
-		if errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded) {
+		if errorKind(res.Err) != "" {
 			s.metrics.scenariosRejected.Add(1)
 			return
 		}
 		s.metrics.observeScenario(res.Elapsed, res.Err != nil)
 	}
-}
-
-// analyzeBatchCall maps a batchable analyze request onto its batch seat.
-// Batchable means: exactly one item, exactly one input selector, no
-// extraction (the sweep engine does not extract models), and a parseable
-// mode. Everything else takes the direct runBatch path.
-func (s *Server) analyzeBatchCall(req *AnalyzeRequest) (batchKey, ItemSpec, *batchCall, bool) {
-	if len(req.Items) != 1 {
-		return batchKey{}, ItemSpec{}, nil, false
-	}
-	spec := req.Items[0]
-	if spec.Extract || len(spec.inputs()) != 1 {
-		return batchKey{}, ItemSpec{}, nil, false
-	}
-	mode, err := parseMode(spec.Mode)
-	if err != nil {
-		return batchKey{}, ItemSpec{}, nil, false
-	}
-	call := &batchCall{
-		endpoint: "analyze",
-		name:     spec.Name,
-		workers:  req.ItemWorkers,
-		timeout:  s.effectiveTimeout(req.TimeoutMS),
-	}
-	return batchKey{subject: ItemFingerprint(&spec), mode: mode}, spec, call, true
-}
-
-// sweepBatchCall maps a batchable sweep request onto its batch seat.
-func (s *Server) sweepBatchCall(req *SweepRequest, specs []SweepScenarioSpec) (batchKey, ItemSpec, *batchCall, bool) {
-	spec := req.ItemSpec
-	if len(spec.inputs()) != 1 {
-		return batchKey{}, ItemSpec{}, nil, false
-	}
-	mode, err := parseMode(spec.Mode)
-	if err != nil {
-		return batchKey{}, ItemSpec{}, nil, false
-	}
-	call := &batchCall{
-		endpoint: "sweep",
-		name:     spec.Name,
-		specs:    specs,
-		topK:     req.TopK,
-		workers:  req.Workers,
-		timeout:  s.effectiveTimeout(req.TimeoutMS),
-	}
-	return batchKey{subject: ItemFingerprint(&spec), mode: mode}, spec, call, true
 }
 
 // effectiveTimeout resolves the timeout_ms knob against server defaults

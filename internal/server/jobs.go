@@ -268,7 +268,7 @@ func (s *Server) runJob(base context.Context, j *job) {
 	st.running++
 	st.mu.Unlock()
 
-	resp, err := s.runBatch(ctx, 0, j.req)
+	resp, err := s.analyzeItems(ctx, &j.req, 0, false)
 
 	st.mu.Lock()
 	j.ended = time.Now()

@@ -146,121 +146,86 @@ func (s *ItemSpec) checkCost() error {
 	return nil
 }
 
-// prepareItem converts one wire spec into a runnable ssta.BatchItem.
-// Flat graphs come out of the server's bounded graph cache, so a repeated
-// bench/mult/quad request reuses one *Graph — which is also what makes the
-// extraction cache hit on repeats (it is keyed by graph identity).
-func (s *Server) prepareItem(ctx context.Context, spec *ItemSpec) (ssta.BatchItem, error) {
-	if err := spec.checkCost(); err != nil {
-		return ssta.BatchItem{}, err
+// validate checks the spec's shape before any cache is touched: its build
+// cost, exactly one input selector, and a known mode.
+func (s *ItemSpec) validate() (ssta.Mode, error) {
+	if err := s.checkCost(); err != nil {
+		return 0, err
 	}
-	set := spec.inputs()
-	switch len(set) {
+	switch set := s.inputs(); len(set) {
 	case 0:
-		return ssta.BatchItem{}, fmt.Errorf("item has no input: set one of bench, netlist, mult or quad")
+		return 0, fmt.Errorf("item has no input: set one of bench, netlist, mult or quad")
 	case 1:
 	default:
-		return ssta.BatchItem{}, fmt.Errorf("item sets %d inputs (%s); exactly one of bench, netlist, mult or quad must be set",
+		return 0, fmt.Errorf("item sets %d inputs (%s); exactly one of bench, netlist, mult or quad must be set",
 			len(set), strings.Join(set, ", "))
 	}
-	mode, err := parseMode(spec.Mode)
-	if err != nil {
-		return ssta.BatchItem{}, err
-	}
+	return parseMode(s.Mode)
+}
 
-	item := ssta.BatchItem{Name: spec.Name, Extract: spec.Extract}
+// resolveSweepItem maps the item spec onto the analysis subject: a flat
+// graph (bench and mult graphs out of the server's bounded graph cache,
+// netlists built per request) or a cached quad design. Holding graph
+// identity stable across requests is also what makes the extraction cache
+// hit on repeats (it is keyed by graph identity).
+func (s *Server) resolveSweepItem(ctx context.Context, spec *ItemSpec) (*sweepPrep, error) {
+	mode, err := spec.validate()
+	if err != nil {
+		return nil, err
+	}
+	pr := &sweepPrep{name: spec.Name, mode: mode}
 	switch {
 	case spec.Quad != nil:
 		if spec.Clocked {
-			return ssta.BatchItem{}, fmt.Errorf("clocked applies to bench, netlist or mult items only")
+			return nil, fmt.Errorf("clocked applies to bench, netlist or mult items only")
 		}
-		d, err := s.quadDesign(ctx, spec.Quad)
-		if err != nil {
-			return ssta.BatchItem{}, err
+		if pr.design, err = s.quadDesign(ctx, spec.Quad); err != nil {
+			return nil, err
 		}
 		// The upcoming analysis warms this design's per-mode prep; stamp it
 		// so a restarted daemon can rebuild the warm prep before its first
 		// sweep (satellite of the durable-state story).
 		s.checkpointPrep(spec.Quad, mode)
-		item.Design = d
-		item.Mode = mode
-		if item.Name == "" {
-			item.Name = d.Name
+		if pr.name == "" {
+			pr.name = pr.design.Name
 		}
-		item.Extract = false // extraction applies to flat items only
 
 	case spec.Netlist != "":
 		c, err := ssta.ParseBench(spec.Name, strings.NewReader(spec.Netlist))
 		if err != nil {
-			return ssta.BatchItem{}, fmt.Errorf("netlist: %w", err)
+			return nil, fmt.Errorf("netlist: %w", err)
 		}
 		if spec.Clocked {
 			if c, err = ssta.Clocked(c); err != nil {
-				return ssta.BatchItem{}, fmt.Errorf("netlist: %w", err)
+				return nil, fmt.Errorf("netlist: %w", err)
 			}
 		}
-		item.Circuit = c
-		if item.Name == "" {
-			item.Name = c.Name
+		if pr.graph, _, err = s.flow.Graph(c); err != nil {
+			return nil, err
+		}
+		if pr.name == "" {
+			pr.name = c.Name
 		}
 
 	default: // bench or mult: served from the graph cache
-		g, err := s.cachedGraph(ctx, graphKey{bench: spec.Bench, seed: spec.Seed, mult: spec.Mult, clocked: spec.Clocked})
-		if err != nil {
-			return ssta.BatchItem{}, err
+		if pr.graph, err = s.cachedGraph(ctx, spec.graphKey()); err != nil {
+			return nil, err
 		}
-		item.Graph = g
-		if item.Name == "" {
+		if pr.name == "" {
 			if spec.Bench != "" {
-				item.Name = spec.Bench
+				pr.name = spec.Bench
 			} else {
-				item.Name = fmt.Sprintf("mult%d", spec.Mult)
+				pr.name = fmt.Sprintf("mult%d", spec.Mult)
 			}
 		}
 	}
-	return item, nil
+	return pr, nil
 }
 
-// itemResult flattens one BatchResult into its wire form.
-func itemResult(r *ssta.BatchResult) ItemResult {
-	out := ItemResult{Name: r.Name, ElapsedMS: float64(r.Elapsed.Microseconds()) / 1000}
-	if r.Err != nil {
-		out.Error = r.Err.Error()
-		return out
-	}
-	if r.Delay != nil {
-		out.MeanPS = r.Delay.Mean()
-		out.StdPS = r.Delay.Std()
-		out.P9987PS = r.Delay.Quantile(0.99865)
-	}
-	if r.Graph != nil {
-		out.Verts = r.Graph.NumVerts
-		out.Edges = len(r.Graph.Edges)
-	} else if r.Hier != nil && r.Hier.Graph != nil {
-		out.Verts = r.Hier.Graph.NumVerts
-		out.Edges = len(r.Hier.Graph.Edges)
-	}
-	if r.Model != nil && r.Model.Graph != nil {
-		out.ModelVerts = r.Model.Graph.NumVerts
-		out.ModelEdges = len(r.Model.Graph.Edges)
-	}
-	if r.Seq != nil {
-		out.Setup = slackViewOfForm(r.Seq.WorstSetup)
-		out.Hold = slackViewOfForm(r.Seq.WorstHold)
-	}
-	return out
-}
-
-// slackQuantile is the low-tail quantile slack views report — the mirror of
-// the 99.865% delay quantile the serving layer uses everywhere.
-const slackQuantile = 1 - 0.99865
-
-// slackViewOfForm flattens a worst-slack canonical form for the wire.
-func slackViewOfForm(f *ssta.Form) *SlackView {
-	if f == nil {
-		return nil
-	}
-	return &SlackView{MeanPS: f.Mean(), StdPS: f.Std(), QPS: f.Quantile(slackQuantile)}
+// graphKey is the graph-cache identity of a bench or mult spec. Other
+// specs map to a key modelKey refuses, so their models never checkpoint.
+func (s *ItemSpec) graphKey() graphKey {
+	return graphKey{bench: s.Bench, seed: s.Seed, mult: s.Mult, clocked: s.Clocked}
 }
 
 // slackViewOfStat flattens a sweep slack statistic (already quantiled at the

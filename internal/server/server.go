@@ -1,40 +1,49 @@
 // Package server is the sstad serving layer: a long-running HTTP/JSON
-// front end over the ssta batch engine, the paper's model-reuse story
-// turned into a daemon. Extract a module's timing model once, then answer
-// many analyses against it cheaply — here the "many analyses" arrive as
+// front end over the ssta engine, the paper's model-reuse story turned
+// into a daemon. Extract a module's timing model once, then answer many
+// analyses against it cheaply — here the "many analyses" arrive as
 // requests, and the reuse lives in three bounded caches (built graphs,
 // extracted models, per-design analysis preps).
 //
 // Endpoints:
 //
-//	POST /v1/analyze     run a batch synchronously (per-request deadline)
+//	POST /v1/analyze     analyze a list of items synchronously (per-request
+//	                     deadline)
 //	POST /v1/sweep       evaluate many MCMM scenarios against one item with
 //	                     shared prep (see sweep.go); SSE when the client
 //	                     sends Accept: text/event-stream (see sse.go)
-//	POST /v1/jobs        submit the same body asynchronously
+//	POST /v1/jobs        submit the analyze body asynchronously
 //	GET  /v1/jobs        bounded newest-first listing of ids + states
 //	GET  /v1/jobs/{id}   poll status/result
 //	DELETE /v1/jobs/{id} cancel a queued or running job (204 once terminal)
-//	GET  /healthz        liveness
+//	GET  /healthz        liveness and the process boot id
 //	GET  /metrics        Prometheus text: cache hit rates, queue depth,
 //	                     per-item latency
+//
+// Every analysis runs on one path, the executor (Server.execute): resolve
+// the item's subject, materialize its scenarios, and run them through the
+// sweep engine — sharded across workers on a coordinator. An analyze item
+// is the identity scenario over its subject, so an item's answer is the
+// same whether it arrives alone, in a multi-item request, in a job or in a
+// micro-batch.
 //
 // Admission is bounded end to end: a semaphore caps concurrently running
 // analyses (sync requests wait on it under their deadline, 429 on
 // overload), the async queue is a fixed-depth channel (503 when full), and
-// every batch runs under a context whose cancellation reaches individual
-// graph vertices via ssta.AnalyzeBatchCtx.
+// every execution runs under a context whose cancellation reaches
+// individual graph vertices.
 //
 // The synchronous front door (analyze + sweep) additionally coalesces and
 // micro-batches (see coalesce.go): byte-identical concurrent requests
 // share one execution, and — with batching enabled — compatible requests
-// against the same subject merge into one shared-prep sweep.
+// against the same subject merge into one shared-prep execution.
 package server
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -43,6 +52,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/store"
+	"repro/internal/timing"
 	"repro/ssta"
 )
 
@@ -188,6 +198,10 @@ type Server struct {
 	cluster     *clusterState
 	remoteCache remoteCacheStats
 
+	// bootID names this server instance on /healthz, so a coordinator can
+	// tell a restarted worker from one that only dropped a connection.
+	bootID string
+
 	baseCtx  context.Context
 	baseStop context.CancelFunc
 	wg       sync.WaitGroup
@@ -219,6 +233,7 @@ func New(cfg Config) *Server {
 		quads:    make(map[quadKey]*ssta.Design),
 		maxQuads: cfg.GraphCacheEntries,
 		coalesce: newCoalescer(),
+		bootID:   newBootID(),
 		baseCtx:  base,
 		baseStop: stop,
 	}
@@ -331,73 +346,101 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (AnalyzeR
 	return req, true
 }
 
-// runBatch prepares the wire items and runs them through the batch engine
-// under ctx, holding one analysis slot for the duration. admissionWait > 0
-// bounds how long the call may block waiting for a slot (jobs pass 0: a
-// job worker owns its turn and only gives up with its context). Per-item
-// failures (including spec errors and cancellation) land in the item
-// results; the returned error is reserved for request-level failures.
-func (s *Server) runBatch(ctx context.Context, admissionWait time.Duration, req AnalyzeRequest) (*AnalyzeResponse, error) {
-	if err := s.acquireSlotWait(ctx, admissionWait); err != nil {
-		return nil, err
-	}
-	defer s.releaseSlot()
-
+// analyzeItems answers every item of req through the executor, fanning
+// out req.Workers items at a time. Unbatched, the request holds one
+// analysis slot throughout, taken within wait (jobs pass 0: a job worker
+// owns its turn and only gives up with its context). Batched, each item
+// rides its subject's micro-batch, whose execution holds the slot. Item
+// failures, spec errors and deadline cuts included, land in the item
+// results; the error is reserved for a refused admission.
+func (s *Server) analyzeItems(ctx context.Context, req *AnalyzeRequest, wait time.Duration, batched bool) (*AnalyzeResponse, error) {
 	start := time.Now()
-	resp := &AnalyzeResponse{Results: make([]ItemResult, len(req.Items))}
-	items := make([]ssta.BatchItem, 0, len(req.Items))
-	batchIdx := make([]int, 0, len(req.Items)) // batch position -> request position
-	for k := range req.Items {
-		item, err := ssta.BatchItem{}, ctx.Err() // stop preparing once the deadline fires
-		if err == nil {
-			item, err = s.prepareItem(ctx, &req.Items[k])
+	if !batched {
+		if err := s.acquireSlotWait(ctx, wait); err != nil {
+			return nil, err
 		}
-		if err != nil {
-			name := req.Items[k].Name
-			if name == "" {
-				name = fmt.Sprintf("item[%d]", k)
-			}
-			resp.Results[k] = ItemResult{Name: name, Error: err.Error()}
-			s.metrics.itemsRejected.Add(1)
-			continue
-		}
-		items = append(items, item)
-		batchIdx = append(batchIdx, k)
+		defer s.releaseSlot()
 	}
-
 	workers := req.Workers
 	if workers <= 0 {
 		workers = s.cfg.Workers
 	}
-	results := s.flow.AnalyzeBatchCtx(ctx, items, ssta.BatchOptions{
-		Workers:     workers,
-		ItemWorkers: req.ItemWorkers,
-		OnItemDone: func(_ int, r *ssta.BatchResult) {
-			// Items the engine cut short on cancellation are rejections,
-			// not latency samples — a deadline burst must not drag the
-			// reported mean toward zero.
-			if errors.Is(r.Err, context.Canceled) || errors.Is(r.Err, context.DeadlineExceeded) {
-				s.metrics.itemsRejected.Add(1)
-				return
-			}
-			s.metrics.observeItem(r.Elapsed, r.Err != nil)
-		},
+	resp := &AnalyzeResponse{Results: make([]ItemResult, len(req.Items))}
+	err := timing.ParallelFor(len(req.Items), workers, func(k int) (err error) {
+		resp.Results[k], err = s.analyzeItem(ctx, req, k, batched)
+		return err
 	})
-	for b, r := range results {
-		k := batchIdx[b]
-		resp.Results[k] = itemResult(&r)
-		// Extracted models of reproducible graphs (bench/mult) are durable
-		// state: enqueue them for the write-behind store so a restart can
-		// re-seed the extraction cache without paying extraction again.
-		if r.Err == nil && r.Model != nil {
-			spec := &req.Items[k]
-			if spec.Quad == nil && spec.Netlist == "" {
-				s.checkpointModel(graphKey{bench: spec.Bench, seed: spec.Seed, mult: spec.Mult, clocked: spec.Clocked}, r.Model)
-			}
-		}
+	if err != nil {
+		return nil, err
 	}
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	return resp, nil
+}
+
+// analyzeItem runs item k of req as the identity scenario over its
+// subject: directly, or seated in its subject's micro-batch.
+func (s *Server) analyzeItem(ctx context.Context, req *AnalyzeRequest, k int, batched bool) (ItemResult, error) {
+	spec := &req.Items[k]
+	// ItemWorkers bounds a hierarchical stitch; unset, it runs serially.
+	itemWorkers := max(1, req.ItemWorkers)
+	var x *execution
+	idx := 0
+	key, err := batchKeyOf(spec)
+	switch {
+	case err != nil:
+	case batched:
+		ans := s.batch.do(ctx, key, *spec, &batchCall{
+			name:        spec.Name,
+			extract:     spec.Extract,
+			itemWorkers: itemWorkers,
+			timeout:     s.effectiveTimeout(req.TimeoutMS),
+		})
+		if ans.status == http.StatusTooManyRequests {
+			return ItemResult{}, ans.err
+		}
+		x, idx, err = ans.x, ans.idx, ans.err
+	default:
+		x, err = s.execute(ctx, &analysis{spec: *spec, extract: spec.Extract, itemWorkers: itemWorkers})
+	}
+	return s.itemView(spec, k, x, idx, err), nil
+}
+
+// itemView assembles one analyze item's wire result from its execution
+// and the index of its scenario there — the one assembly for unbatched
+// items and batcher riders alike — and accounts it. An item that never
+// ran, or was cut by cancellation, is a rejection rather than a latency
+// sample, so a deadline burst cannot drag the reported mean toward zero.
+func (s *Server) itemView(spec *ItemSpec, k int, x *execution, idx int, err error) ItemResult {
+	out := ItemResult{Name: spec.Name}
+	if x != nil && out.Name == "" {
+		out.Name = x.name
+	}
+	if out.Name == "" {
+		out.Name = fmt.Sprintf("item[%d]", k)
+	}
+	if err != nil {
+		s.metrics.itemsRejected.Add(1)
+		out.Error = err.Error()
+		return out
+	}
+	r := &x.rep.Results[idx]
+	out.ElapsedMS = float64(r.Elapsed.Microseconds()) / 1000
+	if errorKind(r.Err) != "" {
+		s.metrics.itemsRejected.Add(1)
+	} else {
+		s.metrics.observeItem(r.Elapsed, r.Err != nil)
+	}
+	if r.Err != nil {
+		out.Error = r.Err.Error()
+		return out
+	}
+	out.MeanPS, out.StdPS, out.P9987PS = r.Mean, r.Std, r.Quantile
+	out.Verts, out.Edges = x.rep.TopVerts, x.rep.TopEdges
+	if spec.Extract && x.model != nil {
+		out.ModelVerts, out.ModelEdges = x.model.Graph.NumVerts, len(x.model.Graph.Edges)
+	}
+	out.Setup, out.Hold = slackViewOfStat(r.SetupSlack), slackViewOfStat(r.HoldSlack)
+	return out
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
@@ -406,17 +449,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.analyzeRequests.Add(1)
-	// Everything past decode flows through the coalescing/batching front:
-	// identical concurrent requests share one execution; with batching on,
-	// compatible single-item requests merge onto one shared-prep sweep.
+	// Everything past decode flows through the coalescing front: identical
+	// concurrent requests share one execution.
 	fp := requestFingerprint("analyze", &req, nil, 0)
 	s.serveCoalesced(w, r, "analyze", fp, req.TimeoutMS, func(ctx context.Context) (int, []byte) {
-		if s.batch != nil {
-			if key, spec, call, batchable := s.analyzeBatchCall(&req); batchable {
-				return s.batch.do(ctx, key, spec, call)
-			}
-		}
-		resp, err := s.runBatch(ctx, s.admissionWait(ctx), req)
+		resp, err := s.analyzeItems(ctx, &req, s.admissionWait(ctx), s.batch != nil)
 		if err != nil {
 			s.metrics.rejected.Add(1)
 			return http.StatusTooManyRequests, errorBody(http.StatusTooManyRequests, err.Error())
@@ -487,10 +524,19 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v)
 }
 
+// newBootID draws a random instance id.
+func newBootID() string {
+	var b [8]byte
+	_, _ = rand.Read(b[:]) // crypto/rand.Read never fails on supported platforms
+	return hex.EncodeToString(b[:])
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	queued, running, _ := s.jobs.counts()
+	w.Header().Set(cluster.BootIDHeader, s.bootID)
 	body := map[string]any{
 		"status":          "ok",
+		"boot_id":         s.bootID,
 		"uptime_seconds":  time.Since(s.metrics.start).Seconds(),
 		"active_analyses": s.activeAnalyses(),
 		"queued_jobs":     queued,

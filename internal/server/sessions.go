@@ -361,7 +361,7 @@ func (s *srvSession) view() SessionView {
 		v.P9987PS = info.Delay.Quantile(0.99865)
 	}
 	if rep := s.sess.Sweep(); rep != nil {
-		v.Sweep = sweepResponseView(s.name, rep, float64(rep.Elapsed.Microseconds())/1000)
+		v.Sweep = sweepResponseView(s.name, rep)
 	}
 	return v
 }
@@ -474,14 +474,7 @@ func (s *Server) installSessionSweep(ctx context.Context, sess *ssta.Session, sp
 // come from the design cache (the session copies their structure), so the
 // expensive artifacts — built graphs, extracted models — stay shared.
 func (s *Server) buildSession(ctx context.Context, spec *ItemSpec) (*ssta.Session, string, error) {
-	if err := spec.checkCost(); err != nil {
-		return nil, "", err
-	}
-	set := spec.inputs()
-	if len(set) != 1 {
-		return nil, "", fmt.Errorf("session needs exactly one input of bench, netlist, mult or quad (got %d)", len(set))
-	}
-	mode, err := parseMode(spec.Mode)
+	mode, err := spec.validate()
 	if err != nil {
 		return nil, "", err
 	}
@@ -685,7 +678,7 @@ func (s *Server) settleEditBatch(reg *srvSession, edits []ssta.Edit, rep *ssta.E
 		resp.P9987PS = rep.Delay.Quantile(0.99865)
 	}
 	if rep.Sweep != nil {
-		resp.Sweep = sweepResponseView(reg.name, rep.Sweep, float64(rep.Sweep.Elapsed.Microseconds())/1000)
+		resp.Sweep = sweepResponseView(reg.name, rep.Sweep)
 	}
 	return resp, http.StatusOK, "", true
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/ssta"
 )
@@ -97,17 +96,15 @@ func (s *Server) trackStream(cancel context.CancelFunc) (release func()) {
 // finished scenario (completion order), then one `summary` event carrying
 // the exact synchronous SweepResponse.
 func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req *SweepRequest, specs []SweepScenarioSpec) {
+	ctx, cancel := s.requestCtx(r.Context(), &AnalyzeRequest{TimeoutMS: req.TimeoutMS})
+	defer cancel()
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		// Transport cannot flush incrementally; serve the sync answer.
-		ctx, cancel := s.requestCtx(r.Context(), &AnalyzeRequest{TimeoutMS: req.TimeoutMS})
-		defer cancel()
 		status, body := s.doSweep(ctx, req, specs)
 		writeRaw(w, status, body)
 		return
 	}
-	ctx, cancel := s.requestCtx(r.Context(), &AnalyzeRequest{TimeoutMS: req.TimeoutMS})
-	defer cancel()
 	release := s.trackStream(cancel)
 	defer release()
 
@@ -120,43 +117,46 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, req *SweepR
 		return
 	}
 	defer s.releaseSlot()
-	pr, status, body := s.prepSweep(ctx, req, specs)
-	if pr == nil {
-		writeRaw(w, status, body)
-		return
-	}
-	pr.progress = true
 
-	sse := &sseWriter{w: w, fl: fl}
-	sse.start()
-
-	// The engine's hook runs on sweep worker goroutines; the response
-	// writer is not concurrency-safe, so events cross a channel sized to
-	// the scenario count — the hook can never block on a slow client.
+	// The executor runs on its own goroutine and its hooks on sweep worker
+	// goroutines, while the response writer is not concurrency-safe: a nil
+	// event (the executor is ready to run) opens the stream and every
+	// result follows as an event, all written by this handler. The channel
+	// holds every scenario plus that marker, so no hook ever blocks on a
+	// slow client.
+	events := make(chan *SweepScenarioEvent, len(specs)+1)
 	metricsHook := s.scenarioMetricsHook()
-	events := make(chan SweepScenarioEvent, len(pr.scens))
-	opt := ssta.SweepOptions{
-		Workers: pr.workers,
-		TopK:    req.TopK,
-		OnScenarioDone: func(i int, res *ssta.ScenarioResult) {
-			metricsHook(i, res)
-			events <- SweepScenarioEvent{Index: i, SweepScenarioResult: sweepScenarioView(res)}
-		},
-	}
-	start := time.Now()
-	var rep *ssta.SweepReport
-	var runErr error
+	a := req.analysis(specs, func(i int, res *ssta.ScenarioResult) {
+		metricsHook(i, res)
+		events <- &SweepScenarioEvent{Index: i, SweepScenarioResult: sweepScenarioView(res)}
+	})
+	a.progress = true
+	a.ready = func() { events <- nil }
+	var x *execution
+	var err error
 	go func() {
 		defer close(events)
-		rep, runErr = s.runSweep(ctx, pr, opt)
+		x, err = s.execute(ctx, a)
 	}()
+	var sse *sseWriter
 	for ev := range events {
+		if ev == nil {
+			sse = &sseWriter{w: w, fl: fl}
+			sse.start()
+			continue
+		}
 		sse.event("scenario", ev)
 	}
-	if runErr != nil {
-		status, _ := s.sweepFailure(runErr, runErr.Error())
-		sse.eventError(status, runErr.Error())
-		return
+	status, body := http.StatusOK, []byte(nil)
+	if err != nil {
+		status, body = s.sweepFailure(err)
 	}
-	sse.event("summary", sweepResponseView(pr.name, rep, float64(time.Since(start).Microseconds())/1000))
+	switch {
+	case sse == nil:
+		writeRaw(w, status, body)
+	case err != nil:
+		sse.eventError(status, err.Error())
+	default:
+		sse.event("summary", sweepResponseView(x.name, x.rep))
+	}
 }

@@ -2,22 +2,21 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
-	"strings"
-	"time"
 
 	"repro/ssta"
 )
 
-// This file is the MCMM surface of the daemon: POST /v1/sweep evaluates
-// many scenarios against one item with shared prep (one graph build or one
-// design partition/PCA/stitch, then one propagation per scenario over a
-// rescaled delay bank). The request holds one analysis slot for the whole
-// sweep, like any other analysis; per-scenario failures — including a
-// deadline firing mid-sweep — land in the per-scenario results, so the
-// response always accounts for every scenario.
+// This file is the MCMM surface of the daemon and the executor every
+// analysis runs on: POST /v1/sweep evaluates many scenarios against one
+// item with shared prep (one graph build or one design
+// partition/PCA/stitch, then one propagation per scenario over a rescaled
+// delay bank), and an analyze item is the same run with the identity
+// scenario. The request holds one analysis slot for the whole sweep, like
+// any other analysis; per-scenario failures — including a deadline firing
+// mid-sweep — land in the per-scenario results, so the response always
+// accounts for every scenario.
 
 // SweepRequest is the body of POST /v1/sweep: one item (same vocabulary as
 // /v1/analyze — exactly one of bench, netlist, mult, quad) plus the
@@ -168,79 +167,146 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		&AnalyzeRequest{Items: []ItemSpec{req.ItemSpec}, Workers: req.Workers, TimeoutMS: req.TimeoutMS},
 		specs, req.TopK)
 	s.serveCoalesced(w, r, "sweep", fp, req.TimeoutMS, func(ctx context.Context) (int, []byte) {
-		if s.batch != nil {
-			if key, spec, call, batchable := s.sweepBatchCall(&req, specs); batchable {
-				return s.batch.do(ctx, key, spec, call)
-			}
+		if key, err := batchKeyOf(&req.ItemSpec); s.batch != nil && err == nil {
+			ans := s.batch.do(ctx, key, req.ItemSpec, &batchCall{
+				name:    req.Name,
+				specs:   specs,
+				topK:    req.TopK,
+				workers: req.Workers,
+				timeout: s.effectiveTimeout(req.TimeoutMS),
+			})
+			return ans.status, ans.body
 		}
 		return s.doSweep(ctx, &req, specs)
 	})
 }
 
-// sweepFailure classifies a resolve/convert/run failure exactly like every
-// other ctx path in the serving layer: a deadline/cancel is a timeout
-// (408), everything else is validation (400) — and counts it.
-func (s *Server) sweepFailure(err error, msg string) (int, []byte) {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+// sweepFailure classifies an executor failure exactly like every other ctx
+// path in the serving layer: a deadline/cancel is a timeout (408),
+// everything else is validation (400) — and counts it.
+func (s *Server) sweepFailure(err error) (int, []byte) {
+	if errorKind(err) != "" {
 		s.metrics.itemsRejected.Add(1)
-		return http.StatusRequestTimeout, errorBody(http.StatusRequestTimeout, msg)
+		return http.StatusRequestTimeout, errorBody(http.StatusRequestTimeout, err.Error())
 	}
 	s.metrics.badRequests.Add(1)
-	return http.StatusBadRequest, errorBody(http.StatusBadRequest, msg)
+	return http.StatusBadRequest, errorBody(http.StatusBadRequest, err.Error())
 }
 
-// sweepPrep is a resolved, validated sweep ready to run: the shared
-// front-door path, the streaming path and the micro-batcher all converge on
-// run().
+// sweepPrep is a resolved, validated analysis ready to run: its subject
+// (a flat graph or a quad design), the mode, and the materialized
+// scenarios. The analysis keeps the wire-level subject and scenarios, so
+// a clustered coordinator dispatches shards without re-deriving them
+// (Server.runSweep).
 type sweepPrep struct {
-	item    ssta.BatchItem
-	name    string
-	isQuad  bool
-	mode    ssta.Mode
-	scens   []ssta.Scenario
-	workers int
-	// spec and specs are the wire-level subject and scenarios, retained so
-	// a clustered coordinator can dispatch shards without re-deriving them
-	// (Server.runSweep); the local path ignores them.
-	spec  ItemSpec
-	specs []SweepScenarioSpec
-	// progress marks a sweep whose caller consumes per-scenario results as
-	// they land (SSE): a coordinator then has its workers stream them too.
-	progress bool
+	*analysis
+	name   string
+	graph  *ssta.Graph
+	design *ssta.Design
+	mode   ssta.Mode
+	scens  []ssta.Scenario
 }
 
 func (p *sweepPrep) run(ctx context.Context, opt ssta.SweepOptions) (*ssta.SweepReport, error) {
-	if p.isQuad {
-		return ssta.SweepAnalyze(ctx, p.item.Design, p.mode, p.scens, opt)
+	if p.design != nil {
+		return ssta.SweepAnalyze(ctx, p.design, p.mode, p.scens, opt)
 	}
-	return ssta.SweepAnalyzeGraph(ctx, p.item.Graph, p.scens, opt)
+	return ssta.SweepAnalyzeGraph(ctx, p.graph, p.scens, opt)
 }
 
-// prepSweep resolves the subject item and materializes every scenario. On
-// failure the prep is nil and (status, body) carry the classified error.
-func (s *Server) prepSweep(ctx context.Context, req *SweepRequest, specs []SweepScenarioSpec) (*sweepPrep, int, []byte) {
-	item, name, isQuad, mode, err := s.resolveSweepItem(ctx, &req.ItemSpec)
-	if err != nil {
-		status, body := s.sweepFailure(err, err.Error())
-		return nil, status, body
-	}
-	scens := make([]ssta.Scenario, len(specs))
-	for i := range specs {
-		sc, err := s.convertScenario(ctx, &specs[i], isQuad)
-		if err != nil {
-			status, body := s.sweepFailure(err, fmt.Sprintf("scenario %d: %v", i, err))
-			return nil, status, body
+// analysis is one unit of work for the executor: a subject, the scenarios
+// to evaluate over it, and the knobs of the run.
+type analysis struct {
+	spec ItemSpec
+	// specs are the scenarios; nil is the identity scenario, which is what
+	// an analyze item is.
+	specs []SweepScenarioSpec
+	// extract additionally resolves the flat subject's extracted timing
+	// model (cache lookup, extraction, checkpoint).
+	extract bool
+	// workers bounds the scenario fan-out, a shard's included (<=0:
+	// server default); itemWorkers the goroutines of a hierarchical stitch.
+	workers, itemWorkers int
+	topK                 int
+	// progress marks an analysis whose caller consumes per-scenario results
+	// as they land (SSE): a coordinator then has its workers stream them.
+	progress bool
+	// ready, when set, runs once the subject and every scenario resolved,
+	// right before the run starts (an SSE stream opens there).
+	ready func()
+	// onScenario, when set, sees each scenario result as it lands.
+	onScenario func(i int, r *ssta.ScenarioResult)
+}
+
+// execution is a finished run of the executor.
+type execution struct {
+	name  string // the subject's display name
+	rep   *ssta.SweepReport
+	model *ssta.Model // set when the analysis asked to extract a flat subject
+}
+
+// scenarioError is a scenario that failed to materialize; index is its
+// position in the analysis's scenario list.
+type scenarioError struct {
+	index int
+	err   error
+}
+
+func (e *scenarioError) Error() string { return fmt.Sprintf("scenario %d: %v", e.index, e.err) }
+func (e *scenarioError) Unwrap() error { return e.err }
+
+// identitySpec is the scenario list of an analyze item: the zero
+// transform, evaluated over the subject's base delay bank.
+var identitySpec = []SweepScenarioSpec{{}}
+
+// execute is the one way the server runs an analysis: resolve the subject,
+// materialize the scenarios, extract when asked, and run them through
+// runSweep (locally or sharded across a cluster). The caller holds an
+// admission slot. Per-scenario failures, a deadline firing mid-run
+// included, land in the report; the error reports an analysis that could
+// not run, or a panic, which must not take the process down.
+func (s *Server) execute(ctx context.Context, a *analysis) (x *execution, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			x, err = nil, fmt.Errorf("analysis panicked: %v", r)
 		}
-		scens[i] = sc
+	}()
+	pr, err := s.resolveSweepItem(ctx, &a.spec)
+	if err != nil {
+		return nil, err
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.Workers
+	if a.specs == nil {
+		a.specs = identitySpec
 	}
-	return &sweepPrep{
-		item: item, name: name, isQuad: isQuad, mode: mode, scens: scens, workers: workers,
-		spec: req.ItemSpec, specs: specs,
-	}, 0, nil
+	if a.workers <= 0 {
+		a.workers = s.cfg.Workers
+	}
+	pr.analysis = a
+	pr.scens = make([]ssta.Scenario, len(pr.specs))
+	for i := range pr.specs {
+		if pr.scens[i], err = s.convertScenario(ctx, &pr.specs[i], pr.design != nil); err != nil {
+			return nil, &scenarioError{index: i, err: err}
+		}
+	}
+	x = &execution{name: pr.name}
+	if a.extract && pr.graph != nil {
+		if x.model, err = s.extractModel(ctx, a.spec.graphKey(), pr.graph); err != nil {
+			return nil, fmt.Errorf("extract: %w", err)
+		}
+	}
+	if a.ready != nil {
+		a.ready()
+	}
+	x.rep, err = s.runSweep(ctx, pr, ssta.SweepOptions{
+		Workers:        a.workers,
+		TopK:           a.topK,
+		Analyze:        ssta.AnalyzeOptions{Workers: a.itemWorkers},
+		OnScenarioDone: a.onScenario,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
 // doSweep is the direct (unbatched) sweep execution: one admission slot
@@ -252,34 +318,22 @@ func (s *Server) doSweep(ctx context.Context, req *SweepRequest, specs []SweepSc
 		return http.StatusTooManyRequests, errorBody(http.StatusTooManyRequests, err.Error())
 	}
 	defer s.releaseSlot()
-
-	pr, status, body := s.prepSweep(ctx, req, specs)
-	if pr == nil {
-		return status, body
-	}
-	opt := ssta.SweepOptions{
-		Workers:        pr.workers,
-		TopK:           req.TopK,
-		OnScenarioDone: s.scenarioMetricsHook(),
-	}
-	start := time.Now()
-	rep, err := s.runSweep(ctx, pr, opt)
+	x, err := s.execute(ctx, req.analysis(specs, s.scenarioMetricsHook()))
 	if err != nil {
-		// A deadline/cancel firing before the per-scenario fan-out (the
-		// shared design stitch runs under ctx) is a timeout, not a bad
-		// request; remaining sweep-level failures are validation (the
-		// scenarios were already normalized above, so this is a bad
-		// item/scenario combo).
-		return s.sweepFailure(err, err.Error())
+		return s.sweepFailure(err)
 	}
-	resp := sweepResponseView(pr.name, rep, float64(time.Since(start).Microseconds())/1000)
-	return http.StatusOK, marshalJSON(resp)
+	return http.StatusOK, marshalJSON(sweepResponseView(x.name, x.rep))
+}
+
+// analysis maps a sweep request onto the executor's unit of work.
+func (req *SweepRequest) analysis(specs []SweepScenarioSpec, onScenario func(int, *ssta.ScenarioResult)) *analysis {
+	return &analysis{spec: req.ItemSpec, specs: specs, workers: req.Workers, topK: req.TopK, onScenario: onScenario}
 }
 
 // sweepResponseView flattens a sweep report into the wire response — the
 // one assembly both the direct path and the micro-batcher's per-caller
 // reassembly go through.
-func sweepResponseView(name string, rep *ssta.SweepReport, elapsedMS float64) *SweepResponse {
+func sweepResponseView(name string, rep *ssta.SweepReport) *SweepResponse {
 	resp := &SweepResponse{
 		Name:      name,
 		Results:   make([]SweepScenarioResult, len(rep.Results)),
@@ -293,7 +347,7 @@ func sweepResponseView(name string, rep *ssta.SweepReport, elapsedMS float64) *S
 		},
 		Verts:     rep.TopVerts,
 		Edges:     rep.TopEdges,
-		ElapsedMS: elapsedMS,
+		ElapsedMS: float64(rep.Elapsed.Microseconds()) / 1000,
 	}
 	for i := range rep.Results {
 		resp.Results[i] = sweepScenarioView(&rep.Results[i])
@@ -320,31 +374,4 @@ func sweepScenarioView(res *ssta.ScenarioResult) SweepScenarioResult {
 		out.Hold = slackViewOfStat(res.HoldSlack)
 	}
 	return out
-}
-
-// resolveSweepItem maps the item spec onto the sweep's subject: a cached
-// flat graph (bench/netlist/mult) or a cached quad design.
-func (s *Server) resolveSweepItem(ctx context.Context, spec *ItemSpec) (ssta.BatchItem, string, bool, ssta.Mode, error) {
-	set := spec.inputs()
-	if len(set) != 1 {
-		return ssta.BatchItem{}, "", false, 0, fmt.Errorf("sweep needs exactly one input of bench, netlist, mult or quad (got %s)",
-			strings.Join(set, ", "))
-	}
-	mode, err := parseMode(spec.Mode)
-	if err != nil {
-		return ssta.BatchItem{}, "", false, 0, err
-	}
-	item, err := s.prepareItem(ctx, spec)
-	if err != nil {
-		return ssta.BatchItem{}, "", false, 0, err
-	}
-	if item.Circuit != nil {
-		// Netlist items: build the graph here so the sweep sees a *Graph.
-		g, _, err := s.flow.Graph(item.Circuit)
-		if err != nil {
-			return ssta.BatchItem{}, "", false, 0, err
-		}
-		item.Graph, item.Circuit = g, nil
-	}
-	return item, item.Name, item.Design != nil, mode, nil
 }

@@ -48,7 +48,7 @@ type Incremental struct {
 
 	order     []int   // snapshot of the graph order the state was built on
 	topoPos   []int32 // vertex -> position in order
-	sources   []int   // arrival sources (graph inputs at last sync)
+	sources   []int   // arrival sources (launch sources at last sync)
 	sourceSet []bool
 	outputs   []int // required sinks (graph outputs at last sync)
 	outputSet []bool
@@ -185,7 +185,7 @@ func (inc *Incremental) Update(ctx context.Context) (UpdateStats, error) {
 		// both sets recompute to their stored values and terminate the
 		// sweep immediately.
 		fwd = append(fwd, inc.sources...)
-		fwd = append(fwd, g.Inputs...)
+		fwd = append(fwd, g.LaunchSources()...)
 		if inc.req != nil {
 			bwd = append(bwd, inc.outputs...)
 			bwd = append(bwd, g.Outputs...)
@@ -378,13 +378,14 @@ func (inc *Incremental) syncOrder(order []int) {
 // rejecting out-of-range vertices before any state is touched.
 func (inc *Incremental) syncIO() error {
 	g := inc.g
-	if err := checkVerts(g, g.Inputs, "source"); err != nil {
+	sources := g.LaunchSources()
+	if err := checkVerts(g, sources, "source"); err != nil {
 		return err
 	}
 	if err := checkVerts(g, g.Outputs, "output"); err != nil {
 		return err
 	}
-	inc.sources = exactInts(g.Inputs)
+	inc.sources = exactInts(sources)
 	if inc.sourceSet == nil {
 		inc.sourceSet = make([]bool, g.NumVerts)
 	}

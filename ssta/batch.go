@@ -85,11 +85,6 @@ type BatchOptions struct {
 	// (<=0: 1, i.e. serial per item). Total concurrency is roughly
 	// Workers x ItemWorkers; keep ItemWorkers at 1 for wide batches.
 	ItemWorkers int
-	// OnItemDone, when set, is invoked from the item's worker goroutine
-	// right after its result (including Elapsed and Err) is final. The
-	// serving layer uses it for per-item latency metrics; it must be safe
-	// to call concurrently for distinct items.
-	OnItemDone func(k int, r *BatchResult)
 }
 
 // AnalyzeBatch fans the items out across a bounded worker pool with the
@@ -119,9 +114,6 @@ func (f *Flow) AnalyzeBatchCtx(ctx context.Context, items []BatchItem, opt Batch
 	// visited even after ctx fires.
 	_ = timing.ParallelFor(len(items), opt.Workers, func(k int) error {
 		results[k] = f.runItem(ctx, items[k], itemWorkers)
-		if opt.OnItemDone != nil {
-			opt.OnItemDone(k, &results[k])
-		}
 		return nil
 	})
 	return results

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -89,38 +88,6 @@ func TestBatchItemPanicIsolated(t *testing.T) {
 			if res[k].Delay == nil {
 				t.Fatalf("workers=%d: healthy item %d has no delay", workers, k)
 			}
-		}
-	}
-}
-
-// TestAnalyzeBatchCtxCancelMidBatch: once ctx is cancelled, completed
-// items keep their results and unstarted items report the ctx error.
-func TestAnalyzeBatchCtxCancelMidBatch(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	items := []ssta.BatchItem{
-		{Name: "a", Circuit: ssta.C17()},
-		{Name: "b", Circuit: ssta.C17()},
-		{Name: "c", Circuit: ssta.C17()},
-	}
-	var done atomic.Int32
-	res := ssta.DefaultFlow().AnalyzeBatchCtx(ctx, items, ssta.BatchOptions{
-		Workers: 1, // serial, in index order: the cancel point is deterministic
-		OnItemDone: func(k int, r *ssta.BatchResult) {
-			if done.Add(1) == 1 {
-				cancel()
-			}
-		},
-	})
-	if res[0].Err != nil || res[0].Delay == nil {
-		t.Fatalf("completed item lost its result: %+v", res[0])
-	}
-	for k := 1; k < 3; k++ {
-		if !errors.Is(res[k].Err, context.Canceled) {
-			t.Fatalf("item %d: Err = %v, want context.Canceled", k, res[k].Err)
-		}
-		if res[k].Delay != nil {
-			t.Fatalf("item %d produced a delay after cancellation", k)
 		}
 	}
 }

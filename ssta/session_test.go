@@ -152,6 +152,54 @@ func TestGraphSessionRandomizedGolden(t *testing.T) {
 	}
 }
 
+// TestClockedGraphSessionMatchesAnalyze: a session on a registered graph
+// launches from the clock roots like every full analysis, so its delay
+// equals the batch analysis of the same graph at 1e-9 — at creation and
+// after each batch of edits.
+func TestClockedGraphSessionMatchesAnalyze(t *testing.T) {
+	flow := DefaultFlow()
+	for _, bench := range []string{"c432", "c1908"} {
+		t.Run(bench, func(t *testing.T) {
+			base, _, err := flow.ClockedBenchGraph(bench, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := flow.NewGraphSession(context.Background(), base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := base.Clone()
+			analyze := func() *Form {
+				t.Helper()
+				r := flow.AnalyzeBatch([]BatchItem{{Graph: ref}}, BatchOptions{Workers: 1})[0]
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+				return r.Delay
+			}
+			if d := sessionFormDiff(sess.Delay(), analyze()); d > 1e-9 {
+				t.Fatalf("initial session delay differs from analyze by %g", d)
+			}
+			rng := rand.New(rand.NewSource(5))
+			for round := 0; round < 4; round++ {
+				var batch []Edit
+				for len(batch) < 3 {
+					if e, ok := randomFlatEdit(rng, ref); ok && replayFlatEdit(t, ref, e) {
+						batch = append(batch, e)
+					}
+				}
+				rep, err := sess.Apply(context.Background(), batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := sessionFormDiff(rep.Delay, analyze()); d > 1e-9 {
+					t.Fatalf("round %d: session delay differs from analyze by %g", round, d)
+				}
+			}
+		})
+	}
+}
+
 // TestGraphSessionRejectsBadEdit checks error surfacing and that a failed
 // batch leaves the session consistent (earlier edits applied, usable).
 func TestGraphSessionRejectsBadEdit(t *testing.T) {

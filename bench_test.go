@@ -502,8 +502,8 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 // BenchmarkSessionSwapModule measures the hierarchical ECO: swapping one
 // instance of the quad design between two characterizations of its module
 // (extracted at different reduction thresholds — same ports, different
-// model) through a design session (per-instance restitch from caches +
-// full re-propagation) versus a from-scratch Analyze of an equivalently
+// model) through a design session (one instance re-rewritten, the top
+// recommitted, full re-propagation) versus a from-scratch Analyze of an equivalently
 // mutated design.
 func BenchmarkSessionSwapModule(b *testing.B) {
 	flow := ssta.DefaultFlow()

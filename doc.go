@@ -140,11 +140,14 @@
 //     operation order that reproduces a full pass bit for bit, with early
 //     termination once a recomputed form matches the stored one at 1e-12.
 //
-// One level up, hier.Session splits the analysis prep into per-instance
+// One level up, hier.Session keeps the analysis prep in per-instance
 // units: swapping or re-characterizing one instance recomputes only that
-// instance's replacement matrix and rewritten-edge cache, recommitting the
-// other instances from cache (models come through the shared
-// ExtractCache). ssta.Session is the public stateful facade over both, and
+// instance's replacement matrix and design-space rewrite (edges and
+// register constraints), then recommits the top graph through the same
+// commit step Analyze and Stitch use, so a session top equals a fresh
+// Stitch of its design bit for bit (models come through the shared
+// ExtractCache). A failed swap leaves the previous top serving; there is
+// no half-committed state to recover from. ssta.Session is the public stateful facade over both, and
 // internal/server exposes it as HTTP sessions (POST /v1/sessions, POST
 // /v1/sessions/{id}/edits) with idle-TTL eviction — clients pay one full
 // analysis per session and incremental cost per edit batch. See README.md

@@ -3,6 +3,8 @@ package hier
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/canon"
@@ -226,24 +228,14 @@ type preppedEdge struct {
 	grid     int
 }
 
-// rewriteEdge maps one instance edge into the design space: the mode's
-// variable replacement (eq. 19 for FullCorrelation, private block placement
-// for GlobalOnly) plus the boundary load/slew scale. It is the composition
-// of rewriteEdgeRaw (the expensive replacement, cacheable per instance
-// because it is independent of the boundary conditions) and scaleEdge (the
-// cheap per-stitch boundary adjustment); scaling after rewriting is
-// bit-identical to the fused computation because every component is scaled
-// elementwise.
-func rewriteEdge(e *timing.Edge, i int, pp *prep, nP int, mgmComps int,
-	extraTo, extraFrom map[int]float64, useOrig bool) (preppedEdge, error) {
-	pe, err := rewriteEdgeRaw(e, i, pp, nP, mgmComps, useOrig)
-	if err != nil {
-		return pe, err
-	}
-	if scale := boundaryScale(e, extraTo, extraFrom); scale != 1 {
-		pe = scaleEdge(pe, scale)
-	}
-	return pe, nil
+// instRewrite is one instance rewritten into the design space: every edge,
+// unscaled (commit applies the boundary scale), and every register's setup
+// and hold constraint. It depends on the prep and the instance graph only,
+// so a session keeps it across commits and re-derives it per swapped
+// instance.
+type instRewrite struct {
+	edges       []preppedEdge
+	setup, hold []*canon.Form
 }
 
 // rewriteEdgeRaw maps one instance edge into the design space without any
@@ -320,10 +312,10 @@ const rewriteChunkSize = 128
 
 // buildTop stitches the instance graphs (models, or originals when useOrig)
 // into one top-level graph in the design space. The geometry prep comes
-// from the design's model cache; the per-instance rewriting and the
-// boundary-condition assembly fan out over opt.Workers goroutines.
+// from the design's prep cache and a model-graph top from its stitch
+// cache; on a miss every instance is rewritten on opt.Workers goroutines
+// and committed.
 func (d *Design) buildTop(ctx context.Context, mode Mode, useOrig bool, opt AnalyzeOptions) (*Result, error) {
-	nP := len(d.Params)
 	pp, err := d.getPrep(ctx, mode, opt)
 	if err != nil {
 		return nil, err
@@ -344,7 +336,73 @@ func (d *Design) buildTop(ctx context.Context, mode Mode, useOrig bool, opt Anal
 		}
 		stitchMisses.Add(1)
 	}
+	rw := make([]instRewrite, len(d.Instances))
+	if err := d.rewriteInstances(ctx, pp, useOrig, opt.Workers, nil, rw); err != nil {
+		return nil, err
+	}
+	top, err := d.commit(ctx, pp, useOrig, opt.Workers, rw)
+	if err != nil {
+		return nil, err
+	}
+	if cache {
+		d.storeTop(mode, pp, fp, top)
+	}
+	return &Result{Mode: mode, Space: space, Partition: part, Graph: top}, nil
+}
 
+// rewriteInstances rewrites the listed instances (all of them when insts
+// is nil) into the design space under pp, writing instance i's rewrite to
+// out[i]. Work is split into per-instance chunks of edges and registers on
+// the worker pool; each task writes only its own slots.
+func (d *Design) rewriteInstances(ctx context.Context, pp *prep, useOrig bool, workers int, insts []int, out []instRewrite) error {
+	// first[i] is the index of instance i's first chunk.
+	first := make([]int, len(d.Instances)+1)
+	for i, inst := range d.Instances {
+		first[i+1] = first[i]
+		if insts != nil && !slices.Contains(insts, i) {
+			continue
+		}
+		ig := d.instGraph(inst, useOrig)
+		nE, nR := len(ig.Edges), len(ig.Registers)
+		out[i] = instRewrite{
+			edges: make([]preppedEdge, nE),
+			setup: make([]*canon.Form, nR),
+			hold:  make([]*canon.Form, nR),
+		}
+		first[i+1] += (nE + nR + rewriteChunkSize - 1) / rewriteChunkSize
+	}
+	nP := len(d.Params)
+	return timing.ParallelForCtx(ctx, first[len(d.Instances)], workers, func(_ context.Context, c int) error {
+		i := sort.Search(len(d.Instances), func(j int) bool { return first[j+1] > c })
+		ig := d.instGraph(d.Instances[i], useOrig)
+		mgmComps := d.Instances[i].Module.gridModel().Comps
+		rw := &out[i]
+		nE := len(ig.Edges)
+		lo := (c - first[i]) * rewriteChunkSize
+		for k := lo; k < min(lo+rewriteChunkSize, nE+len(ig.Registers)); k++ {
+			var err error
+			if k < nE {
+				rw.edges[k], err = rewriteEdgeRaw(&ig.Edges[k], i, pp, nP, mgmComps, useOrig)
+			} else {
+				r := &ig.Registers[k-nE]
+				if rw.setup[k-nE], err = rewriteForm(r.Setup, i, pp, nP, mgmComps); err == nil {
+					rw.hold[k-nE], err = rewriteForm(r.Hold, i, pp, nP, mgmComps)
+				}
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// commit stitches rewritten instances into a fresh top-level graph: the
+// boundary-scaled instance edges in instance order, then the registers and
+// clock roots, then one edge per design net (net j is edge
+// len(instance edges)+j), then the primary IO. It is the one place a top
+// graph is assembled; the rewrites in rw are shared, never mutated.
+func (d *Design) commit(ctx context.Context, pp *prep, useOrig bool, workers int, rw []instRewrite) (*timing.Graph, error) {
 	// Instance name index and per-graph port maps: O(1) lookups during
 	// stitching instead of per-net linear scans over ports.
 	instIdx := make(map[string]int, len(d.Instances))
@@ -360,60 +418,27 @@ func (d *Design) buildTop(ctx context.Context, mode Mode, useOrig bool, opt Anal
 		base[i] = total
 		total += d.instGraph(inst, useOrig).NumVerts
 	}
-	top := timing.NewGraph(space, total, d.Params)
-	if part != nil {
-		top.Grids = part.Grids
+	top := timing.NewGraph(pp.space, total, d.Params)
+	if pp.part != nil {
+		top.Grids = pp.part.Grids
 	}
 
 	// Load- and slew-aware model use (paper future work): output ports
 	// driving more than one net see extra load beyond characterization, and
 	// input ports driven by slower-than-reference transitions see extra
 	// delay on their fanout edges. Both adjustments scale the affected
-	// edges so relative sensitivities are preserved.
-	extraTo, extraFrom, err := d.boundaryExtras(ctx, useOrig, instIdx, ports, opt.Workers)
+	// edges so relative sensitivities are preserved; scaling after the
+	// rewrite is exact because every component scales elementwise.
+	extraTo, extraFrom, err := d.boundaryExtras(ctx, useOrig, instIdx, ports, workers)
 	if err != nil {
 		return nil, err
 	}
-
-	// Instance edges, rewritten into the design space on the worker pool.
-	// Work is split into per-instance edge chunks; each task writes only
-	// its own slots, and the serial commit below preserves edge order.
-	prepared := make([][]preppedEdge, len(d.Instances))
-	type chunk struct{ inst, lo, hi int }
-	var chunks []chunk
 	for i, inst := range d.Instances {
-		nE := len(d.instGraph(inst, useOrig).Edges)
-		prepared[i] = make([]preppedEdge, nE)
-		for lo := 0; lo < nE; lo += rewriteChunkSize {
-			hi := lo + rewriteChunkSize
-			if hi > nE {
-				hi = nE
+		ig := d.instGraph(inst, useOrig)
+		for k, pe := range rw[i].edges {
+			if scale := boundaryScale(&ig.Edges[k], extraTo[i], extraFrom[i]); scale != 1 {
+				pe = scaleEdge(pe, scale)
 			}
-			chunks = append(chunks, chunk{inst: i, lo: lo, hi: hi})
-		}
-	}
-	err = timing.ParallelForCtx(ctx, len(chunks), opt.Workers, func(_ context.Context, c int) error {
-		ch := chunks[c]
-		i := ch.inst
-		ig := d.instGraph(d.Instances[i], useOrig)
-		mgmComps := d.Instances[i].Module.gridModel().Comps
-		for k := ch.lo; k < ch.hi; k++ {
-			pe, err := rewriteEdge(&ig.Edges[k], i, pp, nP, mgmComps, extraTo[i], extraFrom[i], useOrig)
-			if err != nil {
-				return err
-			}
-			prepared[i][k] = pe
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	edgeBase := make([]int, len(d.Instances))
-	for i := range d.Instances {
-		edgeBase[i] = len(top.Edges)
-		for k := range prepared[i] {
-			pe := &prepared[i][k]
 			if _, err := top.AddEdge(base[i]+pe.from, base[i]+pe.to, pe.f, pe.lsens, pe.grid); err != nil {
 				return nil, err
 			}
@@ -424,37 +449,31 @@ func (d *Design) buildTop(ctx context.Context, mode Mode, useOrig bool, opt Anal
 	// top with vertex ids offset by the instance base, names prefixed by the
 	// instance, and constraint forms rewritten into the design space exactly
 	// like edge delays.
+	nextEdge := 0
 	for i, inst := range d.Instances {
+		edgeBase := nextEdge // top index of instance i's first edge
+		nextEdge += len(rw[i].edges)
 		ig := d.instGraph(inst, useOrig)
 		if !ig.Sequential() {
 			continue
 		}
-		mgmComps := inst.Module.gridModel().Comps
-		for _, r := range ig.Registers {
-			setup, err := rewriteForm(r.Setup, i, pp, nP, mgmComps)
-			if err != nil {
-				return nil, err
-			}
-			hold, err := rewriteForm(r.Hold, i, pp, nP, mgmComps)
-			if err != nil {
-				return nil, err
-			}
+		for k, r := range ig.Registers {
 			q, clkEdge := -1, -1
 			if r.Q >= 0 {
 				q = base[i] + r.Q
 			}
 			if r.ClkEdge >= 0 {
-				clkEdge = edgeBase[i] + r.ClkEdge
+				clkEdge = edgeBase + r.ClkEdge
 			}
 			grid := -1
 			var sl, hl []float64
-			if useOrig && part != nil && r.Grid >= 0 {
-				grid = part.InstStart[i] + r.Grid
+			if useOrig && pp.part != nil && r.Grid >= 0 {
+				grid = pp.part.InstStart[i] + r.Grid
 				sl, hl = r.SetupLSens, r.HoldLSens
 			}
 			top.Registers = append(top.Registers, timing.Register{
 				Name: inst.Name + "." + r.Name, Q: q, D: base[i] + r.D, ClkEdge: clkEdge, Grid: grid,
-				Setup: setup, Hold: hold, SetupLSens: sl, HoldLSens: hl,
+				Setup: rw[i].setup[k], Hold: rw[i].hold[k], SetupLSens: sl, HoldLSens: hl,
 			})
 		}
 		for _, cr := range ig.ClockRoots {
@@ -488,7 +507,7 @@ func (d *Design) buildTop(ctx context.Context, mode Mode, useOrig bool, opt Anal
 		if err != nil {
 			return nil, err
 		}
-		if _, err := top.AddEdge(from, to, space.Const(n.Delay), nil, 0); err != nil {
+		if _, err := top.AddEdge(from, to, pp.space.Const(n.Delay), nil, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -520,10 +539,7 @@ func (d *Design) buildTop(ctx context.Context, mode Mode, useOrig bool, opt Anal
 	if _, err := top.Order(); err != nil {
 		return nil, fmt.Errorf("hier: stitched design: %w", err)
 	}
-	if cache {
-		d.storeTop(mode, pp, fp, top)
-	}
-	return &Result{Mode: mode, Space: space, Partition: part, Graph: top}, nil
+	return top, nil
 }
 
 func (d *Design) instGraph(inst *Instance, useOrig bool) *timing.Graph {

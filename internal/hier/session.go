@@ -4,45 +4,50 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
-	"repro/internal/mat"
 	"repro/internal/timing"
 )
 
 // Session is a live, mutable hierarchical design: the stitched top-level
-// graph plus everything needed to restitch it incrementally. Where Analyze
-// rebuilds the world on every call, a session splits the prep path into
-// per-instance units — the design-level partition/PCA, one replacement
-// matrix per instance, and one cache of rewritten (design-space) edges per
-// instance — so swapping or re-characterizing a single instance re-derives
-// only that instance's units and recommits the rest from cache. Model
-// re-extraction for the incoming module is the caller's job (through the
-// shared ExtractCache), which is what keeps an ECO's cost proportional to
-// the changed module, not the design.
+// graph plus the per-instance units it was committed from — the
+// design-level partition/PCA, one replacement matrix per instance, and
+// each instance's rewritten (design-space) edges and register constraints.
+// Swapping or re-characterizing a single instance re-derives only that
+// instance's units, and the top graph is recommitted through the same
+// commit step Analyze and Stitch use, so a session answers exactly what a
+// fresh Stitch of its design answers. Model re-extraction for the incoming
+// module is the caller's job (through the shared ExtractCache), which is
+// what keeps an ECO's cost proportional to the changed module, not the
+// design.
 //
 // The session owns its Design (callers hand over a private copy, e.g. from
-// CopyStructure) and its top graph. It is not safe for concurrent use; the
-// ssta session layer serializes access.
+// CopyStructure) and its top graph, which is private to the session and
+// never enters the design's stitch cache. It is not safe for concurrent
+// use; the ssta session layer serializes access.
 type Session struct {
 	d    *Design
 	mode Mode
 	opt  AnalyzeOptions
 
-	pp       *prep
-	prepared [][]preppedEdge // unscaled design-space edges per instance
-	top      *timing.Graph
-	netEdges []int // top edge index per design net
-	stale    bool  // an interrupted restitch left top unusable
+	pp      *prep
+	rw      []instRewrite // unscaled design-space rewrite per instance
+	top     *timing.Graph
+	netBase int // top edge index of design net 0
 }
 
-// NewSession builds the per-instance prep and stitches the initial top
+// NewSession builds the per-instance prep and commits the initial top
 // graph. The design is owned by the session afterwards.
 func NewSession(ctx context.Context, d *Design, mode Mode, opt AnalyzeOptions) (*Session, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Session{d: d, mode: mode, opt: opt}
-	if err := s.rebuild(ctx); err != nil {
+	pp, rw, err := s.deriveAll(ctx)
+	if err == nil {
+		err = s.commit(ctx, pp, rw)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -50,71 +55,52 @@ func NewSession(ctx context.Context, d *Design, mode Mode, opt AnalyzeOptions) (
 
 // Graph returns the live stitched top-level graph. Edge-level edits through
 // the timing edit API apply directly to it; the session replaces the graph
-// object on restitch (after SwapModule), so callers must re-fetch it then.
-func (s *Session) Graph() (*timing.Graph, error) {
-	if s.stale {
-		return nil, errors.New("hier: session top graph is stale after an interrupted restitch")
-	}
-	return s.top, nil
-}
+// object on recommit (after SwapModule), so callers must re-fetch it then.
+func (s *Session) Graph() *timing.Graph { return s.top }
 
 // Design returns the session-owned design.
 func (s *Session) Design() *Design { return s.d }
-
-// Stale reports whether an interrupted restitch left the top graph
-// unusable; Restitch recovers.
-func (s *Session) Stale() bool { return s.stale }
-
-// Restitch recommits the top graph from the per-instance caches — the
-// recovery path after an interrupted SwapModule.
-func (s *Session) Restitch(ctx context.Context) error { return s.stitch(ctx) }
 
 // Mode returns the correlation mode the session was built with.
 func (s *Session) Mode() Mode { return s.mode }
 
 // NetEdge returns the top-graph edge index carrying design net i.
 func (s *Session) NetEdge(i int) (int, error) {
-	if i < 0 || i >= len(s.netEdges) {
-		return 0, fmt.Errorf("hier: net index %d out of range (%d nets)", i, len(s.netEdges))
+	if i < 0 || i >= len(s.d.Nets) {
+		return 0, fmt.Errorf("hier: net index %d out of range (%d nets)", i, len(s.d.Nets))
 	}
-	return s.netEdges[i], nil
+	return s.netBase + i, nil
 }
 
 // SetNetDelay changes the constant wire delay of design net i, updating
-// both the design description (so later restitches keep it) and the live
+// both the design description (so later recommits keep it) and the live
 // top-graph edge (so the incremental propagation sees it as a dirty seed).
 func (s *Session) SetNetDelay(i int, ps float64) error {
-	if s.stale {
-		return errors.New("hier: session is stale after an interrupted restitch")
-	}
-	if i < 0 || i >= len(s.d.Nets) {
-		return fmt.Errorf("hier: net index %d out of range (%d nets)", i, len(s.d.Nets))
+	ei, err := s.NetEdge(i)
+	if err != nil {
+		return err
 	}
 	if ps < 0 {
 		return fmt.Errorf("hier: negative net delay %g", ps)
 	}
 	s.d.Nets[i].Delay = ps
-	return s.top.SetEdgeDelay(s.netEdges[i], s.pp.space.Const(ps))
+	return s.top.SetEdgeDelay(ei, s.pp.space.Const(ps))
 }
 
 // SwapModule replaces the module of one instance — the paper's ECO case.
 // For a same-footprint swap (identical NX/NY/pitch, the abutted-IP
 // scenario) the design-level partition and PCA survive untouched, only the
-// swapped instance's replacement matrix and rewritten-edge cache are
-// recomputed, and the top graph is recommitted from the per-instance
-// caches. A footprint change falls back to a full re-prep inside the
-// session.
+// swapped instance's replacement matrix and rewrite are recomputed, and the
+// top graph is recommitted from the per-instance rewrites. A footprint
+// change falls back to a full re-prep inside the session.
 //
-// The swap is transactional: on any error — validation, cancellation
-// mid-rewrite, an interrupted restitch — every piece of session state
-// (design, prep, caches) is restored and the previous top graph keeps
-// serving; a swap either fully applies or fully does not. On success the
-// top graph is a new object; callers holding incremental propagation state
-// must rebase onto Graph().
+// The swap is transactional: every fallible step — validation, the
+// rewrite, the commit — builds fresh values, and session state is replaced
+// only once all of them succeeded. On any error (cancellation included)
+// the instance keeps its old module and the previous top graph keeps
+// serving. On success the top graph is a new object; callers holding
+// incremental propagation state must rebase onto Graph().
 func (s *Session) SwapModule(ctx context.Context, name string, m *Module) error {
-	if s.stale {
-		return errors.New("hier: session is stale after an interrupted restitch; Restitch first")
-	}
 	inst, i, err := s.d.instance(name)
 	if err != nil {
 		return err
@@ -124,14 +110,23 @@ func (s *Session) SwapModule(ctx context.Context, name string, m *Module) error 
 	}
 	old := inst.Module
 	inst.Module = m
-	if err := s.d.Validate(); err != nil {
+	if err := s.swap(ctx, i, old); err != nil {
 		inst.Module = old
 		return err
 	}
+	return nil
+}
 
+// swap derives the prep and rewrites for instance i's new module (old is
+// the module it replaces) and commits them.
+func (s *Session) swap(ctx context.Context, i int, old *Module) error {
+	if err := s.d.Validate(); err != nil {
+		return err
+	}
+	m := s.d.Instances[i].Module
 	fullReprep := m.NX != old.NX || m.NY != old.NY || m.Pitch != old.Pitch
 	nInst := len(s.d.Instances)
-	newPP := s.pp
+	pp := s.pp
 	if !fullReprep && s.mode == GlobalOnly {
 		nP := len(s.d.Params)
 		start := make([]int, nInst+1)
@@ -145,215 +140,57 @@ func (s *Session) SwapModule(ctx context.Context, name string, m *Module) error 
 		} else {
 			cp := *s.pp
 			cp.instLocStart = start
-			newPP = &cp
+			pp = &cp
 		}
 	}
-
-	// Fallible phase: derive the new prep and rewritten-edge caches into
-	// locals; session state is untouched until everything succeeded.
-	var newPrepared [][]preppedEdge
-	switch {
-	case fullReprep:
+	if fullReprep {
 		// Footprint or space change: the heterogeneous partition itself
 		// moves, every instance re-derives.
-		newPP, newPrepared, err = s.deriveAll(ctx)
-	default:
-		if s.mode == FullCorrelation && m.gridModel() != old.gridModel() {
-			cp := *s.pp
-			cp.repl = append([]*mat.Dense(nil), s.pp.repl...)
-			cp.repl[i], err = replacementMatrix(m.gridModel(), s.pp.part, i)
-			if err != nil {
-				err = fmt.Errorf("hier: instance %q: %w", name, err)
-				break
-			}
-			newPP = &cp
+		pp, rw, err := s.deriveAll(ctx)
+		if err != nil {
+			return err
 		}
-		var pi []preppedEdge
-		if pi, err = s.prepareInstance(ctx, i, newPP); err == nil {
-			newPrepared = append([][]preppedEdge(nil), s.prepared...)
-			newPrepared[i] = pi
-		}
+		return s.commit(ctx, pp, rw)
 	}
-	if err != nil {
-		inst.Module = old
+	if s.mode == FullCorrelation && m.gridModel() != old.gridModel() {
+		r, err := replacementMatrix(m.gridModel(), s.pp.part, i)
+		if err != nil {
+			return fmt.Errorf("hier: instance %q: %w", s.d.Instances[i].Name, err)
+		}
+		cp := *s.pp
+		cp.repl = slices.Clone(s.pp.repl)
+		cp.repl[i] = r
+		pp = &cp
+	}
+	rw := slices.Clone(s.rw)
+	if err := s.d.rewriteInstances(ctx, pp, false, s.opt.Workers, []int{i}, rw); err != nil {
 		return err
 	}
-
-	// Commit, then restitch; an interrupted stitch rolls everything back
-	// (stitch replaces the top graph only at its very end, so the previous
-	// top is still intact and consistent with the restored state).
-	oldPP, oldPrepared := s.pp, s.prepared
-	s.pp, s.prepared = newPP, newPrepared
-	if err := s.stitch(ctx); err != nil {
-		inst.Module = old
-		s.pp, s.prepared = oldPP, oldPrepared
-		s.stale = false
-		return err
-	}
-	return nil
+	return s.commit(ctx, pp, rw)
 }
 
-// rebuild recomputes the whole per-instance prep and restitches — the
-// initial build path. State is committed only after every fallible step
-// succeeded; an interrupted stitch leaves the session stale (NewSession
-// then fails construction outright).
-func (s *Session) rebuild(ctx context.Context) error {
-	pp, prepared, err := s.deriveAll(ctx)
-	if err != nil {
-		return err
-	}
-	s.pp, s.prepared = pp, prepared
-	return s.stitch(ctx)
-}
-
-// deriveAll computes the full prep and every instance's rewritten-edge
-// cache into fresh values, leaving session state untouched.
-func (s *Session) deriveAll(ctx context.Context) (*prep, [][]preppedEdge, error) {
+// deriveAll computes the full prep and every instance's rewrite into fresh
+// values, leaving session state untouched.
+func (s *Session) deriveAll(ctx context.Context) (*prep, []instRewrite, error) {
 	pp, err := s.d.computePrep(ctx, s.mode, s.opt.Workers)
 	if err != nil {
 		return nil, nil, err
 	}
-	prepared := make([][]preppedEdge, len(s.d.Instances))
-	for i := range s.d.Instances {
-		if prepared[i], err = s.prepareInstance(ctx, i, pp); err != nil {
-			return nil, nil, err
-		}
+	rw := make([]instRewrite, len(s.d.Instances))
+	if err := s.d.rewriteInstances(ctx, pp, false, s.opt.Workers, nil, rw); err != nil {
+		return nil, nil, err
 	}
-	return pp, prepared, nil
+	return pp, rw, nil
 }
 
-// prepareInstance rewrites one instance's model edges into the design
-// space (unscaled — boundary conditions are applied at commit time) under
-// the given prep, on the session's worker pool.
-func (s *Session) prepareInstance(ctx context.Context, i int, pp *prep) ([]preppedEdge, error) {
-	inst := s.d.Instances[i]
-	ig := inst.Module.Model.Graph
-	mgmComps := inst.Module.gridModel().Comps
-	nP := len(s.d.Params)
-	out := make([]preppedEdge, len(ig.Edges))
-	nChunks := (len(ig.Edges) + rewriteChunkSize - 1) / rewriteChunkSize
-	err := timing.ParallelForCtx(ctx, nChunks, s.opt.Workers, func(_ context.Context, c int) error {
-		lo := c * rewriteChunkSize
-		hi := lo + rewriteChunkSize
-		if hi > len(ig.Edges) {
-			hi = len(ig.Edges)
-		}
-		for k := lo; k < hi; k++ {
-			pe, err := rewriteEdgeRaw(&ig.Edges[k], i, pp, nP, mgmComps, false)
-			if err != nil {
-				return err
-			}
-			out[k] = pe
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// stitch commits the per-instance caches into a fresh top-level graph,
-// mirroring buildTop's structure (and therefore its numerical results) with
-// the expensive rewriting replaced by cache reads plus cheap boundary
-// scaling.
-func (s *Session) stitch(ctx context.Context) error {
-	s.stale = true
-	d := s.d
-	instIdx := make(map[string]int, len(d.Instances))
-	for i, inst := range d.Instances {
-		instIdx[inst.Name] = i
-	}
-	ports := d.portIndexes(false)
-
-	base := make([]int, len(d.Instances))
-	total := 0
-	for i, inst := range d.Instances {
-		base[i] = total
-		total += inst.Module.Model.Graph.NumVerts
-	}
-	top := timing.NewGraph(s.pp.space, total, d.Params)
-	if s.pp.part != nil {
-		top.Grids = s.pp.part.Grids
-	}
-
-	extraTo, extraFrom, err := d.boundaryExtras(ctx, false, instIdx, ports, s.opt.Workers)
+// commit stitches a fresh top graph from pp and rw and, only on success,
+// makes the three the session's state.
+func (s *Session) commit(ctx context.Context, pp *prep, rw []instRewrite) error {
+	top, err := s.d.commit(ctx, pp, false, s.opt.Workers, rw)
 	if err != nil {
 		return err
 	}
-	for i, inst := range d.Instances {
-		ig := inst.Module.Model.Graph
-		for k := range s.prepared[i] {
-			pe := s.prepared[i][k]
-			if scale := boundaryScale(&ig.Edges[k], extraTo[i], extraFrom[i]); scale != 1 {
-				pe = scaleEdge(pe, scale)
-			}
-			if _, err := top.AddEdge(base[i]+pe.from, base[i]+pe.to, pe.f, pe.lsens, pe.grid); err != nil {
-				return err
-			}
-		}
-	}
-
-	lookup := func(p PortRef, wantInput bool) (int, error) {
-		idx, ok := instIdx[p.Instance]
-		if !ok {
-			return 0, fmt.Errorf("hier: unknown instance %q", p.Instance)
-		}
-		ig := d.Instances[idx].Module.Model.Graph
-		pm := ports[ig]
-		if wantInput {
-			if k, ok := pm.in[p.Port]; ok {
-				return base[idx] + ig.Inputs[k], nil
-			}
-		} else if k, ok := pm.out[p.Port]; ok {
-			return base[idx] + ig.Outputs[k], nil
-		}
-		return 0, fmt.Errorf("hier: port %v not found", p)
-	}
-	netEdges := make([]int, len(d.Nets))
-	for j, n := range d.Nets {
-		from, err := lookup(n.From, false)
-		if err != nil {
-			return err
-		}
-		to, err := lookup(n.To, true)
-		if err != nil {
-			return err
-		}
-		ei, err := top.AddEdge(from, to, s.pp.space.Const(n.Delay), nil, 0)
-		if err != nil {
-			return err
-		}
-		netEdges[j] = ei
-	}
-
-	ins := make([]int, len(d.PrimaryInputs))
-	inNames := make([]string, len(d.PrimaryInputs))
-	for k, p := range d.PrimaryInputs {
-		v, err := lookup(p, true)
-		if err != nil {
-			return err
-		}
-		ins[k] = v
-		inNames[k] = p.Instance + "." + p.Port
-	}
-	outs := make([]int, len(d.PrimaryOutputs))
-	outNames := make([]string, len(d.PrimaryOutputs))
-	for k, p := range d.PrimaryOutputs {
-		v, err := lookup(p, false)
-		if err != nil {
-			return err
-		}
-		outs[k] = v
-		outNames[k] = p.Instance + "." + p.Port
-	}
-	if err := top.SetIO(ins, outs, inNames, outNames); err != nil {
-		return err
-	}
-	if _, err := top.Order(); err != nil {
-		return fmt.Errorf("hier: stitched design: %w", err)
-	}
-	s.top, s.netEdges = top, netEdges
-	s.stale = false
+	s.pp, s.rw, s.top = pp, rw, top
+	s.netBase = len(top.Edges) - len(s.d.Nets)
 	return nil
 }

@@ -2,9 +2,13 @@ package hier
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/circuit"
+	"repro/internal/timing"
 )
 
 var sessionSpec = circuit.TopoSpec{Name: "g90", PIs: 10, POs: 5, Gates: 90, Edges: 190, Depth: 10}
@@ -24,11 +28,7 @@ func sessionDesign(t *testing.T) (*Design, *Module, *Module) {
 
 func sessionDelayDiff(t *testing.T, s *Session, want *Design, mode Mode) float64 {
 	t.Helper()
-	g, err := s.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := g.MaxDelay()
+	got, err := s.Graph().MaxDelay()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +111,6 @@ func TestSessionSwapInterrupted(t *testing.T) {
 	if err := s.SwapModule(ctx, "B", alt); err == nil {
 		t.Fatal("cancelled swap reported success")
 	}
-	if s.Stale() {
-		t.Fatal("failed swap left the session stale")
-	}
 	if s.Design().Instances[1].Module == alt {
 		t.Fatal("failed swap committed the module")
 	}
@@ -157,5 +154,135 @@ func TestSessionSetNetDelay(t *testing.T) {
 	}
 	if diff := sessionDelayDiff(t, s, want, FullCorrelation); diff > 1e-9 {
 		t.Fatalf("restitch lost the net-delay edit (diff %g)", diff)
+	}
+}
+
+// formsEqual reports whether two forms are equal word for word.
+func formsEqual(a, b *canon.Form) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Nominal == b.Nominal && a.Rand == b.Rand &&
+		slices.Equal(a.Glob, b.Glob) && slices.Equal(a.Loc, b.Loc)
+}
+
+// assertTopsIdentical checks a session top against a Stitch top with ==:
+// every edge (ends, delay words, LSens, grid), the IO, the registers and
+// the clock roots.
+func assertTopsIdentical(t *testing.T, label string, got, want *timing.Graph) {
+	t.Helper()
+	if got.NumVerts != want.NumVerts || len(got.Edges) != len(want.Edges) {
+		t.Fatalf("%s: %d verts/%d edges, Stitch %d/%d", label,
+			got.NumVerts, len(got.Edges), want.NumVerts, len(want.Edges))
+	}
+	for k := range got.Edges {
+		g, w := &got.Edges[k], &want.Edges[k]
+		if g.From != w.From || g.To != w.To || !formsEqual(g.Delay, w.Delay) ||
+			!slices.Equal(g.LSens, w.LSens) || g.Grid != w.Grid {
+			t.Fatalf("%s: edge %d differs from Stitch", label, k)
+		}
+	}
+	if !slices.Equal(got.Inputs, want.Inputs) || !slices.Equal(got.Outputs, want.Outputs) ||
+		!slices.Equal(got.InputNames, want.InputNames) || !slices.Equal(got.OutputNames, want.OutputNames) {
+		t.Fatalf("%s: IO differs from Stitch", label)
+	}
+	if len(got.Registers) != len(want.Registers) {
+		t.Fatalf("%s: %d registers, Stitch %d", label, len(got.Registers), len(want.Registers))
+	}
+	for k := range got.Registers {
+		g, w := &got.Registers[k], &want.Registers[k]
+		if g.Name != w.Name || g.Q != w.Q || g.D != w.D || g.ClkEdge != w.ClkEdge || g.Grid != w.Grid ||
+			!formsEqual(g.Setup, w.Setup) || !formsEqual(g.Hold, w.Hold) {
+			t.Fatalf("%s: register %d (%s) differs from Stitch", label, k, g.Name)
+		}
+	}
+	if !slices.Equal(got.ClockRoots, want.ClockRoots) {
+		t.Fatalf("%s: clock roots %v, Stitch %v", label, got.ClockRoots, want.ClockRoots)
+	}
+}
+
+// stitchTop stitches d from a cold cache: the reference a session top must
+// reproduce.
+func stitchTop(t *testing.T, d *Design, mode Mode) *timing.Graph {
+	t.Helper()
+	res, err := d.Stitch(context.Background(), mode, AnalyzeOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Graph
+}
+
+// TestSessionSequentialMatchesStitch: a session over a sequential design
+// carries the registers and clock roots Stitch does, so its top analyzes
+// like the design.
+func TestSessionSequentialMatchesStitch(t *testing.T) {
+	d := twoByTwo(t, buildSeqModule(t, "sm4", 4))
+	for _, mode := range []Mode{FullCorrelation, GlobalOnly} {
+		s, err := NewSession(context.Background(), d.CopyStructure(), mode, AnalyzeOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := stitchTop(t, d.CopyStructure(), mode)
+		if len(want.Registers) == 0 || len(want.ClockRoots) == 0 {
+			t.Fatal("fixture: stitched top is not sequential")
+		}
+		assertTopsIdentical(t, mode.String(), s.Graph(), want)
+		if _, err := s.Graph().MaxDelay(); err != nil {
+			t.Fatalf("mode %v: %v", mode, err)
+		}
+	}
+}
+
+// TestSessionTopIsStitchTop pins the single stitcher bit for bit: in every
+// session state, the session top equals Design.Stitch of an equally
+// mutated copy of the design.
+func TestSessionTopIsStitchTop(t *testing.T) {
+	big := circuit.TopoSpec{Name: "g150", PIs: 10, POs: 5, Gates: 150, Edges: 310, Depth: 12}
+	mod, alt := genModule(t, big, 1), genModule(t, big, 2)
+	small := genModule(t, sessionSpec, 1)
+	if alt.NX != mod.NX || alt.NY != mod.NY || small.NX*small.NY >= mod.NX*mod.NY {
+		t.Fatalf("fixture footprints: mod %dx%d, alt %dx%d, small %dx%d",
+			mod.NX, mod.NY, alt.NX, alt.NY, small.NX, small.NY)
+	}
+	d := twoByTwo(t, mod)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	states := []struct {
+		name   string
+		edit   func(s *Session) error
+		mirror func(d *Design)
+	}{
+		{"fresh", func(*Session) error { return nil }, func(*Design) {}},
+		{"same-footprint-swap",
+			func(s *Session) error { return s.SwapModule(context.Background(), "B", alt) },
+			func(d *Design) { d.Instances[1].Module = alt }},
+		{"footprint-swap",
+			func(s *Session) error { return s.SwapModule(context.Background(), "B", small) },
+			func(d *Design) { d.Instances[1].Module = small }},
+		{"set-net-delay",
+			func(s *Session) error { return s.SetNetDelay(3, 21.5) },
+			func(d *Design) { d.Nets[3].Delay = 21.5 }},
+		{"cancelled-swap",
+			func(s *Session) error {
+				if s.SwapModule(cancelled, "B", alt) == nil {
+					return fmt.Errorf("cancelled swap reported success")
+				}
+				return nil
+			},
+			func(*Design) {}},
+	}
+	for _, mode := range []Mode{FullCorrelation, GlobalOnly} {
+		for _, st := range states {
+			s, err := NewSession(context.Background(), d.CopyStructure(), mode, AnalyzeOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.edit(s); err != nil {
+				t.Fatalf("%v/%s: %v", mode, st.name, err)
+			}
+			want := d.CopyStructure()
+			st.mirror(want)
+			assertTopsIdentical(t, fmt.Sprintf("%v/%s", mode, st.name), s.Graph(), stitchTop(t, want, mode))
+		}
 	}
 }

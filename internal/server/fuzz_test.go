@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -67,5 +69,40 @@ func FuzzSweepBody(f *testing.F) {
 	servers := fuzzServers(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		postBody(t, servers, "/v1/sweep", body)
+	})
+}
+
+// FuzzSessionEditBody: any /v1/sessions/{id}/edits body gets a 200 or a
+// 4xx, on a flat and a quad session of each server. The sessions are
+// created once per server, so accepted edits carry over from one input to
+// the next. The seed corpus lives in testdata/fuzz/FuzzSessionEditBody.
+func FuzzSessionEditBody(f *testing.F) {
+	type target struct {
+		srv  *httptest.Server
+		path string
+	}
+	var targets []target
+	for _, hs := range fuzzServers(f) {
+		for _, item := range []string{
+			`{"bench":"c432","seed":1}`,
+			`{"quad":{"bench":"c432","seed":1},"mode":"full"}`,
+		} {
+			resp, err := http.Post(hs.URL+"/v1/sessions", "application/json", strings.NewReader(item))
+			if err != nil {
+				f.Fatal(err)
+			}
+			var v SessionView
+			err = json.NewDecoder(resp.Body).Decode(&v)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusCreated {
+				f.Fatalf("create session %s: status %d, %v", item, resp.StatusCode, err)
+			}
+			targets = append(targets, target{hs, "/v1/sessions/" + v.ID + "/edits"})
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, tg := range targets {
+			postBody(t, []*httptest.Server{tg.srv}, tg.path, body)
+		}
 	})
 }

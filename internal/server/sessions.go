@@ -600,7 +600,7 @@ func (s *Server) handleSessionEdits(w http.ResponseWriter, r *http.Request) {
 
 	edits := make([]ssta.Edit, 0, len(req.Edits))
 	for k := range req.Edits {
-		e, err := s.convertEdit(ctx, &req.Edits[k])
+		e, err := s.convertEdit(ctx, reg.sess, &req.Edits[k])
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				s.metrics.itemsRejected.Add(1)
@@ -724,9 +724,9 @@ func (s *Server) streamEditApply(w http.ResponseWriter, fl http.Flusher, ctx con
 }
 
 // applyErrorStatus classifies a Session.Apply failure: cancellation maps to
-// 408, a failed re-analysis (restitch recovery, incremental update, full
-// rebuild — server-side faults) to 500, and everything else — edit
-// validation — to 400.
+// 408, a failed re-analysis (incremental update, full rebuild — server-side
+// faults) to 500, and everything else — edit validation, a rejected module
+// swap included — to 400.
 func applyErrorStatus(err error) int {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return http.StatusRequestTimeout
@@ -739,8 +739,10 @@ func applyErrorStatus(err error) int {
 }
 
 // convertEdit maps one wire edit onto the library edit type, materializing
-// swap-in modules through the shared graph and extraction caches.
-func (s *Server) convertEdit(ctx context.Context, e *EditSpec) (ssta.Edit, error) {
+// swap-in modules through the shared graph and extraction caches — only
+// once sess is known to take module swaps, so a swap the session would
+// reject never pays for a graph build and an extraction.
+func (s *Server) convertEdit(ctx context.Context, sess *ssta.Session, e *EditSpec) (ssta.Edit, error) {
 	switch strings.ToLower(e.Op) {
 	case "scale_delay":
 		return ssta.Edit{Op: ssta.EditScaleDelay, Edge: e.Edge, Scale: e.Scale}, nil
@@ -755,6 +757,9 @@ func (s *Server) convertEdit(ctx context.Context, e *EditSpec) (ssta.Edit, error
 	case "swap_module":
 		if e.Instance == "" || e.Bench == "" {
 			return ssta.Edit{}, fmt.Errorf("swap_module needs instance and bench")
+		}
+		if err := sess.CheckOp(ssta.EditSwapModule); err != nil {
+			return ssta.Edit{}, err
 		}
 		gk := graphKey{bench: e.Bench, seed: e.Seed}
 		g, plan, err := s.graphs.get(ctx, s.flow, gk)

@@ -74,6 +74,28 @@ func refDelayToOutput(g *Graph, out int) ([]*canon.Form, error) {
 	return req, nil
 }
 
+// passArrivals runs Pass.Arrivals from the sources and materializes the
+// pass as pointer forms (nil where unreached).
+func passArrivals(g *Graph, sources ...int) ([]*canon.Form, error) {
+	p := g.AcquirePass()
+	defer p.Release()
+	if err := p.Arrivals(sources...); err != nil {
+		return nil, err
+	}
+	return p.Forms(), nil
+}
+
+// passRequired runs Pass.Required toward the outputs and materializes the
+// pass as pointer forms (nil where the outputs are unreachable).
+func passRequired(g *Graph, outs ...int) ([]*canon.Form, error) {
+	p := g.AcquirePass()
+	defer p.Release()
+	if err := p.Required(outs...); err != nil {
+		return nil, err
+	}
+	return p.Forms(), nil
+}
+
 const passTol = 1e-12
 
 func formDiff(a, b *canon.Form) float64 {
@@ -136,7 +158,7 @@ func TestPassMatchesPointerReferenceGolden(t *testing.T) {
 			compareFormSlices(t, "ArrivalAll", arrAll, refAll)
 
 			for _, in := range g.Inputs[:3] {
-				got, err := g.ArrivalFrom(in)
+				got, err := passArrivals(g, in)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -144,10 +166,10 @@ func TestPassMatchesPointerReferenceGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				compareFormSlices(t, fmt.Sprintf("ArrivalFrom(%d)", in), got, want)
+				compareFormSlices(t, fmt.Sprintf("Arrivals(%d)", in), got, want)
 			}
 			for _, out := range g.Outputs {
-				got, err := g.DelayToOutput(out)
+				got, err := passRequired(g, out)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -155,7 +177,7 @@ func TestPassMatchesPointerReferenceGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				compareFormSlices(t, fmt.Sprintf("DelayToOutput(%d)", out), got, want)
+				compareFormSlices(t, fmt.Sprintf("Required(%d)", out), got, want)
 			}
 
 			// MaxDelay folds in the arena; the reference folds pointer forms.
@@ -230,7 +252,7 @@ func TestArrivalPassAllocs(t *testing.T) {
 	})
 	// O(1): the occasional sync.Pool miss under GC, never O(vertices).
 	if allocs > 4 {
-		t.Fatalf("ArrivalFrom pass allocates %.0f objects/run, want O(1) (<=4); graph has %d vertices",
+		t.Fatalf("Arrivals pass allocates %.0f objects/run, want O(1) (<=4); graph has %d vertices",
 			allocs, g.NumVerts)
 	}
 	allocs = testing.AllocsPerRun(20, func() {

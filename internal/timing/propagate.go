@@ -365,32 +365,9 @@ func checkVerts(g *Graph, vs []int, kind string) error {
 // input at time zero) and returns the arrival form per vertex. Vertices not
 // reachable from any input have a nil entry.
 func (g *Graph) ArrivalAll() ([]*canon.Form, error) {
-	return g.arrivalForms(g.Inputs)
-}
-
-// ArrivalFrom propagates arrival times exclusively from one input vertex
-// (paper Section IV-B: arrival "exclusively from vi"). Unreachable vertices
-// are nil.
-func (g *Graph) ArrivalFrom(src int) ([]*canon.Form, error) {
-	return g.arrivalForms([]int{src})
-}
-
-func (g *Graph) arrivalForms(sources []int) ([]*canon.Form, error) {
 	p := g.AcquirePass()
 	defer p.Release()
-	if err := p.Arrivals(sources...); err != nil {
-		return nil, err
-	}
-	return p.Forms(), nil
-}
-
-// DelayToOutput computes, for every vertex, the maximum statistical delay
-// from that vertex to the given output vertex. Vertices that cannot reach
-// the output are nil.
-func (g *Graph) DelayToOutput(out int) ([]*canon.Form, error) {
-	p := g.AcquirePass()
-	defer p.Release()
-	if err := p.Required(out); err != nil {
+	if err := p.Arrivals(g.Inputs...); err != nil {
 		return nil, err
 	}
 	return p.Forms(), nil

@@ -103,7 +103,7 @@ func TestDelayToOutputUnreachableVertices(t *testing.T) {
 	const n = 3
 	g := wideGraph(t, n)
 	out0 := g.Outputs[0] // lane 0's output
-	req, err := g.DelayToOutput(out0)
+	req, err := passRequired(g, out0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,13 +28,13 @@ func TestBuildRejectsBadInputs(t *testing.T) {
 
 func TestArrivalFromBadSource(t *testing.T) {
 	g := buildC17(t)
-	if _, err := g.ArrivalFrom(-1); err == nil {
+	if _, err := passArrivals(g, -1); err == nil {
 		t.Fatal("negative source accepted")
 	}
-	if _, err := g.ArrivalFrom(g.NumVerts + 5); err == nil {
+	if _, err := passArrivals(g, g.NumVerts+5); err == nil {
 		t.Fatal("out-of-range source accepted")
 	}
-	if _, err := g.DelayToOutput(-2); err == nil {
+	if _, err := passRequired(g, -2); err == nil {
 		t.Fatal("negative output accepted")
 	}
 }

@@ -217,7 +217,7 @@ func TestArrivalFromExclusive(t *testing.T) {
 	// Input "1" (vertex g.Inputs[0]) reaches output 22 but not 23
 	// (c17: 22 = NAND(10,16), 10 = NAND(1,3); 23 = NAND(16,19) where
 	// 16 = NAND(2,11), 19 = NAND(11,7) — no path from input 1 to 23).
-	arr, err := g.ArrivalFrom(g.Inputs[0])
+	arr, err := passArrivals(g, g.Inputs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestArrivalFromExclusive(t *testing.T) {
 
 func TestDelayToOutput(t *testing.T) {
 	g := buildC17(t)
-	req, err := g.DelayToOutput(g.Outputs[0])
+	req, err := passRequired(g, g.Outputs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestAllPairsMatchesExclusivePasses(t *testing.T) {
 	}
 	// Spot-check a few rows against direct exclusive propagation.
 	for _, i := range []int{0, len(g.Inputs) / 2, len(g.Inputs) - 1} {
-		arr, err := g.ArrivalFrom(g.Inputs[i])
+		arr, err := passArrivals(g, g.Inputs[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,11 +3,13 @@ package ssta
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/mc"
+	"repro/internal/scenario"
 )
 
 // clockedSmokeBench is a tiny hand-written sequential netlist: one
@@ -279,4 +281,83 @@ func BenchmarkSequentialAnalyze(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestDesignSessionSequentialMatchesAnalyze: a session over a sequential
+// quad design analyzes like the design itself — delay, and worst setup and
+// hold slack through a one-identity-scenario sweep — at creation and after
+// a net-delay edit.
+func TestDesignSessionSequentialMatchesAnalyze(t *testing.T) {
+	flow := DefaultFlow()
+	comb, err := ArrayMultiplier(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Clocked(comb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, plan, err := flow.Graph(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := flow.Extract(g, ExtractOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := NewModule("sm4", model, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := flow.QuadDesign("quad", mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const q = 0.99865
+	check := func(label string, delay *Form, sweep *SweepReport, want *Design) {
+		t.Helper()
+		res, err := want.AnalyzeCtx(ctx, FullCorrelation, AnalyzeOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Sequential == nil {
+			t.Fatal("fixture: design analysis is not sequential")
+		}
+		if diff := sessionFormDiff(delay, res.Delay); diff > 1e-9 {
+			t.Fatalf("%s: session delay differs from Analyze by %g", label, diff)
+		}
+		sr := sweep.Results[0]
+		if sr.Err != nil || sr.SetupSlack == nil || sr.HoldSlack == nil {
+			t.Fatalf("%s: sweep setup %v, hold %v, err %v", label, sr.SetupSlack, sr.HoldSlack, sr.Err)
+		}
+		setup, hold := scenario.SeqSlackStats(res.Sequential, q)
+		for _, p := range []struct {
+			name      string
+			got, want *scenario.SlackStat
+		}{{"setup", sr.SetupSlack, setup}, {"hold", sr.HoldSlack, hold}} {
+			if math.Abs(p.got.Mean-p.want.Mean) > 1e-9 || math.Abs(p.got.Std-p.want.Std) > 1e-9 ||
+				math.Abs(p.got.Quantile-p.want.Quantile) > 1e-9 {
+				t.Fatalf("%s: worst %s slack %+v, Analyze %+v", label, p.name, *p.got, *p.want)
+			}
+		}
+	}
+
+	s, err := flow.NewDesignSession(ctx, d, FullCorrelation, AnalyzeOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := s.SetSweep(ctx, []Scenario{{Name: "base"}}, SweepOptions{Workers: 1, Quantile: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("created", s.Delay(), sweep, d)
+
+	rep, err := s.Apply(ctx, []Edit{{Op: EditSetNetDelay, Net: 0, Value: 17}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := d.CopyStructure()
+	mirror.Nets[0].Delay = 17
+	check("set_net_delay", rep.Delay, rep.Sweep, mirror)
 }

@@ -109,10 +109,10 @@ type EditReport struct {
 }
 
 // ReanalysisError marks a failure of the post-edit re-analysis itself —
-// restitch recovery, an incremental update, or a full rebuild — as opposed
-// to an edit that failed validation. Callers (the serving layer) use it to
-// tell server-side faults apart from bad client input; it unwraps, so
-// errors.Is still detects cancellation underneath.
+// an incremental update or a full rebuild — as opposed to an edit that
+// failed validation. Callers (the serving layer) use it to tell
+// server-side faults apart from bad client input; it unwraps, so errors.Is
+// still detects cancellation underneath.
 type ReanalysisError struct{ Err error }
 
 func (e *ReanalysisError) Error() string { return "ssta: re-analysis: " + e.Err.Error() }
@@ -188,10 +188,7 @@ func (f *Flow) NewDesignSession(ctx context.Context, d *Design, mode Mode, opt A
 	if err != nil {
 		return nil, err
 	}
-	g, err := hs.Graph()
-	if err != nil {
-		return nil, err
-	}
+	g := hs.Graph()
 	inc, err := g.NewIncrementalCtx(ctx)
 	if err != nil {
 		return nil, err
@@ -260,13 +257,13 @@ func (s *Session) Design() *Design {
 
 // Apply applies an edit batch in order and re-analyzes incrementally:
 // arrival times are re-propagated only through the union of the edits'
-// dirty cones (a module swap restitches from the per-instance caches and
-// re-propagates fully). On error, edits already applied stay applied and
-// the session state is re-synced before returning, so the session remains
-// usable; the error names the failing edit, and the report is returned
-// alongside it with Applied set, so callers can tell a partially applied
-// batch from nothing-happened — blindly resending the same batch would
-// double-apply its valid prefix.
+// dirty cones (a module swap re-derives the swapped instance, recommits
+// the top graph and re-propagates fully). On error, edits already applied
+// stay applied and the session state is re-synced before returning, so the
+// session remains usable; the error names the failing edit, and the report
+// is returned alongside it with Applied set, so callers can tell a
+// partially applied batch from nothing-happened — blindly resending the
+// same batch would double-apply its valid prefix.
 func (s *Session) Apply(ctx context.Context, edits []Edit) (*EditReport, error) {
 	return s.ApplyObserved(ctx, edits, nil)
 }
@@ -284,14 +281,6 @@ func (s *Session) ApplyObserved(ctx context.Context, edits []Edit, obs func(i in
 	defer s.mu.Unlock()
 	start := time.Now()
 	restitched := false
-	if s.hs != nil && s.hs.Stale() {
-		// A previously interrupted swap left the top graph uncommitted;
-		// recover before touching anything else.
-		if err := s.hs.Restitch(ctx); err != nil {
-			return nil, &ReanalysisError{Err: err}
-		}
-		restitched = true
-	}
 	var applyErr error
 	applied := 0
 	for k := range edits {
@@ -324,39 +313,44 @@ func (s *Session) ApplyObserved(ctx context.Context, edits []Edit, obs func(i in
 	return rep, nil
 }
 
-func (s *Session) applyOne(ctx context.Context, e *Edit, restitched *bool) error {
-	// Edge-level ops are the flat-session vocabulary. On a hierarchical
-	// session the top graph is derived state — rebuilt from the design and
-	// the per-instance caches on every restitch — so ad-hoc edge edits
-	// against it would silently vanish at the next module swap. Reject them
-	// up front; hierarchical edits go through the design (set_net_delay,
-	// swap_module).
-	flat := func() error {
+// CheckOp reports whether the session takes edits of kind op. Edge-level
+// ops are the flat-session vocabulary. On a hierarchical session the top
+// graph is derived state — recommitted from the design and the
+// per-instance rewrites on every module swap — so ad-hoc edge edits against
+// it would silently vanish at the next swap; hierarchical edits go through
+// the design (set_net_delay, swap_module). Apply checks every edit; callers
+// may check first to skip materializing an edit the session would reject,
+// such as a swap's model extraction.
+func (s *Session) CheckOp(op EditOp) error {
+	switch op {
+	case EditSetNetDelay:
+		if s.hs == nil {
+			return fmt.Errorf("net edits require a hierarchical session")
+		}
+	case EditSwapModule:
+		if s.hs == nil {
+			return fmt.Errorf("module swaps require a hierarchical session")
+		}
+	case EditScaleDelay, EditSetDelay, EditSetNominal, EditAddEdge, EditRemoveEdge, EditRetargetIO:
 		if s.hs != nil {
 			return fmt.Errorf("edge edits apply to flat sessions only; hierarchical sessions take set_net_delay and swap_module")
 		}
-		return nil
+	}
+	return nil
+}
+
+func (s *Session) applyOne(ctx context.Context, e *Edit, restitched *bool) error {
+	if err := s.CheckOp(e.Op); err != nil {
+		return err
 	}
 	switch e.Op {
 	case EditScaleDelay:
-		if err := flat(); err != nil {
-			return err
-		}
 		return s.graph.ScaleEdgeDelay(e.Edge, e.Scale)
 	case EditSetDelay:
-		if err := flat(); err != nil {
-			return err
-		}
 		return s.graph.SetEdgeDelay(e.Edge, e.Delay)
 	case EditSetNominal:
-		if err := flat(); err != nil {
-			return err
-		}
 		return s.graph.SetEdgeNominal(e.Edge, e.Value)
 	case EditAddEdge:
-		if err := flat(); err != nil {
-			return err
-		}
 		delay := e.Delay
 		if delay == nil {
 			delay = s.graph.Space.Const(e.Value)
@@ -364,49 +358,21 @@ func (s *Session) applyOne(ctx context.Context, e *Edit, restitched *bool) error
 		_, err := s.graph.AddEdgeLive(e.From, e.To, delay, nil, 0)
 		return err
 	case EditRemoveEdge:
-		if err := flat(); err != nil {
-			return err
-		}
 		return s.graph.RemoveEdge(e.Edge)
 	case EditRetargetIO:
-		if err := flat(); err != nil {
-			return err
-		}
 		return s.graph.RetargetIO(e.Inputs, e.Outputs, e.InNames, e.OutNames)
 	case EditSetNetDelay:
-		if s.hs == nil {
-			return fmt.Errorf("net edits require a hierarchical session")
-		}
-		if *restitched {
-			// The restitched top graph already carries the design's nets;
-			// apply against it after re-fetching below.
-			if err := s.syncTop(); err != nil {
-				return err
-			}
-		}
 		return s.hs.SetNetDelay(e.Net, e.Value)
 	case EditSwapModule:
-		if s.hs == nil {
-			return fmt.Errorf("module swaps require a hierarchical session")
-		}
 		if err := s.hs.SwapModule(ctx, e.Instance, e.Module); err != nil {
 			return err
 		}
 		*restitched = true
-		return s.syncTop()
+		s.graph = s.hs.Graph()
+		return nil
 	default:
 		return fmt.Errorf("unknown edit op %d", int(e.Op))
 	}
-}
-
-// syncTop re-fetches the hier session's (possibly replaced) top graph.
-func (s *Session) syncTop() error {
-	g, err := s.hs.Graph()
-	if err != nil {
-		return err
-	}
-	s.graph = g
-	return nil
 }
 
 // refresh re-syncs the incremental state with the (possibly restitched)
@@ -414,12 +380,6 @@ func (s *Session) syncTop() error {
 // sweep results as they finalize (see ApplyObserved).
 func (s *Session) refresh(ctx context.Context, restitched bool, obs func(int, *ScenarioResult)) (*EditReport, error) {
 	rep := &EditReport{TotalVerts: s.graph.NumVerts}
-	if restitched {
-		if err := s.syncTop(); err != nil {
-			return rep, err
-		}
-		rep.TotalVerts = s.graph.NumVerts
-	}
 	// Rebuild on graph identity, not the restitched flag alone: a previous
 	// refresh may have swapped s.graph in and then failed (a client timeout
 	// firing during the full re-propagation is the likely cause) before
@@ -500,9 +460,6 @@ func (s *Session) refresh(ctx context.Context, restitched bool, obs func(int, *S
 func (s *Session) EnableCriticality(ctx context.Context, opt CriticalityOptions) (*CriticalityResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.hs != nil && s.hs.Stale() {
-		return nil, errors.New("ssta: session graph is stale after an interrupted swap; apply an edit batch to recover first")
-	}
 	if s.inc == nil || s.inc.Graph() != s.graph {
 		return nil, errors.New("ssta: session has no consistent incremental state; apply an edit batch to recover first")
 	}
@@ -771,9 +728,6 @@ func (s *Session) SetSweep(ctx context.Context, scens []Scenario, opt SweepOptio
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.hs != nil && s.hs.Stale() {
-		return nil, errors.New("ssta: session graph is stale after an interrupted swap; apply an edit batch to recover first")
-	}
 	st, err := s.buildSweepState(ctx, norm, opt, nil)
 	if err != nil {
 		return nil, err

@@ -337,7 +337,7 @@ func TestDesignSessionRandomizedGolden(t *testing.T) {
 }
 
 // TestSessionRecoversInterruptedRefresh reproduces the interrupted-refresh
-// hazard: a module swap committed and syncTop already replaced the graph,
+// hazard: a module swap committed and the graph was already re-fetched,
 // but the incremental rebuild failed (a client timeout mid-propagation)
 // before s.inc was rebuilt, leaving it bound to the discarded graph. The
 // next Apply must detect the identity mismatch and rebuild instead of
@@ -349,13 +349,12 @@ func TestSessionRecoversInterruptedRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the torn state directly: swap + syncTop without the rebuild.
+	// Simulate the torn state directly: swap + graph re-fetch without the
+	// rebuild.
 	if err := sess.hs.SwapModule(context.Background(), "B", alt); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.syncTop(); err != nil {
-		t.Fatal(err)
-	}
+	sess.graph = sess.hs.Graph()
 	if sess.inc.Graph() == sess.graph {
 		t.Fatal("fixture did not detach the incremental state from the live graph")
 	}

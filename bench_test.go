@@ -571,7 +571,7 @@ func sweepScenarios() []ssta.Scenario {
 
 // BenchmarkSweep is the MCMM headline: evaluating 8 scenarios against the
 // quad design through SweepAnalyze (one partition/PCA/stitch shared by all
-// scenarios, one bank-rescale + propagation each) versus 8 independent
+// scenarios, one rescaling propagation each) versus 8 independent
 // AnalyzeOpt calls (each re-stitching the design). Both run with the
 // geometry/PCA prep cache warm, so the measured gap is the stitch work the
 // sweep amortizes.

@@ -64,9 +64,9 @@
 //     delays, primary IO, and each module graph's edge count and boundary
 //     load/slew characterization. Design.Stitch and Design.AnalyzeCtx hand
 //     every caller a fresh Result around the shared, read-only graph, so a
-//     warm sweep does only per-scenario arithmetic; the scenario engine
-//     takes its rescaled delay banks from the propagation slab pool
-//     (timing.AcquireBank/ReleaseBank). In-place edits to a module graph's
+//     warm sweep does only per-scenario arithmetic; each scenario's walks
+//     read the one shared delay bank and rescale every delay as they read
+//     it, so no per-scenario bank exists. In-place edits to a module graph's
 //     Edge.Delay forms are invisible to the fingerprints and need
 //     Design.InvalidatePrep. Together the two cut the daemon's CPU per
 //     request (cmd/sstaload medians, Intel Xeon with 2 vCPUs in a shared
@@ -113,7 +113,8 @@
 // walker in internal/timing: a level-ordered gather parameterized by
 // direction (forward over fan-in, backward over fan-out) and by fold
 // (canon.MaxViews or canon.MinViews), reading edge delays from the
-// graph's flat delay bank or a caller's scenario bank. Each vertex folds
+// graph's flat delay bank — scaled per edge as they are read, for a
+// scenario sweep — or from a caller's bank. Each vertex folds
 // its contributions in a fixed order, so results never depend on visit
 // order. See README.md ("Performance") for measurements.
 //
@@ -162,8 +163,10 @@
 // one shared preparation. The invalidation rule falls out of linearity:
 // every rescale knob is linear per canonical-form component, so it shares
 // everything (partition, PCA, replacement matrices, stitched topology,
-// flat delay bank) and costs one in-bank rescale (canon.ScalePartsView)
-// plus one propagation pass per scenario; only a module swap changes
+// flat delay bank) and costs one propagation pass per scenario whose
+// gather scales each shared edge delay as it reads it
+// (canon.AddScaledViews, bit-identical to scaling first and adding
+// after); only a module swap changes
 // structure and pays a private stitch. Reports carry per-scenario
 // mean/sigma/quantiles, the cross-scenario worst-case envelope
 // (component-wise max over statistics — scenarios are alternative worlds,

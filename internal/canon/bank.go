@@ -158,29 +158,34 @@ func TightnessProbViews(a, b View) float64 {
 	return stats.NormCDF((a[0] - b[0]) / theta)
 }
 
-// ScalePartsView writes the scenario-scaled image of src into dst: the
-// whole form is scaled by all (the in-bank analogue of Form.Scale), with
-// the Glob, Loc and Rand blocks additionally scaled by glob, loc and rand —
-// the kernel of the MCMM sweep engine's per-scenario delay-bank rescaling
-// (a delay derate composed with per-block sigma multipliers). nGlob is the
-// space's Globals count, fixing the Glob/Loc split. dst may alias src.
-func ScalePartsView(dst, src View, nGlob int, all, glob, loc, rand float64) {
-	dst[0] = src[0] * all
+// AddScaledViews computes a + scale(src) into dst in one fused pass, where
+// scale multiplies the whole of src by all and its Glob, Loc and Rand
+// blocks additionally by glob, loc and rand — a delay derate composed with
+// per-block sigma multipliers, the MCMM sweep's per-scenario edge rescale.
+// nGlob is the space's Globals count, fixing the Glob/Loc split. The result
+// is bit-identical to writing the scaled image of src into its own view and
+// then calling AddViews: every product is rounded to float64 before it is
+// added (the explicit conversions forbid fusing it into an FMA, which the
+// stored intermediate never allowed). dst may alias a (but not src).
+func AddScaledViews(dst, a, src View, nGlob int, all, glob, loc, rand float64) {
+	n := len(dst) - 1
+	a, src = a[:n+1], src[:n+1] // equal lengths let the compiler drop bounds checks
+	dst[0] = a[0] + float64(src[0]*all)
 	kg := all * glob
 	i := 1
 	for ; i <= nGlob; i++ {
-		dst[i] = src[i] * kg
+		dst[i] = a[i] + float64(src[i]*kg)
 	}
 	kl := all * loc
-	n := len(dst) - 1
 	for ; i < n; i++ {
-		dst[i] = src[i] * kl
+		dst[i] = a[i] + float64(src[i]*kl)
 	}
 	kr := all * rand
 	if kr < 0 {
 		kr = -kr
 	}
-	dst[n] = src[n] * kr
+	ra, rb := a[n], float64(src[n]*kr)
+	dst[n] = math.Sqrt(ra*ra + rb*rb)
 }
 
 // MaxViews computes Clark's moment-matched max(a, b) into dst (paper

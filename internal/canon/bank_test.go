@@ -215,3 +215,68 @@ func TestViewAccessors(t *testing.T) {
 		t.Fatalf("Std: %g", v.Std())
 	}
 }
+
+// scalePartsView is the two-step reference of AddScaledViews: the scaled
+// image of src written into its own view, which AddViews then reads back.
+func scalePartsView(dst, src View, nGlob int, all, glob, loc, rand float64) {
+	dst[0] = src[0] * all
+	kg := all * glob
+	i := 1
+	for ; i <= nGlob; i++ {
+		dst[i] = src[i] * kg
+	}
+	kl := all * loc
+	n := len(dst) - 1
+	for ; i < n; i++ {
+		dst[i] = src[i] * kl
+	}
+	kr := all * rand
+	if kr < 0 {
+		kr = -kr
+	}
+	dst[n] = src[n] * kr
+}
+
+// TestAddScaledViewsMatchesScaleThenAdd: the fused kernel equals
+// scale-then-add bit for bit, every word and sign of zero, on random forms
+// and factors — exact ones of 1, negative rand factors and -0 coefficients
+// included — and with dst aliasing a.
+func TestAddScaledViewsMatchesScaleThenAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	factor := func() float64 {
+		if rng.Intn(3) == 0 {
+			return 1
+		}
+		return 0.5 + rng.Float64()
+	}
+	for _, space := range []Space{{Globals: 1, Components: 3}, {Globals: 3, Components: 7}, {Globals: 5, Components: 70}} {
+		bank := NewBank(space, 5)
+		a, src, scaled, want, got := bank.View(0), bank.View(1), bank.View(2), bank.View(3), bank.View(4)
+		for iter := 0; iter < 2000; iter++ {
+			a.LoadForm(randomForm(rng, space))
+			src.LoadForm(randomForm(rng, space))
+			a[0], src[0] = 100*rng.Float64(), 10*rng.Float64()
+			if iter%7 == 0 {
+				src[1+rng.Intn(space.Dim())] = math.Copysign(0, -1)
+			}
+			all, glob, loc, rnd := factor(), factor(), factor(), factor()
+			if iter%5 == 0 {
+				rnd = -rnd
+			}
+			scalePartsView(scaled, src, space.Globals, all, glob, loc, rnd)
+			AddViews(want, a, scaled)
+			AddScaledViews(got, a, src, space.Globals, all, glob, loc, rnd)
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("space %+v iter %d word %d: fused %g, scale-then-add %g", space, iter, k, got[k], want[k])
+				}
+			}
+			AddScaledViews(a, a, src, space.Globals, all, glob, loc, rnd)
+			for k := range want {
+				if math.Float64bits(a[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("space %+v iter %d word %d: aliased fused %g, scale-then-add %g", space, iter, k, a[k], want[k])
+				}
+			}
+		}
+	}
+}

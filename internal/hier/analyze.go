@@ -172,11 +172,11 @@ func (d *Design) AnalyzeCtx(ctx context.Context, mode Mode, opt AnalyzeOptions) 
 
 // Stitch returns the design's stitched top-level timing graph without
 // running any propagation. It is the shared-prep entry point of the MCMM
-// sweep engine: one stitch, then one propagation per scenario over
-// rescaled delay banks. The graph comes from the design's stitch cache,
-// which Analyze shares; it is rebuilt (prep through the prep cache,
-// per-instance rewriting over opt.Workers) only when the design
-// geometry, nets, IO, module graphs' edge counts or boundary
+// sweep engine: one stitch, then one propagation per scenario that
+// rescales the shared delay bank as it reads it. The graph comes from the
+// design's stitch cache, which Analyze shares; it is rebuilt (prep through
+// the prep cache, per-instance rewriting over opt.Workers) only when the
+// design geometry, nets, IO, module graphs' edge counts or boundary
 // characterization changed since the cached stitch, or under
 // opt.DisableCache. In-place edits to a module graph's Edge.Delay forms
 // are invisible to that check and require InvalidatePrep.

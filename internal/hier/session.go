@@ -80,11 +80,14 @@ func (s *Session) SetNetDelay(i int, ps float64) error {
 	if err != nil {
 		return err
 	}
-	if ps < 0 {
-		return fmt.Errorf("hier: negative net delay %g", ps)
+	if !(ps >= 0) {
+		return fmt.Errorf("hier: net delay %g must be non-negative", ps)
+	}
+	if err := s.top.SetEdgeDelay(ei, s.pp.space.Const(ps)); err != nil {
+		return err
 	}
 	s.d.Nets[i].Delay = ps
-	return s.top.SetEdgeDelay(ei, s.pp.space.Const(ps))
+	return nil
 }
 
 // SwapModule replaces the module of one instance — the paper's ECO case.

@@ -7,17 +7,16 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/canon"
 	"repro/internal/scenario"
 	"repro/internal/timing"
 	"repro/ssta"
 )
 
-// TestSweepDirtyPooledBank: scenario banks come from the propagation slab
-// pool unzeroed, so the rescale must overwrite every slot it hands to the
-// pass. Poison a batch of pooled slabs of the bank's size, then sweep a
-// graph carrying a RemoveEdge tombstone: every result must still match an
-// explicitly transformed graph at 1e-9.
+// TestSweepDirtyPooledBank: pass arenas come from the propagation slab
+// pool unzeroed, and the scaled walks must overwrite every slot they read.
+// Poison a batch of pooled pass slabs of the graph's size, then sweep a
+// graph carrying a RemoveEdge tombstone: every result must still equal an
+// analysis of the explicitly transformed graph bit for bit.
 func TestSweepDirtyPooledBank(t *testing.T) {
 	g := testGraph(t, 3)
 	if err := g.RemoveEdge(0); err != nil {
@@ -25,16 +24,18 @@ func TestSweepDirtyPooledBank(t *testing.T) {
 	}
 	// Several slabs, so the poisoned ones also land in the pool's shared
 	// (stealable) queue and not only in one P's private slot.
-	poisoned := make([]*canon.Bank, 16)
+	poisoned := make([]*timing.Pass, 16)
 	for i := range poisoned {
-		poisoned[i] = timing.AcquireBank(g.Space, len(g.Edges))
-		data := poisoned[i].Data()
-		for k := range data {
-			data[k] = math.NaN()
+		poisoned[i] = g.AcquirePass()
+		for v := 0; v <= g.NumVerts; v++ {
+			view := poisoned[i].At(v)
+			for k := range view {
+				view[k] = math.NaN()
+			}
 		}
 	}
-	for _, b := range poisoned {
-		timing.ReleaseBank(b)
+	for _, p := range poisoned {
+		p.Release()
 	}
 	scens := testScenarios()
 	rep, err := scenario.SweepGraph(context.Background(), g, scens, scenario.Options{Workers: 2})
@@ -50,17 +51,18 @@ func TestSweepDirtyPooledBank(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := formDiff(r.Delay, want); !(d <= 1e-9) {
-			t.Fatalf("scenario %q over a poisoned pooled bank differs from the transformed graph by %g", sc.Name, d)
+		if !sameBits(r.Delay, want) {
+			t.Fatalf("scenario %q over poisoned pooled arenas differs from the transformed graph", sc.Name)
 		}
 	}
 }
 
 // TestWarmSweepDesignAllocs is the allocation fence of the warm sweep
-// path: with the stitched top cached on the design and the per-scenario
-// banks pooled, an 8-scenario sweep of quad-c1355 allocates only
-// per-scenario results — about 5 MB/op when every sweep re-stitched and
-// allocated a fresh bank per scenario.
+// path: with the stitched top cached on the design, the pass arenas and
+// per-scenario edge factors pooled, and no scaled delay bank, an
+// 8-scenario sweep of quad-c1355 allocates only per-scenario results —
+// about 5 MB/op when every sweep re-stitched and allocated a fresh bank
+// per scenario.
 func TestWarmSweepDesignAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -100,7 +102,7 @@ func TestWarmSweepDesignAllocs(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		sweep() // stitch once, fill the slab pool
+		sweep() // stitch once, fill the slab and factor pools
 	}
 	const runs = 50
 	var before, after runtime.MemStats

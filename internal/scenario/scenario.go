@@ -6,9 +6,11 @@
 // Scenario describes one such named transform of a timing graph, and the
 // sweep engine evaluates many scenarios against one shared preparation:
 // the graph is built (or the hierarchical design partitioned, PCA'd and
-// stitched) exactly once, and each scenario only rescales the flat
-// edge-delay bank in place-free fashion (canon.ScalePartsView) and re-runs
-// the propagation kernel over it.
+// stitched) and its flat edge-delay bank filled exactly once, and each
+// scenario re-runs the propagation walker over that one bank with a
+// per-edge factor and per-block sigma multipliers (timing.Scale) that the
+// walker's gather applies to each delay as it reads it
+// (canon.AddScaledViews). No scaled copy of the bank is ever written.
 //
 // Every scenario transform is linear per canonical-form component, so a
 // scenario result is numerically identical (1e-9, in practice bitwise) to
@@ -84,15 +86,17 @@ func factor(f float64) float64 {
 	return f
 }
 
-// Validate rejects non-positive factors (zero fields mean "unset" and are
-// fine; explicit negatives or NaN-ish inputs are caller bugs).
+// MaxKnob caps every scenario factor and clock value (ps). Delays are
+// hundreds of picoseconds with sigmas of a few; a knob beyond a million is
+// a typo, not a corner, and much larger ones overflow the variances of the
+// scaled forms to +Inf, which turns every statistic into NaN or a silently
+// wrong Clark max.
+const MaxKnob = 1e6
+
+// Validate rejects factors and clock values that are negative, NaN, or
+// above MaxKnob (+Inf included); zero fields mean "unset" and are fine.
+// Per-edge scales must be positive and at most MaxKnob.
 func (s *Scenario) Validate() error {
-	check := func(name string, v float64) error {
-		if v != 0 && !(v > 0) {
-			return fmt.Errorf("scenario %q: %s %g must be positive", s.Name, name, v)
-		}
-		return nil
-	}
 	for _, c := range []struct {
 		name string
 		v    float64
@@ -102,13 +106,13 @@ func (s *Scenario) Validate() error {
 		{"clock_period_ps", s.ClockPeriodPS},
 		{"clock_skew_ps", s.ClockSkewPS}, {"clock_jitter_ps", s.ClockJitterPS},
 	} {
-		if err := check(c.name, c.v); err != nil {
-			return err
+		if c.v != 0 && !(c.v > 0 && c.v <= MaxKnob) {
+			return fmt.Errorf("scenario %q: %s %g must be positive and at most %g", s.Name, c.name, c.v, MaxKnob)
 		}
 	}
 	for ei, v := range s.EdgeScales {
-		if !(v > 0) {
-			return fmt.Errorf("scenario %q: edge %d scale %g must be positive", s.Name, ei, v)
+		if !(v > 0 && v <= MaxKnob) {
+			return fmt.Errorf("scenario %q: edge %d scale %g must be positive and at most %g", s.Name, ei, v, MaxKnob)
 		}
 	}
 	return nil
@@ -172,23 +176,42 @@ func (s *Scenario) edgeFactor(ei int, cell bool) float64 {
 	return k
 }
 
-// scaleBank writes the scenario-scaled image of the base delay bank into
-// dst (slot per edge index). Every slot is written, tombstoned edges
-// included: dst may be a recycled, unzeroed pool slab.
-func (s *Scenario) scaleBank(g *timing.Graph, base, dst *canon.Bank) {
-	nGlob := g.Space.Globals
-	gs, ls, rs := factor(s.GlobSigma), factor(s.LocSigma), factor(s.RandSigma)
-	for ei := range g.Edges {
-		e := &g.Edges[ei]
-		k := s.edgeFactor(ei, cellEdge(e))
-		canon.ScalePartsView(dst.View(ei), base.View(ei), nGlob, k, gs, ls, rs)
+// scale fills edge with every edge's edgeFactor — the same products in the
+// same order, the per-edge scales applied last — and returns the walker's
+// rescale of the scenario. cell is cellEdge of every edge of the graph
+// (classify); every EdgeScales key must index it (CheckEdges).
+func (s *Scenario) scale(cell []bool, edge []float64) timing.Scale {
+	d := factor(s.Derate)
+	kc, kn := d*factor(s.CellScale), d*factor(s.NetScale)
+	for ei, c := range cell {
+		if c {
+			edge[ei] = kc
+		} else {
+			edge[ei] = kn
+		}
 	}
+	for ei, v := range s.EdgeScales {
+		edge[ei] *= v
+	}
+	return timing.Scale{Edge: edge, Glob: factor(s.GlobSigma), Loc: factor(s.LocSigma), Rand: factor(s.RandSigma)}
 }
 
-// TransformForm returns the scenario's image of one edge delay form, using
-// the exact arithmetic of the in-bank kernel (canon.ScalePartsView) so a
-// form-by-form transformed graph reproduces the sweep bit for bit. ei and
-// cell identify the edge for the class and per-edge factors.
+// CheckEdges rejects EdgeScales keys that index no edge of g, the graph
+// the scenario runs on.
+func (s *Scenario) CheckEdges(g *timing.Graph) error {
+	for ei := range s.EdgeScales {
+		if ei < 0 || ei >= len(g.Edges) {
+			return fmt.Errorf("scenario %q: edge_scales key %d is outside the graph's edges [0, %d)", s.Name, ei, len(g.Edges))
+		}
+	}
+	return nil
+}
+
+// TransformForm returns the scenario's image of one edge delay form: the
+// products the sweep's fused gather (canon.AddScaledViews) forms as it
+// reads the edge, so a form-by-form transformed graph reproduces the sweep
+// bit for bit. ei and cell identify the edge for the class and per-edge
+// factors.
 func (s *Scenario) TransformForm(space canon.Space, ei int, cell bool, f *canon.Form) *canon.Form {
 	k := s.edgeFactor(ei, cell)
 	gs, ls, rs := factor(s.GlobSigma), factor(s.LocSigma), factor(s.RandSigma)
@@ -220,8 +243,9 @@ func (s *Scenario) TransformEdge(space canon.Space, ei int, e *timing.Edge) *can
 // TransformGraph returns an independent clone of g whose edge delays (and
 // structural local sensitivities, so Monte Carlo stays sampleable) are the
 // scenario's image of the originals — the explicit materialization of what
-// the sweep computes via bank rescaling. Used by the differential tests
-// and by sessions that maintain per-scenario incremental state.
+// the sweep's walker computes by rescaling each delay as it reads it. Used
+// by the differential tests and by sessions that maintain per-scenario
+// incremental state.
 func (s *Scenario) TransformGraph(g *timing.Graph) *timing.Graph {
 	ng := g.Clone()
 	if s.Identity() {

@@ -57,28 +57,55 @@ func testScenarios() []scenario.Scenario {
 	}
 }
 
-// TestScaleKernelMatchesTransformForm pins the bit-identity of the in-bank
-// rescale kernel and the pointer-form transform the differential paths use.
+// sameBits reports whether two forms are equal bit for bit.
+func sameBits(a, b *canon.Form) bool {
+	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !eq(a.Nominal, b.Nominal) || !eq(a.Rand, b.Rand) || len(a.Glob) != len(b.Glob) || len(a.Loc) != len(b.Loc) {
+		return false
+	}
+	for i := range a.Glob {
+		if !eq(a.Glob[i], b.Glob[i]) {
+			return false
+		}
+	}
+	for i := range a.Loc {
+		if !eq(a.Loc[i], b.Loc[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestScaleKernelMatchesTransformForm pins the fused gather's rescale
+// kernel to the pointer-form transform the differential paths use: adding
+// an edge delay through canon.AddScaledViews equals adding its
+// TransformForm image, bit for bit.
 func TestScaleKernelMatchesTransformForm(t *testing.T) {
 	space := canon.Space{Globals: 3, Components: 12}
 	rng := rand.New(rand.NewSource(7))
-	f := space.NewForm()
-	f.Nominal = 42.5
-	for i := range f.Glob {
-		f.Glob[i] = rng.NormFloat64()
+	random := func() *canon.Form {
+		f := space.NewForm()
+		f.Nominal = 100 * rng.Float64()
+		for i := range f.Glob {
+			f.Glob[i] = rng.NormFloat64()
+		}
+		for i := range f.Loc {
+			f.Loc[i] = rng.NormFloat64()
+		}
+		f.Rand = 2 * rng.Float64()
+		return f
 	}
-	for i := range f.Loc {
-		f.Loc[i] = rng.NormFloat64()
-	}
-	f.Rand = 1.75
 	sc := scenario.Scenario{Derate: 1.13, GlobSigma: 1.4, LocSigma: 0.8, RandSigma: 2.1}
-	bank := canon.NewBank(space, 2)
-	bank.View(0).LoadForm(f)
-	canon.ScalePartsView(bank.View(1), bank.View(0), space.Globals, 1.13, 1.4, 0.8, 2.1)
-	got := bank.View(1).Form(space)
-	want := sc.TransformForm(space, 0, true, f)
-	if formDiff(got, want) != 0 {
-		t.Fatalf("kernel and TransformForm disagree: %v vs %v", got, want)
+	bank := canon.NewBank(space, 3)
+	for iter := 0; iter < 200; iter++ {
+		arr, f := random(), random()
+		bank.View(0).LoadForm(arr)
+		bank.View(1).LoadForm(f)
+		canon.AddScaledViews(bank.View(2), bank.View(0), bank.View(1), space.Globals, 1.13, 1.4, 0.8, 2.1)
+		want := canon.Add(arr, sc.TransformForm(space, 0, true, f))
+		if got := bank.View(2).Form(space); !sameBits(got, want) {
+			t.Fatalf("iter %d: kernel and TransformForm disagree: %v vs %v", iter, got, want)
+		}
 	}
 }
 

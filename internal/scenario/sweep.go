@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/canon"
@@ -193,12 +194,13 @@ func Normalize(scens []Scenario, allowSwaps bool) ([]Scenario, error) {
 }
 
 // SweepGraph evaluates every scenario against one flat timing graph with
-// shared prep: the graph's flat edge-delay bank is built once, and each
-// scenario propagates over a privately rescaled copy (or the base bank
-// itself for identity scenarios) on the shared worker pool. Per-scenario
-// failures — including cancellation mid-sweep — land in Result.Err and
-// never abort the rest of the sweep; the returned error is reserved for
-// sweep-level validation.
+// shared prep: the graph's flat edge-delay bank is built and its edges
+// classified once, and each scenario propagates over that one bank, its
+// walker rescaling every delay as it reads it (identity scenarios read it
+// unscaled), on the shared worker pool. Per-scenario failures — including
+// cancellation mid-sweep — land in Result.Err and never abort the rest of
+// the sweep; the returned error is reserved for sweep-level validation,
+// an EdgeScales key outside the graph's edges included.
 func SweepGraph(ctx context.Context, g *timing.Graph, scens []Scenario, opt Options) (*Report, error) {
 	if g == nil {
 		return nil, errors.New("scenario: nil graph")
@@ -212,7 +214,13 @@ func SweepGraph(ctx context.Context, g *timing.Graph, scens []Scenario, opt Opti
 	if _, err := g.Order(); err != nil {
 		return nil, err
 	}
-	base := g.EdgeDelays()
+	if err := CheckEdgeScales(ctx, g, nil, 0, scens, hier.AnalyzeOptions{}); err != nil {
+		return nil, err
+	}
+	var cell []bool
+	if rescales(scens) {
+		cell = classify(g)
+	}
 	results := make([]Result, len(scens))
 	runOne := func(ctx context.Context, i int) {
 		sc := &scens[i]
@@ -220,7 +228,7 @@ func SweepGraph(ctx context.Context, g *timing.Graph, scens []Scenario, opt Opti
 		r.Name = sc.Name
 		r.Shared = true
 		s0 := time.Now()
-		r.Delay, r.Err = runScenario(ctx, g, base, sc, opt.Quantile, r)
+		r.Delay, r.Err = runScenario(ctx, g, cell, sc, opt.Quantile, r)
 		r.Elapsed = time.Since(s0)
 		if opt.OnScenarioDone != nil {
 			opt.OnScenarioDone(i, r)
@@ -263,18 +271,49 @@ func fillUnrun(ctx context.Context, scens []Scenario, results []Result, opt Opti
 	}
 }
 
-// runScenario rescales the base bank per the scenario into a pooled bank
-// and analyzes the graph over it: one late pass for the circuit delay and,
-// on sequential graphs, one early pass for the worst setup/hold slack under
-// the scenario's clock, both over the same scaled bank.
-func runScenario(ctx context.Context, g *timing.Graph, base *canon.Bank, sc *Scenario, q float64, r *Result) (*canon.Form, error) {
-	delays := base
-	if !sc.Identity() {
-		delays = timing.AcquireBank(g.Space, len(g.Edges))
-		defer timing.ReleaseBank(delays)
-		sc.scaleBank(g, base, delays)
+// factorPool recycles the per-edge factor slices of running scenarios, so
+// a warm sweep allocates none.
+var factorPool sync.Pool // *[]float64
+
+// rescales reports whether some swap-free scenario rescales the shared
+// graph; only then does a sweep classify its edges (an analyze item, one
+// identity scenario, never reads the classes).
+func rescales(scens []Scenario) bool {
+	for i := range scens {
+		if len(scens[i].Swaps) == 0 && !scens[i].Identity() {
+			return true
+		}
 	}
-	delay, seq, err := g.AnalyzeCtx(ctx, delays, sc.ClockSpec(), nil)
+	return false
+}
+
+// classify returns cellEdge of every edge of g.
+func classify(g *timing.Graph) []bool {
+	cell := make([]bool, len(g.Edges))
+	for ei := range g.Edges {
+		cell[ei] = cellEdge(&g.Edges[ei])
+	}
+	return cell
+}
+
+// runScenario analyzes the graph under the scenario: one late pass for the
+// circuit delay and, on sequential graphs, one early pass for the worst
+// setup/hold slack under the scenario's clock. Both walks read the graph's
+// own delay bank, rescaling each delay per the scenario as they read it;
+// cell is classify of g (unused by an identity scenario).
+func runScenario(ctx context.Context, g *timing.Graph, cell []bool, sc *Scenario, q float64, r *Result) (*canon.Form, error) {
+	var scale *timing.Scale
+	if !sc.Identity() {
+		buf, _ := factorPool.Get().(*[]float64)
+		if buf == nil || cap(*buf) < len(cell) {
+			buf = new([]float64)
+			*buf = make([]float64, len(cell))
+		}
+		defer factorPool.Put(buf)
+		s := sc.scale(cell, (*buf)[:len(cell)])
+		scale = &s
+	}
+	delay, seq, err := g.AnalyzeCtx(ctx, scale, sc.ClockSpec(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -306,10 +345,12 @@ func SeqSlackStats(seq *timing.SeqResult, q float64) (setup, hold *SlackStat) {
 // SweepDesign evaluates every scenario against a hierarchical design with
 // shared prep: the design is partitioned, PCA'd and stitched once (through
 // its prep cache), and every swap-free scenario re-propagates the shared
-// top graph over a rescaled delay bank. Scenarios with module swaps stitch
-// a private structural copy of the design (their extraction is assumed
-// pre-paid through the shared ExtractCache) and then run the same rescale
-// path on their own top graph.
+// top graph, rescaling its delays as the walker reads them. Scenarios with
+// module swaps stitch a private structural copy of the design (their
+// extraction is assumed pre-paid through the shared ExtractCache) and then
+// run the same way on their own top graph. An EdgeScales key outside the
+// edges of the graph its scenario runs on fails the whole sweep before any
+// scenario runs (CheckEdgeScales).
 func SweepDesign(ctx context.Context, d *hier.Design, mode hier.Mode, scens []Scenario, opt Options) (*Report, error) {
 	if d == nil {
 		return nil, errors.New("scenario: nil design")
@@ -324,7 +365,7 @@ func SweepDesign(ctx context.Context, d *hier.Design, mode hier.Mode, scens []Sc
 	// Shared stitch, skipped when every scenario swaps structure. Its
 	// failure is a sweep-level error: nothing can run without it.
 	var top *timing.Graph
-	var topDelays *canon.Bank
+	var cell []bool
 	for i := range scens {
 		if len(scens[i].Swaps) == 0 {
 			res, err := d.Stitch(ctx, mode, opt.Analyze)
@@ -332,9 +373,14 @@ func SweepDesign(ctx context.Context, d *hier.Design, mode hier.Mode, scens []Sc
 				return nil, err
 			}
 			top = res.Graph
-			topDelays = top.EdgeDelays()
+			if rescales(scens) {
+				cell = classify(top)
+			}
 			break
 		}
+	}
+	if err := CheckEdgeScales(ctx, top, d, mode, scens, opt.Analyze); err != nil {
+		return nil, err
 	}
 
 	results := make([]Result, len(scens))
@@ -345,7 +391,7 @@ func SweepDesign(ctx context.Context, d *hier.Design, mode hier.Mode, scens []Sc
 		s0 := time.Now()
 		if len(sc.Swaps) == 0 {
 			r.Shared = true
-			r.Delay, r.Err = runScenario(ctx, top, topDelays, sc, opt.Quantile, r)
+			r.Delay, r.Err = runScenario(ctx, top, cell, sc, opt.Quantile, r)
 		} else {
 			r.Delay, r.Err = runSwapScenario(ctx, d, mode, sc, opt, r)
 		}
@@ -365,10 +411,53 @@ func SweepDesign(ctx context.Context, d *hier.Design, mode hier.Mode, scens []Sc
 	return rep, nil
 }
 
-// runSwapScenario applies the scenario's module swaps to a private
-// structural copy, stitches it, and runs the scenario's rescale factors
-// over the private top graph.
-func runSwapScenario(ctx context.Context, d *hier.Design, mode hier.Mode, sc *Scenario, opt Options, r *Result) (*canon.Form, error) {
+// ScenarioError is a failure of the whole sweep that one scenario of the
+// list caused; Index is its position in the list.
+type ScenarioError struct {
+	Index int
+	Err   error
+}
+
+func (e *ScenarioError) Error() string { return fmt.Sprintf("scenario %d: %v", e.Index, e.Err) }
+func (e *ScenarioError) Unwrap() error { return e.Err }
+
+// CheckEdgeScales checks every scenario's EdgeScales keys against the graph
+// it runs on: top for a swap-free scenario (stitched from d when top is nil
+// and some such scenario has per-edge scales), and for a swap scenario of a
+// design sweep its private top, stitched from d here and dropped — such a
+// scenario pays its stitch twice, and one that cannot stitch reports that
+// when it runs. The first offending scenario fails the check with a
+// *ScenarioError naming its key.
+func CheckEdgeScales(ctx context.Context, top *timing.Graph, d *hier.Design, mode hier.Mode, scens []Scenario, opt hier.AnalyzeOptions) error {
+	for i := range scens {
+		sc := &scens[i]
+		if len(sc.EdgeScales) == 0 {
+			continue
+		}
+		g := top
+		switch {
+		case len(sc.Swaps) > 0 && d != nil:
+			var err error
+			if g, err = swapTop(ctx, d, mode, sc, opt); err != nil {
+				continue
+			}
+		case g == nil:
+			res, err := d.Stitch(ctx, mode, opt)
+			if err != nil {
+				return err
+			}
+			g, top = res.Graph, res.Graph
+		}
+		if err := sc.CheckEdges(g); err != nil {
+			return &ScenarioError{Index: i, Err: err}
+		}
+	}
+	return nil
+}
+
+// swapTop applies the scenario's module swaps to a private structural copy
+// of the design and stitches it.
+func swapTop(ctx context.Context, d *hier.Design, mode hier.Mode, sc *Scenario, opt hier.AnalyzeOptions) (*timing.Graph, error) {
 	dd := d.CopyStructure()
 	for name, m := range sc.Swaps {
 		found := false
@@ -383,9 +472,25 @@ func runSwapScenario(ctx context.Context, d *hier.Design, mode hier.Mode, sc *Sc
 			return nil, fmt.Errorf("scenario %q: unknown instance %q", sc.Name, name)
 		}
 	}
-	res, err := dd.Stitch(ctx, mode, opt.Analyze)
+	res, err := dd.Stitch(ctx, mode, opt)
 	if err != nil {
 		return nil, err
 	}
-	return runScenario(ctx, res.Graph, res.Graph.EdgeDelays(), sc, opt.Quantile, r)
+	return res.Graph, nil
+}
+
+// runSwapScenario runs the scenario over its private top graph (swapTop).
+func runSwapScenario(ctx context.Context, d *hier.Design, mode hier.Mode, sc *Scenario, opt Options, r *Result) (*canon.Form, error) {
+	g, err := swapTop(ctx, d, mode, sc, opt.Analyze)
+	if err != nil {
+		return nil, err
+	}
+	if err := sc.CheckEdges(g); err != nil {
+		return nil, err
+	}
+	var cell []bool
+	if !sc.Identity() {
+		cell = classify(g)
+	}
+	return runScenario(ctx, g, cell, sc, opt.Quantile, r)
 }

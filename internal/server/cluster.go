@@ -247,6 +247,13 @@ func (s *Server) runSweepDistributed(ctx context.Context, cl *clusterState, heal
 		return pr.run(ctx, opt)
 	}
 
+	// An EdgeScales key outside its graph fails the sweep here, before any
+	// dispatch, exactly as it would standalone: a worker's refusal of its
+	// shard would not say which scenario of the request was at fault.
+	if err := scenario.CheckEdgeScales(ctx, pr.graph, pr.design, pr.mode, pr.scens, opt.Analyze); err != nil {
+		return nil, err
+	}
+
 	// Independent copies with globally assigned default names: a worker's
 	// Normalize fills names by shard-local index, so unnamed scenarios must
 	// be named here with their global index to match standalone output.

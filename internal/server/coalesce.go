@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -366,7 +367,7 @@ func (b *batcher) run(spec ItemSpec, calls []*batchCall) {
 	for {
 		a.specs = union
 		x, err := s.execute(ctx, a)
-		var bad *scenarioError
+		var bad *scenario.ScenarioError
 		if !errors.As(err, &bad) {
 			for _, c := range calls {
 				publish(c, s.answerCall(c, x, err))
@@ -377,19 +378,19 @@ func (b *batcher) run(spec ItemSpec, calls []*batchCall) {
 		// asked for it; the rest of the batch runs again without it.
 		var keep []*batchCall
 		for _, c := range calls {
-			if k := slices.Index(c.unionIdx, bad.index); k >= 0 {
-				publish(c, s.answerCall(c, nil, &scenarioError{index: k, err: bad.err}))
+			if k := slices.Index(c.unionIdx, bad.Index); k >= 0 {
+				publish(c, s.answerCall(c, nil, &scenario.ScenarioError{Index: k, Err: bad.Err}))
 				continue
 			}
 			for k, u := range c.unionIdx {
-				if u > bad.index {
+				if u > bad.Index {
 					c.unionIdx[k] = u - 1
 				}
 			}
 			keep = append(keep, c)
 		}
-		union = slices.Delete(union, bad.index, bad.index+1)
-		swept = slices.Delete(swept, bad.index, bad.index+1)
+		union = slices.Delete(union, bad.Index, bad.Index+1)
+		swept = slices.Delete(swept, bad.Index, bad.Index+1)
 		if calls = keep; len(calls) == 0 {
 			return
 		}
@@ -427,7 +428,8 @@ func (s *Server) answerCall(c *batchCall, x *execution, err error) batchAnswer {
 	if name == "" {
 		name = x.name
 	}
-	return batchAnswer{status: http.StatusOK, body: marshalJSON(sweepResponseView(name, rep))}
+	status, body := jsonAnswer(http.StatusOK, sweepResponseView(name, rep))
+	return batchAnswer{status: status, body: body}
 }
 
 // scenarioMetricsHook is the shared per-scenario accounting of every sweep
@@ -485,19 +487,35 @@ func (s *Server) acquireSlotWait(ctx context.Context, wait time.Duration) error 
 	}
 }
 
-// marshalJSON renders v exactly like writeJSON does (no HTML escaping,
-// trailing newline), so coalesced followers replay byte-identical bodies.
-func marshalJSON(v any) []byte {
+// encodeJSON renders v the one way every JSON answer is rendered (no HTML
+// escaping, trailing newline), so coalesced followers replay
+// byte-identical bodies and an SSE data line equals the sync body.
+func encodeJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-	return buf.Bytes()
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// jsonAnswer is the answer carrying v with the given status, or a 500 with
+// an error body when v does not encode (a NaN or infinite statistic): an
+// answer never goes out as an empty 2xx.
+func jsonAnswer(status int, v any) (int, []byte) {
+	body, err := encodeJSON(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body = errorBody(status, "encoding the answer: "+err.Error())
+	}
+	return status, body
 }
 
 // errorBody is the byte form of httpError's payload.
 func errorBody(code int, msg string) []byte {
-	return marshalJSON(map[string]any{"error": msg, "status": fmt.Sprint(code)})
+	body, _ := encodeJSON(map[string]string{"error": msg, "status": strconv.Itoa(code)}) // strings always encode
+	return body
 }
 
 // writeRaw writes a prerendered JSON response, carrying the Retry-After

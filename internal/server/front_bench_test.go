@@ -20,9 +20,9 @@ import (
 // per-request versus micro-batched. Per-request, every sweep pays its own
 // design stitch (boundary conditions + per-edge rewrite + propagation;
 // the geometry/PCA prep cache is warm in both arms); batched, the 8
-// callers merge into ONE shared-prep sweep: one stitch, then 8 flat
-// delay-bank rescales + propagation passes. One iteration = all 8
-// requests answered.
+// callers merge into ONE shared-prep sweep: one stitch, then 8
+// propagation passes that rescale the shared delay bank as they read it.
+// One iteration = all 8 requests answered.
 func BenchmarkBatchedFront(b *testing.B) {
 	reqs := make([][]byte, 8)
 	for i := range reqs {

@@ -34,24 +34,34 @@ func fuzzServers(f *testing.F) []*httptest.Server {
 }
 
 // postBody sends body to path on every server and requires an answer that
-// is a 200 or a 4xx within the client timeout: never a 5xx, a dropped
-// connection (a handler panic) or a hang.
-func postBody(t *testing.T, servers []*httptest.Server, path string, body []byte) {
+// is a 2xx carrying JSON that decodes, or a 4xx, within the client timeout:
+// never a 5xx, an empty 2xx, a dropped connection (a handler panic) or a
+// hang. It returns each server's status and body.
+func postBody(t *testing.T, servers []*httptest.Server, path string, body []byte) (status []int, data [][]byte) {
 	client := &http.Client{Timeout: 30 * time.Second}
 	for _, hs := range servers {
 		resp, err := client.Post(hs.URL+path, "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatalf("POST %s %q: %v", path, body, err)
 		}
-		data, err := io.ReadAll(resp.Body)
+		answer, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatalf("POST %s %q: reading the answer: %v", path, body, err)
 		}
-		if resp.StatusCode != http.StatusOK && resp.StatusCode/100 != 4 {
-			t.Fatalf("POST %s %q: status %d: %s", path, body, resp.StatusCode, data)
+		switch resp.StatusCode / 100 {
+		case 2:
+			var v any
+			if err := json.Unmarshal(answer, &v); err != nil {
+				t.Fatalf("POST %s %q: status %d with a body that does not decode (%v): %q", path, body, resp.StatusCode, err, answer)
+			}
+		case 4:
+		default:
+			t.Fatalf("POST %s %q: status %d: %s", path, body, resp.StatusCode, answer)
 		}
+		status, data = append(status, resp.StatusCode), append(data, answer)
 	}
+	return status, data
 }
 
 // FuzzAnalyzeBody: any /v1/analyze body, batched or not, gets a 200 or a
@@ -69,6 +79,31 @@ func FuzzSweepBody(f *testing.F) {
 	servers := fuzzServers(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		postBody(t, servers, "/v1/sweep", body)
+	})
+}
+
+// FuzzSessionCreateBody: any /v1/sessions body gets a 201 or a 4xx; a
+// created session is deleted again, so the table never fills. The seed
+// corpus lives in testdata/fuzz/FuzzSessionCreateBody.
+func FuzzSessionCreateBody(f *testing.F) {
+	servers := fuzzServers(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		status, data := postBody(t, servers, "/v1/sessions", body)
+		for k, hs := range servers {
+			if status[k] != http.StatusCreated {
+				continue
+			}
+			var v SessionView
+			if err := json.Unmarshal(data[k], &v); err != nil || v.ID == "" {
+				t.Fatalf("POST /v1/sessions %q: 201 without a session id: %s", body, data[k])
+			}
+			req, _ := http.NewRequest(http.MethodDelete, hs.URL+"/v1/sessions/"+v.ID, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+		}
 	})
 }
 

@@ -458,7 +458,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			s.metrics.rejected.Add(1)
 			return http.StatusTooManyRequests, errorBody(http.StatusTooManyRequests, err.Error())
 		}
-		return http.StatusOK, marshalJSON(resp)
+		return jsonAnswer(http.StatusOK, resp)
 	})
 }
 
@@ -617,14 +617,13 @@ func decodeJSONStrict(r *http.Request, v any) error {
 	return dec.Decode(v)
 }
 
+// writeJSON writes v as the answer, or a 500 when v does not encode
+// (jsonAnswer).
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	code, body := jsonAnswer(code, v)
+	writeRaw(w, code, body)
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]any{"error": msg, "status": strconv.Itoa(code)})
+	writeRaw(w, code, errorBody(code, msg))
 }

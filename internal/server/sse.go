@@ -57,11 +57,16 @@ func (e *sseWriter) start() {
 }
 
 // event frames one named event. The payload is the same encoder as the
-// synchronous JSON path (marshalJSON), so a summary event's data line is
-// byte-identical to the sync response body.
+// synchronous JSON path (encodeJSON), so a summary event's data line is
+// byte-identical to the sync response body. A payload that does not
+// encode goes out as an error event instead.
 func (e *sseWriter) event(name string, v any) {
-	body := marshalJSON(v)
-	// marshalJSON ends with exactly one newline and (compact encoding)
+	body, err := encodeJSON(v)
+	if err != nil {
+		e.eventError(http.StatusInternalServerError, "encoding the "+name+" event: "+err.Error())
+		return
+	}
+	// encodeJSON ends with exactly one newline and (compact encoding)
 	// contains none internally, so a single data line frames it.
 	e.w.Write([]byte("event: " + name + "\ndata: "))
 	e.w.Write(body)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"repro/internal/scenario"
 	"repro/ssta"
 )
 
@@ -245,16 +246,6 @@ type execution struct {
 	model *ssta.Model // set when the analysis asked to extract a flat subject
 }
 
-// scenarioError is a scenario that failed to materialize; index is its
-// position in the analysis's scenario list.
-type scenarioError struct {
-	index int
-	err   error
-}
-
-func (e *scenarioError) Error() string { return fmt.Sprintf("scenario %d: %v", e.index, e.err) }
-func (e *scenarioError) Unwrap() error { return e.err }
-
 // identitySpec is the scenario list of an analyze item: the zero
 // transform, evaluated over the subject's base delay bank.
 var identitySpec = []SweepScenarioSpec{{}}
@@ -285,7 +276,7 @@ func (s *Server) execute(ctx context.Context, a *analysis) (x *execution, err er
 	pr.scens = make([]ssta.Scenario, len(pr.specs))
 	for i := range pr.specs {
 		if pr.scens[i], err = s.convertScenario(ctx, &pr.specs[i], pr.design != nil); err != nil {
-			return nil, &scenarioError{index: i, err: err}
+			return nil, &scenario.ScenarioError{Index: i, Err: err}
 		}
 	}
 	x = &execution{name: pr.name}
@@ -322,7 +313,7 @@ func (s *Server) doSweep(ctx context.Context, req *SweepRequest, specs []SweepSc
 	if err != nil {
 		return s.sweepFailure(err)
 	}
-	return http.StatusOK, marshalJSON(sweepResponseView(x.name, x.rep))
+	return jsonAnswer(http.StatusOK, sweepResponseView(x.name, x.rep))
 }
 
 // analysis maps a sweep request onto the executor's unit of work.

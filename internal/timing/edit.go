@@ -2,6 +2,7 @@ package timing
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/canon"
 )
@@ -16,6 +17,22 @@ import (
 // Edits follow the same single-writer contract as AddEdge: they must not
 // run concurrently with any reader (passes, incremental updates, other
 // edits). The ssta.Session layer serializes them behind one mutex.
+
+// MaxEditDelayPS bounds an edited edge delay: its mean's magnitude and its
+// standard deviation. Real arcs are hundreds of picoseconds; far larger
+// ones (a scale of 1e200) overflow the variances of every path through
+// the edge to +Inf, and the Clark max folds those into a finite but
+// meaningless answer.
+const MaxEditDelayPS = 1e12
+
+// checkEditDelay rejects an edited delay that is not finite or beyond
+// MaxEditDelayPS.
+func checkEditDelay(from, to int, f *canon.Form) error {
+	if m, sd := math.Abs(f.Nominal), f.Std(); !(m <= MaxEditDelayPS && sd <= MaxEditDelayPS) {
+		return fmt.Errorf("timing: edge %d->%d delay (mean %g ps, std %g ps) is not finite or beyond %g ps", from, to, f.Nominal, sd, MaxEditDelayPS)
+	}
+	return nil
+}
 
 // dirtyOverflow caps the dirty-seed lists: once more seeds accumulate than
 // the graph has vertices, precise tracking cannot beat a full re-propagation
@@ -73,6 +90,9 @@ func (g *Graph) SetEdgeDelay(ei int, delay *canon.Form) error {
 	if !delay.In(g.Space) {
 		return fmt.Errorf("timing: edge %d delay form not in graph space", ei)
 	}
+	if err := checkEditDelay(e.From, e.To, delay); err != nil {
+		return err
+	}
 	e.Delay = delay
 	g.delayMu.Lock()
 	if g.delayBank != nil && g.delayBank.Cap() == len(g.Edges) {
@@ -126,6 +146,9 @@ func (g *Graph) SetEdgeNominal(ei int, nominal float64) error {
 func (g *Graph) AddEdgeLive(from, to int, delay *canon.Form, lsens []float64, grid int) (int, error) {
 	if from < 0 || from >= g.NumVerts || to < 0 || to >= g.NumVerts {
 		return 0, fmt.Errorf("timing: edge %d->%d outside vertex range %d", from, to, g.NumVerts)
+	}
+	if err := checkEditDelay(from, to, delay); err != nil {
+		return 0, err
 	}
 	if g.reaches(to, from) {
 		return 0, fmt.Errorf("timing: edge %d->%d would create a cycle", from, to)

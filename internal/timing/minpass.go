@@ -19,13 +19,6 @@ func (p *Pass) ArrivalsMin(sources ...int) error {
 	return p.walker(p.g.EdgeDelays(), forward, canon.MinViews).pass(p.ctx, sources)
 }
 
-// ArrivalsMinOver is ArrivalsMin reading edge delays from the given bank
-// instead of the graph's own — the scenario-sweep hook, mirroring
-// ArrivalsOver.
-func (p *Pass) ArrivalsMinOver(delays *canon.Bank, sources ...int) error {
-	return p.walker(delays, forward, canon.MinViews).pass(p.ctx, sources)
-}
-
 // MinDelay returns the statistical minimum delay over all outputs with every
 // launch source at time zero — the shortest-path dual of MaxDelay, the
 // quantity hold analysis bounds from below.

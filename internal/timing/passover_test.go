@@ -35,7 +35,7 @@ func TestArrivalsOverMatchesOwnBank(t *testing.T) {
 	const k = 1.25
 	scaled := canon.NewBank(g.Space, len(g.Edges))
 	for ei := range g.Edges {
-		canon.ScalePartsView(scaled.View(ei), g.EdgeDelays().View(ei), g.Space.Globals, k, 1, 1, 1)
+		scaled.View(ei).LoadForm(scaleForm(g.Space, g.Edges[ei].Delay, k, 1, 1, 1))
 	}
 	sg := g.Clone()
 	for ei := range sg.Edges {

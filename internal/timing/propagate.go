@@ -13,7 +13,7 @@ import (
 // This file holds the package's one propagation kernel, the walker: a
 // level-ordered gather parameterized by direction (forward or backward) and
 // fold (Clark max or min). Every full pass — Arrivals, ArrivalsMin,
-// Required and their scenario-bank variants — and every incremental cone
+// Required and their scenario variants — and every incremental cone
 // sweep runs through it. Around it sit the pooled Pass arena the full
 // passes write into and the pass-level queries built on it.
 
@@ -140,26 +140,12 @@ func putMask(m []bool) {
 	passMaskPools[c].Put(&m)
 }
 
-// AcquireBank returns a bank of the given number of slots backed by a
-// pooled slab — the scenario sweep's per-scenario delay banks share the
-// propagation pool instead of allocating and zeroing a fresh bank each.
-// The slots hold whatever the slab held before: the caller must overwrite
-// every slot it (or a kernel reading the bank) will read. Give the bank
-// back with ReleaseBank.
-func AcquireBank(s canon.Space, slots int) *canon.Bank {
-	return canon.NewBankOver(s, slots, takeSlab(slots*s.Stride()))
-}
-
-// ReleaseBank returns an AcquireBank bank's slab to the pool. The bank and
-// every View obtained from it must not be used afterwards.
-func ReleaseBank(b *canon.Bank) { putSlab(b.Data()) }
-
 // AcquirePass returns a propagation arena for the graph, recycling pooled
 // storage when available.
 func (g *Graph) AcquirePass() *Pass {
 	return &Pass{
 		g:     g,
-		bank:  AcquireBank(g.Space, g.NumVerts+1),
+		bank:  canon.NewBankOver(g.Space, g.NumVerts+1, takeSlab((g.NumVerts+1)*g.Space.Stride())),
 		reach: takeMask(g.NumVerts),
 	}
 }
@@ -167,7 +153,7 @@ func (g *Graph) AcquirePass() *Pass {
 // Release returns the pass's storage to the pool. The pass and every View
 // obtained from it must not be used afterwards.
 func (p *Pass) Release() {
-	ReleaseBank(p.bank)
+	putSlab(p.bank.Data())
 	putMask(p.reach)
 	p.bank, p.reach, p.ctx = nil, nil, nil
 }
@@ -214,12 +200,33 @@ func (p *Pass) Arrivals(sources ...int) error {
 }
 
 // ArrivalsOver runs the forward propagation reading edge delays from the
-// given bank instead of the graph's own — the MCMM sweep hook: one shared
-// graph, many scenario-scaled delay banks, each propagated through the same
-// walker. The bank must hold one slot per edge index (tombstoned slots are
+// given bank instead of the graph's own, such as a bank a caller filled.
+// (Scenario sweeps read the graph's own bank and rescale it as they go; see
+// Scale.) The bank must hold one slot per edge index (tombstoned slots are
 // never read) in the graph's space; it is read-only during the pass.
 func (p *Pass) ArrivalsOver(delays *canon.Bank, sources ...int) error {
 	return p.walker(delays, forward, canon.MaxViews).pass(p.ctx, sources)
+}
+
+// Scale is a per-edge rescale of a graph's delays that the walker applies
+// as it reads them: edge ei's delay form is multiplied as a whole by
+// Edge[ei], and its Glob, Loc and Rand blocks further by Glob, Loc and Rand
+// (canon.AddScaledViews). This is how a scenario sweep runs many operating
+// scenarios over one shared delay bank without writing a scaled copy of it.
+// The zero Scale (nil Edge) leaves the delays unscaled.
+type Scale struct {
+	Edge            []float64 // one factor per edge index
+	Glob, Loc, Rand float64
+}
+
+// arrivalsScaled is a forward pass with the given fold over the graph's own
+// delays, rescaled per s as they are read; a nil s reads them unscaled.
+func (p *Pass) arrivalsScaled(s *Scale, fold func(dst, a, b canon.View), sources []int) error {
+	w := p.walker(p.g.EdgeDelays(), forward, fold)
+	if s != nil {
+		w.scale = *s
+	}
+	return w.pass(p.ctx, sources)
 }
 
 // Required runs a backward propagation into the pass arena: after it, At(v)
@@ -252,7 +259,8 @@ const (
 // delay and fold the sums with fold — canon.MaxViews for latest arrivals
 // and required times, canon.MinViews for earliest arrivals. Results are
 // written into bank, one slot per vertex, with reach marking the vertices
-// that hold a value; delays holds one slot per edge index.
+// that hold a value; delays holds one slot per edge index, rescaled per
+// scale as it is read unless scale is the zero Scale.
 //
 // The same per-vertex gather serves a full level-ordered pass (pass) and
 // the incremental engine's dirty-cone sweeps (Incremental.sweep), so both
@@ -266,6 +274,7 @@ type walker struct {
 	bank   *canon.Bank
 	reach  []bool
 	delays *canon.Bank
+	scale  Scale
 	dir    direction
 	fold   func(dst, a, b canon.View)
 }
@@ -280,6 +289,9 @@ func (w walker) pass(ctx context.Context, seeds []int) error {
 	}
 	if w.delays.Cap() < len(g.Edges) {
 		return fmt.Errorf("timing: delay bank has %d slots for %d edges", w.delays.Cap(), len(g.Edges))
+	}
+	if w.scale.Edge != nil && len(w.scale.Edge) < len(g.Edges) {
+		return fmt.Errorf("timing: scale has %d edge factors for %d edges", len(w.scale.Edge), len(g.Edges))
 	}
 	lv, err := g.Levels()
 	if err != nil {
@@ -299,6 +311,7 @@ func (w walker) pass(ctx context.Context, seeds []int) error {
 		w.reach[s] = true
 	}
 	tmp := w.bank.View(g.NumVerts)
+	scaled := w.scale.Edge != nil
 	n := len(lv.Wave)
 	for i := 0; i < n; i++ {
 		if err := stepCtx(ctx, i); err != nil {
@@ -313,7 +326,11 @@ func (w walker) pass(ctx context.Context, seeds []int) error {
 			v = int(lv.Wave[n-1-i])
 			fanin = g.Out[v]
 		}
-		w.reach[v] = w.gather(w.bank.View(v), tmp, fanin, w.reach[v])
+		if scaled {
+			w.reach[v] = w.gatherScaled(w.bank.View(v), tmp, fanin, w.reach[v])
+		} else {
+			w.reach[v] = w.gather(w.bank.View(v), tmp, fanin, w.reach[v])
+		}
 	}
 	return nil
 }
@@ -343,6 +360,37 @@ func (w *walker) gather(dst, tmp canon.View, fanin []int32, seeded bool) bool {
 			w.fold(dst, dst, tmp)
 		} else {
 			canon.AddViews(dst, w.bank.View(u), w.delays.View(int(ei)))
+			reached = true
+		}
+	}
+	return reached
+}
+
+// gatherScaled is gather with every edge delay rescaled per w.scale as it
+// is read: the same contributions in the same order, each sum formed by
+// canon.AddScaledViews in place of canon.AddViews. It is a function of its
+// own, chosen per vertex by pass, because any branch inside gather — per
+// edge or even once per call — measurably slows the unscaled walks.
+func (w *walker) gatherScaled(dst, tmp canon.View, fanin []int32, seeded bool) bool {
+	s, nGlob := &w.scale, w.g.Space.Globals
+	if seeded {
+		dst.SetConst(0)
+	}
+	reached := seeded
+	for _, ei := range fanin {
+		e := &w.g.Edges[ei]
+		u := e.From
+		if w.dir == backward {
+			u = e.To
+		}
+		if !w.reach[u] {
+			continue
+		}
+		if reached {
+			canon.AddScaledViews(tmp, w.bank.View(u), w.delays.View(int(ei)), nGlob, s.Edge[ei], s.Glob, s.Loc, s.Rand)
+			w.fold(dst, dst, tmp)
+		} else {
+			canon.AddScaledViews(dst, w.bank.View(u), w.delays.View(int(ei)), nGlob, s.Edge[ei], s.Glob, s.Loc, s.Rand)
 			reached = true
 		}
 	}

@@ -80,33 +80,26 @@ type SeqResult struct {
 // single early (Clark min) pass, run only on sequential graphs, yields the
 // hold side. seq is nil for combinational graphs, which ignore clock.
 //
-// A nil delays bank reads the graph's own edge delays; otherwise edge
-// delays come from the bank (the scenario-sweep hook, see ArrivalsOver).
-// Both passes poll ctx between vertices (nil disables polling). When
+// A nil scale reads the graph's own edge delays; otherwise both walks
+// rescale them per scale as they read them (the scenario-sweep hook, see
+// Scale). Both passes poll ctx between vertices (nil disables polling). When
 // outputs is non-nil it must hold one slot per Graph.Outputs entry; each
 // slot receives that output's late arrival form, nil when unreached.
-func (g *Graph) AnalyzeCtx(ctx context.Context, delays *canon.Bank, clock ClockSpec, outputs []*canon.Form) (delay *canon.Form, seq *SeqResult, err error) {
-	return g.analyze(ctx, delays, clock, true, outputs)
+func (g *Graph) AnalyzeCtx(ctx context.Context, scale *Scale, clock ClockSpec, outputs []*canon.Form) (delay *canon.Form, seq *SeqResult, err error) {
+	return g.analyze(ctx, scale, clock, true, outputs)
 }
 
 // SequentialSlacks computes per-register statistical setup and hold slack
 // under the given clock, launching max and min arrival passes from the
 // graph's launch sources (inputs and clock roots).
 func (g *Graph) SequentialSlacks(clock ClockSpec) (*SeqResult, error) {
-	return g.SequentialSlacksOver(nil, clock)
-}
-
-// SequentialSlacksOver is SequentialSlacks reading edge delays from the
-// given bank instead of the graph's own — the scenario-sweep hook. A nil
-// bank uses the graph's delays.
-func (g *Graph) SequentialSlacksOver(delays *canon.Bank, clock ClockSpec) (*SeqResult, error) {
-	_, seq, err := g.analyze(nil, delays, clock, false, nil)
+	_, seq, err := g.analyze(nil, nil, clock, false, nil)
 	return seq, err
 }
 
 // analyze is AnalyzeCtx with the delay fold optional: without it, a
 // combinational graph is an error and unreached outputs are not.
-func (g *Graph) analyze(ctx context.Context, delays *canon.Bank, clock ClockSpec, withDelay bool, outputs []*canon.Form) (delay *canon.Form, seq *SeqResult, err error) {
+func (g *Graph) analyze(ctx context.Context, scale *Scale, clock ClockSpec, withDelay bool, outputs []*canon.Form) (delay *canon.Form, seq *SeqResult, err error) {
 	sequential := g.Sequential()
 	if sequential {
 		if clock, err = clock.normalize(); err != nil {
@@ -115,14 +108,11 @@ func (g *Graph) analyze(ctx context.Context, delays *canon.Bank, clock ClockSpec
 	} else if !withDelay {
 		return nil, nil, errors.New("timing: graph has no registers")
 	}
-	if delays == nil {
-		delays = g.EdgeDelays()
-	}
 	sources := g.LaunchSources()
 
 	late := g.AcquirePass().WithContext(ctx)
 	defer late.Release()
-	if err := late.ArrivalsOver(delays, sources...); err != nil {
+	if err := late.arrivalsScaled(scale, canon.MaxViews, sources); err != nil {
 		return nil, nil, err
 	}
 	if withDelay {
@@ -135,7 +125,7 @@ func (g *Graph) analyze(ctx context.Context, delays *canon.Bank, clock ClockSpec
 	}
 	early := g.AcquirePass().WithContext(ctx)
 	defer early.Release()
-	if err := early.ArrivalsMinOver(delays, sources...); err != nil {
+	if err := early.arrivalsScaled(scale, canon.MinViews, sources); err != nil {
 		return nil, nil, err
 	}
 	if seq, err = g.slacks(late, early, clock); err != nil {

@@ -15,7 +15,7 @@ import (
 // referenceSlacks is the pointer-form slack assembly the view assembly
 // replaced, kept as its bit-identity reference: per register, canon.Add
 // then canon.Sub on materialized forms, and canon.MinAll over them.
-func referenceSlacks(g *Graph, delays *canon.Bank, clock ClockSpec) (*SeqResult, error) {
+func referenceSlacks(g *Graph, clock ClockSpec) (*SeqResult, error) {
 	if !g.Sequential() {
 		return nil, errors.New("timing: graph has no registers")
 	}
@@ -23,18 +23,15 @@ func referenceSlacks(g *Graph, delays *canon.Bank, clock ClockSpec) (*SeqResult,
 	if err != nil {
 		return nil, err
 	}
-	if delays == nil {
-		delays = g.EdgeDelays()
-	}
 	sources := g.LaunchSources()
 	late := g.AcquirePass()
 	defer late.Release()
 	early := g.AcquirePass()
 	defer early.Release()
-	if err := late.ArrivalsOver(delays, sources...); err != nil {
+	if err := late.Arrivals(sources...); err != nil {
 		return nil, err
 	}
-	if err := early.ArrivalsMinOver(delays, sources...); err != nil {
+	if err := early.ArrivalsMin(sources...); err != nil {
 		return nil, err
 	}
 	res := &SeqResult{Clock: clock}
@@ -138,23 +135,13 @@ func clockedBench(tb testing.TB, name string) *Graph {
 // GenerateClocked case of the bit-identity test.
 var smallClockedSpec = circuit.TopoSpec{Name: "seq48", PIs: 8, POs: 6, Gates: 48, Edges: 96, Depth: 9}
 
-// scaledBank returns a scenario-style rescale of the graph's delay bank:
-// a derate with per-block sigma multipliers, as the sweep engine applies.
-func scaledBank(g *Graph) *canon.Bank {
-	base := g.EdgeDelays()
-	b := canon.NewBank(g.Space, len(g.Edges))
-	for i := range g.Edges {
-		canon.ScalePartsView(b.View(i), base.View(i), g.Space.Globals, 1.07, 1.2, 0.9, 1.1)
-	}
-	return b
-}
-
 // TestSlacksMatchReference: the view assembly is bit-identical to the
 // pointer-form reference — worst slacks and every register's slack — on
 // every clocked ISCAS85 stand-in and a small generated design, under a
 // plain clock and one with skew and jitter, over the graph's own delays
-// and a scenario-scaled bank. AnalyzeCtx's delay is bit-identical to
-// MaxDelay's.
+// and rescaled as the walks read them — the reference then runs on a graph
+// whose delays were scaled form by form. AnalyzeCtx's delay is
+// bit-identical to that graph's MaxDelay.
 func TestSlacksMatchReference(t *testing.T) {
 	names := []string{smallClockedSpec.Name}
 	for _, s := range circuit.ISCAS85Specs {
@@ -166,34 +153,38 @@ func TestSlacksMatchReference(t *testing.T) {
 	clocks := []ClockSpec{{}, {PeriodPS: 420, SkewPS: 17.5, JitterPS: 9.25}}
 	for _, name := range names {
 		g := clockedBench(t, name)
-		for _, bank := range []*canon.Bank{nil, scaledBank(g)} {
+		for _, scale := range []*Scale{nil, testScale(g)} {
+			ref := g
+			if scale != nil {
+				ref = scaledGraph(g, scale)
+			}
+			md, err := ref.MaxDelay()
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, clock := range clocks {
-				want, err := referenceSlacks(g, bank, clock)
+				want, err := referenceSlacks(ref, clock)
 				if err != nil {
 					t.Fatalf("%s: reference: %v", name, err)
 				}
-				got, err := g.SequentialSlacksOver(bank, clock)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+				if scale == nil {
+					got, err := g.SequentialSlacks(clock)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if d := seqDiff(got, want); d != "" {
+						t.Fatalf("%s clock %+v: SequentialSlacks: %s", name, clock, d)
+					}
 				}
-				if d := seqDiff(got, want); d != "" {
-					t.Fatalf("%s clock %+v scaled %v: SequentialSlacksOver: %s", name, clock, bank != nil, d)
-				}
-				delay, seq, err := g.AnalyzeCtx(context.Background(), bank, clock, nil)
+				delay, seq, err := g.AnalyzeCtx(context.Background(), scale, clock, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if d := seqDiff(seq, want); d != "" {
-					t.Fatalf("%s clock %+v scaled %v: AnalyzeCtx: %s", name, clock, bank != nil, d)
+					t.Fatalf("%s clock %+v scaled %v: AnalyzeCtx: %s", name, clock, scale != nil, d)
 				}
-				if bank == nil {
-					md, err := g.MaxDelay()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameBits(delay, md) {
-						t.Fatalf("%s: AnalyzeCtx delay differs from MaxDelay", name)
-					}
+				if !sameBits(delay, md) {
+					t.Fatalf("%s scaled %v: AnalyzeCtx delay differs from MaxDelay", name, scale != nil)
 				}
 			}
 		}
@@ -230,7 +221,7 @@ func TestSlackSignedZero(t *testing.T) {
 	g.ClockRoots = []int{1}
 	g.Registers = []Register{{Name: "r", Q: 2, D: 3, ClkEdge: 0, Grid: -1, Setup: constraint(5), Hold: constraint(2)}}
 	for _, clock := range []ClockSpec{{PeriodPS: 100}, {PeriodPS: 100, SkewPS: 3, JitterPS: 2}} {
-		want, err := referenceSlacks(g, nil, clock)
+		want, err := referenceSlacks(g, clock)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +347,7 @@ func FuzzSequentialSlacks(f *testing.F) {
 				_ = g.SetEdgeDelay(ei, d)
 			}
 		}
-		want, err := referenceSlacks(g, nil, clock)
+		want, err := referenceSlacks(g, clock)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,9 +52,58 @@ func referencePass(t *testing.T, g *Graph, seeds []int, back bool, fold func(dst
 	return out
 }
 
+// scaleForm is the pointer-form image of one delay under a Scale: the form
+// scaled by k as a whole and its Glob, Loc and Rand blocks further by the
+// block factors — the products the scaled gather forms as it reads an edge.
+func scaleForm(space canon.Space, f *canon.Form, k, glob, loc, rand float64) *canon.Form {
+	out := space.NewForm()
+	out.Nominal = f.Nominal * k
+	kg := k * glob
+	for i, v := range f.Glob {
+		out.Glob[i] = v * kg
+	}
+	kl := k * loc
+	for i, v := range f.Loc {
+		out.Loc[i] = v * kl
+	}
+	kr := k * rand
+	if kr < 0 {
+		kr = -kr
+	}
+	out.Rand = f.Rand * kr
+	return out
+}
+
+// testScale returns a scenario-style rescale of g: per-edge factors that
+// vary across edges, every third exactly 1, with per-block sigma
+// multipliers.
+func testScale(g *Graph) *Scale {
+	s := &Scale{Edge: make([]float64, len(g.Edges)), Glob: 1.2, Loc: 0.9, Rand: 1.1}
+	for ei := range s.Edge {
+		s.Edge[ei] = 1
+		if ei%3 != 0 {
+			s.Edge[ei] = 1.07 + 0.01*float64(ei%5)
+		}
+	}
+	return s
+}
+
+// scaledGraph materializes s on a clone of g, edge by edge over pointer
+// forms: the graph the scaled walks must reproduce bit for bit.
+func scaledGraph(g *Graph, s *Scale) *Graph {
+	sg := g.Clone()
+	for ei := range sg.Edges {
+		e := &sg.Edges[ei]
+		e.Delay = scaleForm(sg.Space, e.Delay, s.Edge[ei], s.Glob, s.Loc, s.Rand)
+	}
+	sg.InvalidateDelays()
+	return sg
+}
+
 // TestPassMatchesReference pins every Pass entry point to referencePass bit
 // for bit: reach mask and every form word, on combinational benchmark graphs
-// and a clocked one, with the graph's own delays and with a rescaled bank.
+// and a clocked one, with the graph's own delays, with a substituted bank,
+// and with both walks rescaling the delays as they read them.
 func TestPassMatchesReference(t *testing.T) {
 	graphs := map[string]func(t *testing.T) *Graph{
 		"c432": func(t *testing.T) *Graph { return buildBench(t, "c432", 7) },
@@ -75,12 +124,10 @@ func TestPassMatchesReference(t *testing.T) {
 	for name, build := range graphs {
 		t.Run(name, func(t *testing.T) {
 			g := build(t)
-			scaled := canon.NewBank(g.Space, len(g.Edges))
-			for ei := range g.Edges {
-				canon.ScalePartsView(scaled.View(ei), g.EdgeDelays().View(ei), g.Space.Globals, 1.1, 0.9, 1.2, 1.05)
-			}
+			scale := testScale(g)
+			sg := scaledGraph(g, scale)
 			own := func(ei int32) *canon.Form { return g.Edges[ei].Delay }
-			over := func(ei int32) *canon.Form { return scaled.View(int(ei)).Form(g.Space) }
+			over := func(ei int32) *canon.Form { return sg.Edges[ei].Delay }
 			src, outs := g.LaunchSources(), g.Outputs
 			cases := []struct {
 				name  string
@@ -93,8 +140,11 @@ func TestPassMatchesReference(t *testing.T) {
 				{"Arrivals", func(p *Pass) error { return p.Arrivals(src...) }, src, false, canon.MaxInto, own},
 				{"ArrivalsMin", func(p *Pass) error { return p.ArrivalsMin(src...) }, src, false, canon.MinInto, own},
 				{"Required", func(p *Pass) error { return p.Required(outs...) }, outs, true, canon.MaxInto, own},
-				{"ArrivalsOver", func(p *Pass) error { return p.ArrivalsOver(scaled, src...) }, src, false, canon.MaxInto, over},
-				{"ArrivalsMinOver", func(p *Pass) error { return p.ArrivalsMinOver(scaled, src...) }, src, false, canon.MinInto, over},
+				// The late and early walks over the rescaled delays, and
+				// the same delays handed over as a substituted bank.
+				{"ArrivalsOver", func(p *Pass) error { return p.arrivalsScaled(scale, canon.MaxViews, src) }, src, false, canon.MaxInto, over},
+				{"ArrivalsMinOver", func(p *Pass) error { return p.arrivalsScaled(scale, canon.MinViews, src) }, src, false, canon.MinInto, over},
+				{"ArrivalsOverBank", func(p *Pass) error { return p.ArrivalsOver(sg.EdgeDelays(), src...) }, src, false, canon.MaxInto, over},
 			}
 			for _, tc := range cases {
 				t.Run(tc.name, func(t *testing.T) {

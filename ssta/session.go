@@ -720,7 +720,8 @@ func (s *Session) buildSweepState(ctx context.Context, scens []Scenario, opt Swe
 // every subsequent Apply re-evaluates all scenarios incrementally
 // (dirty-cone re-propagation per scenario) and reports the refreshed sweep
 // in EditReport.Sweep. Module-swap scenarios are rejected — sessions
-// express swaps as edits, which trigger a full sweep rebuild anyway.
+// express swaps as edits, which trigger a full sweep rebuild anyway — and
+// so are EdgeScales keys outside the session graph's edges.
 func (s *Session) SetSweep(ctx context.Context, scens []Scenario, opt SweepOptions) (*SweepReport, error) {
 	norm, err := scenario.Normalize(scens, false)
 	if err != nil {
@@ -728,6 +729,11 @@ func (s *Session) SetSweep(ctx context.Context, scens []Scenario, opt SweepOptio
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for i := range norm {
+		if err := norm[i].CheckEdges(s.graph); err != nil {
+			return nil, err
+		}
+	}
 	st, err := s.buildSweepState(ctx, norm, opt, nil)
 	if err != nil {
 		return nil, err

@@ -76,7 +76,7 @@ func main() {
 	jobWorkers := flag.Int("job-workers", 1, "goroutines draining the job queue")
 	cacheEntries := flag.Int("cache-entries", 256, "extraction-cache entry cap (0: unbounded)")
 	cacheCost := flag.Int64("cache-bytes", 0, "extraction-cache cost budget in bytes (0: unbounded)")
-	graphEntries := flag.Int("graph-cache-entries", 64, "built-graph cache entry cap")
+	graphEntries := flag.Int("graph-cache-entries", 64, "built-graph and quad-design cache entry cap, each")
 	timeout := flag.Duration("timeout", 60*time.Second, "default per-request deadline")
 	maxTimeout := flag.Duration("max-timeout", 10*time.Minute, "upper clamp on client-requested deadlines")
 	maxItems := flag.Int("max-items", 256, "maximum items per request")

@@ -37,6 +37,8 @@
 //	internal/cell       synthetic 90nm cell library
 //	internal/place      topological placement and grid binning
 //	internal/mc         Monte Carlo ground truth
+//	internal/memo       the generic singleflight LRU cache behind the
+//	                    extraction, graph and quad-design caches
 //	internal/mat,stats  small dense-matrix and statistics kernels
 //
 // # Concurrency and caching
@@ -53,7 +55,12 @@
 //   - core.ExtractCache memoizes timing-model extraction per (module
 //     graph, options) with singleflight coalescing and an LRU bound
 //     (configurable entry cap + byte-cost budget); ssta.DefaultFlow
-//     installs one shared cache on the flow.
+//     installs one shared cache on the flow. sstad's built graphs and
+//     quad designs share its one cache policy, internal/memo: one fill
+//     per key, LRU-bounded completed entries, no cached errors, waits
+//     that honor the caller's ctx, and at most GOMAXPROCS fills at once,
+//     so a miss that finds every fill slot busy waits for one under its
+//     own deadline.
 //   - hier.Design caches its per-mode analysis prep (die partition, PCA,
 //     per-instance replacement matrices) behind a geometry fingerprint, so
 //     repeated analyses of one design — across modes, corners or batch

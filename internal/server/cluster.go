@@ -539,11 +539,11 @@ func (s *Server) pushModels(ctx context.Context, cl *clusterState, node *cluster
 		if !ok || cl.wasPushed(node, key) {
 			continue
 		}
-		g := s.graphs.peek(gk)
-		if g == nil {
+		b, ok := s.graphs.Peek(gk)
+		if !ok {
 			continue
 		}
-		m, ok := s.flow.Cache.Lookup(g, ssta.ExtractOptions{})
+		m, ok := s.flow.Cache.Lookup(b.g, ssta.ExtractOptions{})
 		if !ok {
 			continue
 		}

@@ -11,10 +11,9 @@ import (
 
 // Fingerprint is the canonical identity of server-side work: a SHA-256
 // over a tag/length-prefixed encoding of the fields that determine an
-// analysis outcome. One fingerprint vocabulary keys every identity-driven
-// structure in the serving layer — the built-graph cache, the in-flight
-// request coalescer, and the micro-batcher's compatibility groups — so
-// "the same work" means exactly one thing everywhere.
+// analysis outcome. One fingerprint vocabulary keys the in-flight request
+// coalescer, the micro-batcher's compatibility groups and a coordinator's
+// session placement, so "the same work" means exactly one thing in each.
 //
 // The encoding is injective by construction: every field is written with
 // a distinct tag and an explicit length or fixed width, so two specs
@@ -131,8 +130,8 @@ func (w *fpWriter) writeItem(spec *ItemSpec) {
 // ItemFingerprint is the canonical identity of one item's analysis
 // subject: which graph or design the work runs against, independent of
 // how it is labeled (Name) or what is computed over it (mode, extract).
-// It keys the built-graph cache and, combined with the mode, the
-// micro-batcher's compatibility groups.
+// Combined with the mode, it keys the micro-batcher's compatibility
+// groups.
 func ItemFingerprint(spec *ItemSpec) Fingerprint {
 	w := newFPWriter()
 	w.writeItem(spec)

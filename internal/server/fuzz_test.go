@@ -2,13 +2,17 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/ssta"
 )
 
 // fuzzServers boots an unbatched and a batched server with short deadlines,
@@ -138,6 +142,103 @@ func FuzzSessionEditBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, tg := range targets {
 			postBody(t, []*httptest.Server{tg.srv}, tg.path, body)
+		}
+	})
+}
+
+// FuzzModelPut: any key and body on PUT /cluster/models/{key} gets a 204
+// or a 4xx, never a 5xx, a panic or a hang. A 204 leaves Lookup on the
+// keyed graph answering a model with that graph's ports, and a push that
+// seeded the cache installed the pushed model itself under that graph.
+func FuzzModelPut(f *testing.F) {
+	s := New(Config{MaxConcurrent: 2, DefaultTimeout: time.Second, MaxTimeout: time.Second})
+	hs := httptest.NewServer(s.WorkerService())
+	f.Cleanup(func() {
+		hs.Close()
+		s.Close()
+	})
+	flow := ssta.DefaultFlow()
+	snapshot := func(g *ssta.Graph, err error) []byte {
+		if err != nil {
+			f.Fatal(err)
+		}
+		m, err := flow.Extract(g, ssta.ExtractOptions{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := m.EncodeSnapshot()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	g, _, err := flow.BenchGraph("c432", 1)
+	c432 := snapshot(g, err)
+	mult2, err := ssta.ArrayMultiplier(2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	g, _, err = flow.Graph(mult2)
+	m2 := snapshot(g, err)
+	f.Add("bench-c432-s1.snap", c432)
+	f.Add("bench-c432-s7.snap", c432)
+	f.Add("bench-c432-s1-clk.snap", c432)
+	f.Add("bench-c880-s1.snap", c432)
+	f.Add("bench-c432-s1.snap", c432[:len(c432)/2])
+	f.Add("bench-c432-s1.snap", []byte("{}"))
+	f.Add("mult-64.snap", c432)
+	f.Add("mult-2.snap", m2)
+	f.Add("mult-3.snap", m2)
+	f.Add("nonsense", m2)
+	f.Add("", []byte{})
+
+	client := &http.Client{Timeout: 30 * time.Second}
+	f.Fuzz(func(t *testing.T, key string, body []byte) {
+		req, err := http.NewRequest(http.MethodPut, hs.URL+"/cluster/models/"+url.PathEscape(key), bytes.NewReader(body))
+		if err != nil {
+			t.Skip("not a request URL")
+		}
+		seeded := s.remoteCache.hits.Load()
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("PUT %q: %v", key, err)
+		}
+		answer, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		switch {
+		case resp.StatusCode == http.StatusNoContent:
+		case resp.StatusCode/100 == 4:
+			return
+		default:
+			t.Fatalf("PUT %q: status %d: %s", key, resp.StatusCode, answer)
+		}
+		gk, ok := parseModelKey(modelKeyPrefix + key)
+		if !ok {
+			t.Fatalf("PUT %q: 204 for a key that does not parse", key)
+		}
+		g, err := s.cachedGraph(context.Background(), gk)
+		if err != nil {
+			t.Fatalf("PUT %q: 204 for a graph that does not build: %v", key, err)
+		}
+		m, ok := s.flow.Cache.Lookup(g, ssta.ExtractOptions{})
+		if !ok {
+			t.Fatalf("PUT %q: 204 but the keyed graph has no model", key)
+		}
+		if len(m.Graph.Inputs) != len(g.Inputs) || len(m.Graph.Outputs) != len(g.Outputs) {
+			t.Fatalf("PUT %q: cached model has %d/%d ports, graph %d/%d", key,
+				len(m.Graph.Inputs), len(m.Graph.Outputs), len(g.Inputs), len(g.Outputs))
+		}
+		if s.remoteCache.hits.Load() == seeded {
+			return // the graph already had a model; Seed kept it
+		}
+		pushed, err := ssta.DecodeModelSnapshot(body)
+		if err != nil {
+			t.Fatalf("PUT %q: seeded from a body that does not decode: %v", key, err)
+		}
+		want, _ := pushed.EncodeSnapshot()
+		got, _ := m.EncodeSnapshot()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("PUT %q: the keyed graph's model is not the pushed one", key)
 		}
 	})
 }

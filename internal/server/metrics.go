@@ -156,7 +156,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	latSum, latCount, latMax := m.latSum, m.latCount, m.latMax
 	m.latMu.Unlock()
 	cache := s.flow.Cache.Metrics()
-	gHits, gMisses := s.graphs.stats()
+	graphs := s.graphs.Stats()
 	queued, running, finished := s.jobs.counts()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -197,8 +197,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("sstad_extract_cache_cost_bytes %d", cache.Cost)
 	p("sstad_extract_cache_entry_cap %d", cache.MaxEntries)
 	p("# HELP sstad_graph_cache Built-graph cache counters.")
-	p("sstad_graph_cache_hits_total %d", gHits)
-	p("sstad_graph_cache_misses_total %d", gMisses)
+	p("sstad_graph_cache_hits_total %d", graphs.Hits)
+	p("sstad_graph_cache_misses_total %d", graphs.Misses)
 	prepHits, prepMisses := ssta.PrepCacheStats()
 	p("# HELP sstad_prep_cache Per-mode analysis-prep cache counters (process-wide).")
 	p("sstad_prep_cache_hits_total %d", prepHits)

@@ -665,7 +665,7 @@ func (p *persister) warmStartModels(ctx context.Context) {
 		// The extraction cache is keyed by graph identity; rebuild the
 		// graph deterministically (bench/seed or mult fully determine it)
 		// and seed the cache entry the next extraction would recompute.
-		g, _, err := p.srv.graphs.get(ctx, p.srv.flow, gk)
+		g, err := p.srv.cachedGraph(ctx, gk)
 		if err != nil {
 			log.Printf("sstad: store: warm start: rebuild graph for %s: %v", key, err)
 			continue

@@ -419,24 +419,3 @@ func TestCloseFlushesPendingState(t *testing.T) {
 		t.Fatalf("final-flush checkpoint does not decode: %v", err)
 	}
 }
-
-// TestNoopStoreServes: the explicit durability-off backend works end to
-// end — same code path, writes go nowhere, nothing to restore.
-func TestNoopStoreServes(t *testing.T) {
-	_, hs := newTestServer(t, Config{Store: store.NewNoop(), StoreFlushInterval: 10 * time.Millisecond})
-	v := createSession(t, hs.URL, SessionCreateRequest{ItemSpec: ItemSpec{Bench: "c432", Seed: 1}})
-	out := applyEdits(t, hs.URL, v.ID, SessionEditRequest{Edits: []EditSpec{
-		{Op: "scale_delay", Edge: 1, Scale: 1.1},
-	}})
-	if out.Applied != 1 {
-		t.Fatalf("edit not applied with noop store: %+v", out)
-	}
-	body := getHealthz(t, hs.URL)
-	st, ok := body["store"].(map[string]any)
-	if !ok {
-		t.Fatalf("healthz missing store block: %v", body)
-	}
-	if st["backend"] != "noop" {
-		t.Fatalf("healthz backend = %v, want noop", st["backend"])
-	}
-}

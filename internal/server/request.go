@@ -1,12 +1,9 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/ssta"
 )
@@ -222,10 +219,14 @@ func (s *Server) resolveSweepItem(ctx context.Context, spec *ItemSpec) (*sweepPr
 	return pr, nil
 }
 
-// graphKey is the graph-cache identity of a bench or mult spec. Other
-// specs map to a key modelKey refuses, so their models never checkpoint.
+// graphKey is the graph-cache identity of a bench or mult spec; a mult
+// spec's seed does not change its graph and is left out. Other specs map
+// to a key modelKey refuses, so their models never checkpoint.
 func (s *ItemSpec) graphKey() graphKey {
-	return graphKey{bench: s.Bench, seed: s.Seed, mult: s.Mult, clocked: s.Clocked}
+	if s.Mult > 0 {
+		return graphKey{mult: s.Mult, clocked: s.Clocked}
+	}
+	return graphKey{bench: s.Bench, seed: s.Seed, clocked: s.Clocked}
 }
 
 // slackViewOfStat flattens a sweep slack statistic (already quantiled at the
@@ -237,10 +238,11 @@ func slackViewOfStat(st *ssta.SlackStat) *SlackView {
 	return &SlackView{MeanPS: st.Mean, StdPS: st.Std, QPS: st.Quantile}
 }
 
-// graphKey identifies one server-built flat graph. Its cache identity is
-// the canonical ItemFingerprint of the equivalent item spec — the same
-// vocabulary the coalescer and micro-batcher key on — so "same graph"
-// means the same thing at every layer of the serving front.
+// graphKey identifies one server-built flat graph and keys the graph
+// cache as is. A multiplier's key carries no bench or seed (see
+// ItemSpec.graphKey), so one multiplier is one entry. Equal keys share one
+// graph, which is also what lets the extraction cache, keyed on graph
+// identity, recognize repeats.
 type graphKey struct {
 	bench   string
 	seed    int64
@@ -248,131 +250,18 @@ type graphKey struct {
 	clocked bool
 }
 
-func (k graphKey) fingerprint() Fingerprint {
-	return ItemFingerprint(&ItemSpec{Bench: k.bench, Seed: k.seed, Mult: k.mult, Clocked: k.clocked})
-}
-
-// graphEntry is a singleflight slot in the graph cache.
-type graphEntry struct {
-	key  graphKey
-	fp   Fingerprint
-	done chan struct{}
+// builtGraph is one graph-cache value: a graph and its placement plan.
+type builtGraph struct {
 	g    *ssta.Graph
 	plan *ssta.Plan
-	err  error
-	elem *list.Element // nil while in flight
 }
 
-// graphCache memoizes built timing graphs by canonical fingerprint with
-// LRU eviction — the serving-layer analogue of core.ExtractCache one level
-// up the pipeline. Holding graph identity stable across requests is also
-// what lets the extraction cache recognize repeats.
-type graphCache struct {
-	mu      sync.Mutex
-	entries map[Fingerprint]*graphEntry
-	lru     list.List
-	max     int
-	// filling/maxFill bound detached build goroutines exactly like
-	// core.ExtractCache: at saturation, misses build inline on the caller
-	// (which holds an analysis slot), so abandoned short-deadline requests
-	// cannot amplify into unbounded background work.
-	filling int
-	maxFill int
-	hits    int64
-	misses  int64
-}
-
-func newGraphCache(max int) *graphCache {
-	if max <= 0 {
-		max = 64
-	}
-	return &graphCache{
-		entries: make(map[Fingerprint]*graphEntry),
-		max:     max,
-		maxFill: runtime.GOMAXPROCS(0),
-	}
-}
-
-func (c *graphCache) stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// peek returns the completed cached graph for the key without building or
-// waiting. A coordinator uses it to find the graphs behind the models it
-// pushes to its workers; a model whose graph left the cache is not pushed.
-func (c *graphCache) peek(key graphKey) *ssta.Graph {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key.fingerprint()]
-	if !ok || e.elem == nil || e.err != nil {
-		return nil
-	}
-	c.lru.MoveToFront(e.elem)
-	return e.g
-}
-
-// get returns the cached graph for the key, building it on a miss. Like
-// core.ExtractCache, the build runs to completion on a detached goroutine
-// (warming the cache for followers) while every caller's wait — including
-// the initiator's — honors its own ctx.
-func (c *graphCache) get(ctx context.Context, flow *ssta.Flow, key graphKey) (*ssta.Graph, *ssta.Plan, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	fp := key.fingerprint()
-	c.mu.Lock()
-	e, ok := c.entries[fp]
-	if ok {
-		c.hits++
-		if e.elem != nil {
-			c.lru.MoveToFront(e.elem)
-		}
-		c.mu.Unlock()
-	} else {
-		e = &graphEntry{key: key, fp: fp, done: make(chan struct{})}
-		c.entries[fp] = e
-		c.misses++
-		detach := c.filling < c.maxFill
-		if detach {
-			c.filling++
-		}
-		c.mu.Unlock()
-		fill := func() {
-			e.g, e.plan, e.err = buildGraph(flow, key)
-			c.mu.Lock()
-			if detach {
-				c.filling--
-			}
-			if c.entries[fp] == e {
-				if e.err != nil {
-					delete(c.entries, fp)
-				} else {
-					e.elem = c.lru.PushFront(e)
-					for c.lru.Len() > c.max {
-						back := c.lru.Back()
-						old := back.Value.(*graphEntry)
-						c.lru.Remove(back)
-						delete(c.entries, old.fp)
-					}
-				}
-			}
-			c.mu.Unlock()
-			close(e.done)
-		}
-		if !detach {
-			fill()
-			return e.g, e.plan, e.err
-		}
-		go fill()
-	}
-	select {
-	case <-e.done:
-		return e.g, e.plan, e.err
-	case <-ctx.Done():
-		return nil, nil, ctx.Err()
-	}
+// graph returns the cached graph for the key, building it on a miss.
+func (s *Server) graph(ctx context.Context, key graphKey) (builtGraph, error) {
+	return s.graphs.Get(ctx, key, func() (builtGraph, error) {
+		g, plan, err := buildGraph(s.flow, key)
+		return builtGraph{g, plan}, err
+	})
 }
 
 func buildGraph(flow *ssta.Flow, key graphKey) (*ssta.Graph, *ssta.Plan, error) {
@@ -395,14 +284,18 @@ func buildGraph(flow *ssta.Flow, key graphKey) (*ssta.Graph, *ssta.Plan, error) 
 }
 
 func (s *Server) cachedGraph(ctx context.Context, key graphKey) (*ssta.Graph, error) {
-	g, _, err := s.graphs.get(ctx, s.flow, key)
-	return g, err
+	b, err := s.graph(ctx, key)
+	return b.g, err
+}
+
+type quadKey struct {
+	graphKey
+	gap int
 }
 
 // quadDesign builds (or reuses) the four-instance hierarchical design for
-// the spec: module graph from the graph cache, model through the shared
-// extraction cache, design through the design cache so its per-mode
-// analysis prep survives across requests.
+// the spec through the design cache, so its per-mode analysis prep
+// survives across requests.
 func (s *Server) quadDesign(ctx context.Context, q *QuadSpec) (*ssta.Design, error) {
 	if q.Bench == "" {
 		return nil, fmt.Errorf("quad: bench must be set")
@@ -410,49 +303,36 @@ func (s *Server) quadDesign(ctx context.Context, q *QuadSpec) (*ssta.Design, err
 	if q.Gap < 0 {
 		return nil, fmt.Errorf("quad: negative gap %d", q.Gap)
 	}
-	key := quadKey{graphKey{bench: q.Bench, seed: q.Seed, mult: 0}, q.Gap}
-	s.quadMu.Lock()
-	if d, ok := s.quads[key]; ok {
-		s.quadMu.Unlock()
-		return d, nil
-	}
-	s.quadMu.Unlock()
-
-	g, plan, err := s.graphs.get(ctx, s.flow, key.graphKey)
-	if err != nil {
-		return nil, err
-	}
-	model, err := s.extractModel(ctx, key.graphKey, g)
-	if err != nil {
-		return nil, fmt.Errorf("quad: extract %s: %w", q.Bench, err)
-	}
-	mod, err := ssta.NewModule(q.Bench, model, plan)
-	if err != nil {
-		return nil, err
-	}
-	name := fmt.Sprintf("quad-%s-%d", q.Bench, q.Seed)
-	if q.Gap > 0 {
-		name = fmt.Sprintf("%s-gap%d", name, q.Gap)
-	}
-	d, err := s.flow.QuadDesignGap(name, mod, q.Gap)
-	if err != nil {
-		return nil, err
-	}
-	s.quadMu.Lock()
-	if prev, ok := s.quads[key]; ok {
-		d = prev // lost the build race: share the winner and its prep cache
-	} else {
-		if len(s.quads) >= s.maxQuads {
-			// A design holds its per-mode prep and stitched top graph
-			// (~1 MB for quad-c1355), so the map is bounded like the graph
-			// cache (GraphCacheEntries); dropping the whole map on overflow
-			// keeps the bound without LRU bookkeeping.
-			s.quads = make(map[quadKey]*ssta.Design)
+	key := quadKey{graphKey{bench: q.Bench, seed: q.Seed}, q.Gap}
+	return s.quads.Get(ctx, key, func() (*ssta.Design, error) {
+		// The build completes even after ctx ends, so it waits on the
+		// graph and extraction caches without ctx's cancellation.
+		mod, err := s.benchModule(context.WithoutCancel(ctx), key.bench, key.seed)
+		if err != nil {
+			return nil, fmt.Errorf("quad: %w", err)
 		}
-		s.quads[key] = d
+		name := fmt.Sprintf("quad-%s-%d", key.bench, key.seed)
+		if key.gap > 0 {
+			name = fmt.Sprintf("%s-gap%d", name, key.gap)
+		}
+		return s.flow.QuadDesignGap(name, mod, key.gap)
+	})
+}
+
+// benchModule resolves the extracted module of a generated bench: graph
+// from the graph cache, model through the extraction cache. Quad designs,
+// swap scenarios and swap_module edits all take their modules from here.
+func (s *Server) benchModule(ctx context.Context, bench string, seed int64) (*ssta.Module, error) {
+	gk := graphKey{bench: bench, seed: seed}
+	b, err := s.graph(ctx, gk)
+	if err != nil {
+		return nil, err
 	}
-	s.quadMu.Unlock()
-	return d, nil
+	model, err := s.extractModel(ctx, gk, b.g)
+	if err != nil {
+		return nil, fmt.Errorf("extract %s: %w", bench, err)
+	}
+	return ssta.NewModule(bench, model, b.plan)
 }
 
 // extractModel resolves the extracted timing model for a cached graph: the
@@ -468,9 +348,4 @@ func (s *Server) extractModel(ctx context.Context, gk graphKey, g *ssta.Graph) (
 	}
 	s.checkpointModel(gk, m)
 	return m, nil
-}
-
-type quadKey struct {
-	graphKey
-	gap int
 }

@@ -2,8 +2,9 @@
 // front end over the ssta engine, the paper's model-reuse story turned
 // into a daemon. Extract a module's timing model once, then answer many
 // analyses against it cheaply — here the "many analyses" arrive as
-// requests, and the reuse lives in three bounded caches (built graphs,
-// extracted models, per-design analysis preps).
+// requests, and the reuse lives in bounded caches: built graphs,
+// extracted models and quad designs share one policy (internal/memo), and
+// each design keeps its own per-mode analysis preps.
 //
 // Endpoints:
 //
@@ -51,6 +52,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/memo"
 	"repro/internal/store"
 	"repro/internal/timing"
 	"repro/ssta"
@@ -89,7 +91,8 @@ type Config struct {
 	BatchMax int
 	// MaxBodyBytes bounds request bodies (<=0: 8 MiB).
 	MaxBodyBytes int64
-	// GraphCacheEntries bounds the built-graph cache (<=0: 64).
+	// GraphCacheEntries bounds the built-graph cache and the quad-design
+	// cache, each (<=0: 64).
 	GraphCacheEntries int
 	// Workers is the default per-batch worker count when the request sets
 	// none (<=0: 1; keep small, item concurrency is already bounded by
@@ -173,7 +176,7 @@ type Server struct {
 	flow     *ssta.Flow
 	mux      *http.ServeMux
 	sem      chan struct{} // analysis slots; len(sem) = running analyses
-	graphs   *graphCache
+	graphs   *memo.Cache[graphKey, builtGraph]
 	jobs     *jobStore
 	sessions *sessionStore
 	metrics  *metrics
@@ -185,9 +188,9 @@ type Server struct {
 	// before the store's final flush (their partial results may checkpoint).
 	streamWG sync.WaitGroup
 
-	quadMu   sync.Mutex
-	quads    map[quadKey]*ssta.Design
-	maxQuads int
+	// quads holds built quad designs with their per-mode prep (~1 MB for
+	// quad-c1355), bounded like the graph cache.
+	quads *memo.Cache[quadKey, *ssta.Design]
 
 	// persist is the durability pipeline; nil without Config.Store.
 	persist *persister
@@ -226,12 +229,11 @@ func New(cfg Config) *Server {
 		flow:     flow,
 		mux:      http.NewServeMux(),
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
-		graphs:   newGraphCache(cfg.GraphCacheEntries),
+		graphs:   memo.New[graphKey, builtGraph](cfg.GraphCacheEntries, 0, nil),
 		jobs:     newJobStore(cfg.QueueDepth, cfg.MaxFinishedJobs),
 		sessions: newSessionStore(cfg.MaxSessions, cfg.SessionTTL),
 		metrics:  newMetrics(),
-		quads:    make(map[quadKey]*ssta.Design),
-		maxQuads: cfg.GraphCacheEntries,
+		quads:    memo.New[quadKey, *ssta.Design](cfg.GraphCacheEntries, 0, nil),
 		coalesce: newCoalescer(),
 		bootID:   newBootID(),
 		baseCtx:  base,

@@ -38,7 +38,9 @@ type SessionCreateRequest struct {
 	// scenarios are evaluated once here (full propagation each) and every
 	// subsequent edit batch re-evaluates all of them incrementally,
 	// reporting the refreshed sweep in the edit response. Swap scenarios
-	// are rejected — sessions express swaps as edits.
+	// are rejected — sessions express swaps as edits. On a quad session,
+	// a scenario with edge_scales refuses every later swap_module edit: a
+	// swap renumbers the top graph's edges the keys index.
 	Scenarios []SweepScenarioSpec `json:"scenarios,omitempty"`
 	// TimeoutMS caps the initial full analysis. Zero: server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -514,7 +516,7 @@ func (s *Server) buildSession(ctx context.Context, spec *ItemSpec) (*ssta.Sessio
 		sess, err := s.flow.NewGraphSession(ctx, g)
 		return sess, name, err
 	default:
-		g, err := s.cachedGraph(ctx, graphKey{bench: spec.Bench, seed: spec.Seed, mult: spec.Mult, clocked: spec.Clocked})
+		g, err := s.cachedGraph(ctx, spec.graphKey())
 		if err != nil {
 			return nil, "", err
 		}
@@ -761,18 +763,9 @@ func (s *Server) convertEdit(ctx context.Context, sess *ssta.Session, e *EditSpe
 		if err := sess.CheckOp(ssta.EditSwapModule); err != nil {
 			return ssta.Edit{}, err
 		}
-		gk := graphKey{bench: e.Bench, seed: e.Seed}
-		g, plan, err := s.graphs.get(ctx, s.flow, gk)
+		mod, err := s.benchModule(ctx, e.Bench, e.Seed)
 		if err != nil {
-			return ssta.Edit{}, err
-		}
-		model, err := s.extractModel(ctx, gk, g)
-		if err != nil {
-			return ssta.Edit{}, fmt.Errorf("swap_module: extract %s: %w", e.Bench, err)
-		}
-		mod, err := ssta.NewModule(e.Bench, model, plan)
-		if err != nil {
-			return ssta.Edit{}, err
+			return ssta.Edit{}, fmt.Errorf("swap_module: %w", err)
 		}
 		return ssta.Edit{Op: ssta.EditSwapModule, Instance: e.Instance, Module: mod}, nil
 	default:

@@ -167,15 +167,15 @@ func TestSessionQuadSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, plan2, err := s.graphs.get(context.Background(), s.flow, graphKey{bench: "c432", seed: 2})
+	b2, err := s.graph(context.Background(), graphKey{bench: "c432", seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	model2, err := s.flow.ExtractCtx(context.Background(), g2, ssta.ExtractOptions{})
+	model2, err := s.flow.ExtractCtx(context.Background(), b2.g, ssta.ExtractOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	alt, err := ssta.NewModule("c432", model2, plan2)
+	alt, err := ssta.NewModule("c432", model2, b2.plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,6 +188,49 @@ func TestSessionQuadSwap(t *testing.T) {
 	}
 	if diff := math.Abs(got.MeanPS - res.Delay.Mean()); diff > 1e-9 {
 		t.Fatalf("post-swap session differs from direct Analyze by %g", diff)
+	}
+}
+
+// TestSessionSwapRefusedUnderEdgeScales: a module swap renumbers a quad
+// session's top-graph edges, so while its sweep scales edges by index every
+// swap_module is a 400 naming the scenario, refused before any graph build
+// or extraction, and the session answers exactly as before.
+func TestSessionSwapRefusedUnderEdgeScales(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	v := createSession(t, hs.URL, SessionCreateRequest{
+		ItemSpec: ItemSpec{Quad: &QuadSpec{Bench: "c432", Seed: 1}, Mode: "full"},
+		Scenarios: []SweepScenarioSpec{
+			{ScenarioSpec: ssta.ScenarioSpec{Name: "unit"}},
+			{ScenarioSpec: ssta.ScenarioSpec{Name: "hot-edge", EdgeScales: map[int]float64{289: 3}}},
+		},
+	})
+	_, before := httpGet(t, hs.URL+"/v1/sessions/"+v.ID)
+	graphMisses := metricValue(t, hs.URL, "sstad_graph_cache_misses_total")
+	extractMisses := metricValue(t, hs.URL, "sstad_extract_cache_misses_total")
+	for _, seed := range []int64{3, 5} {
+		resp, data := postJSON(t, hs.URL+"/v1/sessions/"+v.ID+"/edits", SessionEditRequest{Edits: []EditSpec{
+			{Op: "swap_module", Instance: "B", Bench: "c432", Seed: seed},
+		}})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "hot-edge") {
+			t.Fatalf("swap to seed %d: status %d: %s", seed, resp.StatusCode, data)
+		}
+	}
+	_, after := httpGet(t, hs.URL+"/v1/sessions/"+v.ID)
+	var vb, va SessionView
+	if err := json.Unmarshal(before, &vb); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(after, &va); err != nil {
+		t.Fatal(err)
+	}
+	vb.LastUsedMS, va.LastUsedMS = 0, 0
+	bj, _ := json.Marshal(vb)
+	aj, _ := json.Marshal(va)
+	if string(bj) != string(aj) || va.Sweep == nil {
+		t.Fatalf("refused swaps changed the session:\nbefore %s\nafter  %s", bj, aj)
+	}
+	if g, e := metricValue(t, hs.URL, "sstad_graph_cache_misses_total"), metricValue(t, hs.URL, "sstad_extract_cache_misses_total"); g != graphMisses || e != extractMisses {
+		t.Fatalf("refused swaps built graphs (%g -> %g misses) or extracted (%g -> %g)", graphMisses, g, extractMisses, e)
 	}
 }
 

@@ -118,18 +118,9 @@ func (s *Server) convertScenario(ctx context.Context, spec *SweepScenarioSpec, i
 		if sw.Bench == "" {
 			return sc, fmt.Errorf("scenario %q: swap for instance %q needs a bench", spec.Name, inst)
 		}
-		gk := graphKey{bench: sw.Bench, seed: sw.Seed}
-		g, plan, err := s.graphs.get(ctx, s.flow, gk)
+		mod, err := s.benchModule(ctx, sw.Bench, sw.Seed)
 		if err != nil {
-			return sc, err
-		}
-		model, err := s.extractModel(ctx, gk, g)
-		if err != nil {
-			return sc, fmt.Errorf("scenario %q: extract %s: %w", spec.Name, sw.Bench, err)
-		}
-		mod, err := ssta.NewModule(sw.Bench, model, plan)
-		if err != nil {
-			return sc, err
+			return sc, fmt.Errorf("scenario %q: %w", spec.Name, err)
 		}
 		sc.Swaps[inst] = mod
 	}

@@ -15,11 +15,13 @@
 //   - FS: directory-backed, crash-safe via write-to-temp + atomic rename
 //     (optionally fsynced), with a quarantine area for corrupt objects.
 //   - Mem: mutex-guarded map, for tests and in-process checkpointing.
-//   - Noop: accepts writes and remembers nothing — persistence disabled.
 //   - Fault: a wrapper that deterministically injects errors, torn writes
 //     and latency by op count or probability — the test harness that
 //     proves the serving layer degrades gracefully when the store does
 //     not.
+//
+// Persistence off is no backend at all: a server whose Config.Store is
+// nil serves purely in memory.
 //
 // The write-behind pipeline that drives this interface lives in
 // internal/server (checkpoint marking, bounded background flusher with

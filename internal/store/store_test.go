@@ -103,29 +103,6 @@ func TestBackendRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNoopBackend(t *testing.T) {
-	ctx := context.Background()
-	var b Backend = NewNoop()
-	if b.Kind() != "noop" {
-		t.Fatalf("Kind = %q", b.Kind())
-	}
-	if err := b.Put(ctx, "k", []byte("v")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if _, err := b.Get(ctx, "k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get: %v, want ErrNotFound", err)
-	}
-	if keys, err := b.List(ctx, ""); err != nil || len(keys) != 0 {
-		t.Fatalf("List = %v, %v", keys, err)
-	}
-	if err := b.Delete(ctx, "k"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if err := b.Quarantine(ctx, "k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Quarantine: %v, want ErrNotFound", err)
-	}
-}
-
 func TestValidKey(t *testing.T) {
 	good := []string{"a", "a/b", "sessions/s-1_2.snap", "models/bench-c432=s1.snap",
 		strings.Repeat("x", 512)}

@@ -318,10 +318,20 @@ func (s *Session) ApplyObserved(ctx context.Context, edits []Edit, obs func(i in
 // graph is derived state — recommitted from the design and the
 // per-instance rewrites on every module swap — so ad-hoc edge edits against
 // it would silently vanish at the next swap; hierarchical edits go through
-// the design (set_net_delay, swap_module). Apply checks every edit; callers
-// may check first to skip materializing an edit the session would reject,
-// such as a swap's model extraction.
+// the design (set_net_delay, swap_module). For the same reason a module
+// swap is refused while the active sweep has a scenario with EdgeScales:
+// the swap renumbers the top graph's edges, so the keys would silently
+// point at other edges or none. Apply checks every edit; callers may check
+// first to skip materializing an edit the session would reject, such as a
+// swap's model extraction.
 func (s *Session) CheckOp(op EditOp) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.checkOp(op)
+}
+
+// checkOp is CheckOp with s.mu held.
+func (s *Session) checkOp(op EditOp) error {
 	switch op {
 	case EditSetNetDelay:
 		if s.hs == nil {
@@ -330,6 +340,13 @@ func (s *Session) CheckOp(op EditOp) error {
 	case EditSwapModule:
 		if s.hs == nil {
 			return fmt.Errorf("module swaps require a hierarchical session")
+		}
+		if s.sweep != nil {
+			for i := range s.sweep.scens {
+				if sc := &s.sweep.scens[i]; len(sc.EdgeScales) > 0 {
+					return fmt.Errorf("scenario %q scales edges by index (edge_scales) and a module swap renumbers the top graph's edges; recreate the session to swap", sc.Name)
+				}
+			}
 		}
 	case EditScaleDelay, EditSetDelay, EditSetNominal, EditAddEdge, EditRemoveEdge, EditRetargetIO:
 		if s.hs != nil {
@@ -340,7 +357,7 @@ func (s *Session) CheckOp(op EditOp) error {
 }
 
 func (s *Session) applyOne(ctx context.Context, e *Edit, restitched *bool) error {
-	if err := s.CheckOp(e.Op); err != nil {
+	if err := s.checkOp(e.Op); err != nil {
 		return err
 	}
 	switch e.Op {

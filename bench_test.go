@@ -9,6 +9,8 @@
 //	BenchmarkExtractDelta/*    — delta ablation (E4)
 //	BenchmarkReplacement       — eq. 19 variable replacement (E5)
 //	BenchmarkPropagate/*       — flat SSTA propagation (substrate)
+//	BenchmarkAnalyzeStream     — flat analysis over the analyze-mix graphs
+//	                             in random order (cold-cache substrate)
 //	BenchmarkSum/BenchmarkMax  — canonical-form micro-operations (substrate)
 //	BenchmarkViewSum/ViewMax   — fused flat-view kernels (arena substrate)
 //	BenchmarkArrivalPass/*     — pooled-arena exclusive passes (run with
@@ -136,6 +138,46 @@ func BenchmarkPropagate(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkAnalyzeStream measures flat analysis the way sstad's analyze
+// traffic exercises it: one AnalyzeCtx (late walk, plus the early walk and
+// slack on clocked graphs) per op, over a stream drawn from the 36 graphs of
+// the analyze-mix load (c432-c7552 x seeds 1-3 x flat or clocked) in a
+// seeded random order, a quarter of them clocked. Consecutive ops hit
+// different graphs, so each walk starts with caches about as cold as in the
+// daemon, unlike BenchmarkPropagate, which repeats one graph.
+func BenchmarkAnalyzeStream(b *testing.B) {
+	flow := ssta.DefaultFlow()
+	benches := []string{"c432", "c880", "c1355", "c1908", "c3540", "c7552"}
+	const seeds = 3
+	var flat, clocked []*ssta.Graph
+	for _, name := range benches {
+		for seed := int64(1); seed <= seeds; seed++ {
+			g, _, err := flow.BenchGraph(name, seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			gc, _, err := flow.ClockedBenchGraph(name, seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			flat, clocked = append(flat, g), append(clocked, gc)
+		}
+	}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := flat[rng.Intn(len(flat))]
+		if rng.Intn(4) == 0 {
+			g = clocked[rng.Intn(len(clocked))]
+		}
+		if _, _, err := g.AnalyzeCtx(ctx, nil, ssta.ClockSpec{}, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

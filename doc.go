@@ -123,7 +123,12 @@
 // graph's flat delay bank — scaled per edge as they are read, for a
 // scenario sweep — or from a caller's bank. Each vertex folds
 // its contributions in a fixed order, so results never depend on visit
-// order. See README.md ("Performance") for measurements.
+// order. timing.Build lays a graph out in walk order: vertex ids follow
+// the level waves and edge ids follow each vertex's gather order, so a
+// forward pass streams through the delay bank and finds its fan-in
+// arrivals a few waves back (vertex ids are not circuit node ids; the
+// answers are bit-identical to a node-order graph's). See README.md
+// ("Performance") for measurements.
 //
 // # Incremental analysis: the edit and invalidation model
 //

@@ -69,10 +69,14 @@ func ratio(a, b int) float64 {
 
 // Model is an extracted gray-box statistical timing model: a reduced timing
 // graph with the same ports (and port names) as the original module and
-// approximately the same statistical delay matrix.
+// approximately the same statistical delay matrix. Source is the digest
+// (timing.Graph.Digest) of the graph the model was extracted from, which
+// lets a receiver check that a model belongs to the graph it is keyed
+// under; models read from files that predate it carry none.
 type Model struct {
-	Graph *timing.Graph
-	Stats Stats
+	Graph  *timing.Graph
+	Stats  Stats
+	Source string
 }
 
 // Extract runs the full pipeline of the paper's Fig. 3 on a module timing
@@ -155,7 +159,7 @@ func ExtractCtx(ctx context.Context, g *timing.Graph, opt Options) (*Model, erro
 	stats.VertsModel = reduced.NumVerts
 	stats.EdgesModel = len(reduced.Edges)
 	stats.Duration = time.Since(start)
-	return &Model{Graph: reduced, Stats: stats}, nil
+	return &Model{Graph: reduced, Stats: stats, Source: orig.Digest()}, nil
 }
 
 // rebuildGraph compacts the mutable model graph back into an immutable

@@ -33,6 +33,7 @@ type modelJSON struct {
 	Params        []paramJSON `json:"params,omitempty"`
 	Grid          *gridJSON   `json:"grid,omitempty"`
 	Stats         *statsJSON  `json:"stats,omitempty"`
+	Source        string      `json:"source_digest,omitempty"`
 }
 
 // gridJSON carries the module's grid geometry and correlation setup so a
@@ -91,6 +92,7 @@ func (m *Model) WriteJSON(w io.Writer) error {
 		InSlewSlopes:  g.InputSlewSlopes,
 		OutPortSlews:  g.OutputPortSlews,
 		OutSlewSlopes: g.OutputSlewSlopes,
+		Source:        m.Source,
 		Stats: &statsJSON{
 			EdgesOrig:  m.Stats.EdgesOrig,
 			VertsOrig:  m.Stats.VertsOrig,
@@ -226,7 +228,7 @@ func ReadJSON(r io.Reader) (*Model, error) {
 	if _, err := g.Order(); err != nil {
 		return nil, err
 	}
-	m := &Model{Graph: g}
+	m := &Model{Graph: g, Source: mj.Source}
 	if mj.Stats != nil {
 		m.Stats = Stats{
 			EdgesOrig:  mj.Stats.EdgesOrig,

@@ -595,8 +595,9 @@ func (s *Server) runShardLocal(ctx context.Context, pr *sweepPrep, idx []int, op
 // handleModelPut seeds this worker's extract cache with a model snapshot
 // its coordinator pushed. The key names the graph the model belongs to;
 // the worker builds (or reuses) that graph itself and checks the model's
-// ports against it, so a bad key, a corrupt snapshot or a foreign model is
-// refused with a 4xx and leaves the cache unseeded.
+// ports and source digest against it, so a bad key, a corrupt snapshot or
+// a model extracted from any other graph is refused with a 4xx and leaves
+// the cache unseeded. The graph is hashed here, once per push.
 func (s *Server) handleModelPut(w http.ResponseWriter, r *http.Request) {
 	refuse := func(code int, msg string) {
 		s.remoteCache.rejected.Add(1)
@@ -629,6 +630,16 @@ func (s *Server) handleModelPut(w http.ResponseWriter, r *http.Request) {
 	if len(m.Graph.Inputs) != len(g.Inputs) || len(m.Graph.Outputs) != len(g.Outputs) {
 		refuse(http.StatusBadRequest, fmt.Sprintf("model has %d/%d ports, graph %d/%d",
 			len(m.Graph.Inputs), len(m.Graph.Outputs), len(g.Inputs), len(g.Outputs)))
+		return
+	}
+	// The model must have been extracted from this very graph: equal port
+	// counts alone admit another seed's or the clocked variant's model.
+	if m.Source == "" {
+		refuse(http.StatusBadRequest, "model carries no source digest")
+		return
+	}
+	if want := g.Digest(); m.Source != want {
+		refuse(http.StatusConflict, fmt.Sprintf("model was extracted from graph %.12s, key names graph %.12s", m.Source, want))
 		return
 	}
 	if s.flow.Cache.Seed(g, ssta.ExtractOptions{}, m) {

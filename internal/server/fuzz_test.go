@@ -147,9 +147,13 @@ func FuzzSessionEditBody(f *testing.F) {
 }
 
 // FuzzModelPut: any key and body on PUT /cluster/models/{key} gets a 204
-// or a 4xx, never a 5xx, a panic or a hang. A 204 leaves Lookup on the
-// keyed graph answering a model with that graph's ports, and a push that
-// seeded the cache installed the pushed model itself under that graph.
+// or a 4xx, never a 5xx, a panic or a hang. A 204 means the pushed model
+// was extracted from the keyed graph (its source digest is the graph's),
+// so a model of another graph is refused even when its ports match: the
+// corpus pushes c432 seed 1's model as seed 7 and as clocked c432. A 204
+// leaves Lookup on the keyed graph answering a model with that graph's
+// ports, and a push that seeded the cache installed the pushed model
+// itself under that graph.
 func FuzzModelPut(f *testing.F) {
 	s := New(Config{MaxConcurrent: 2, DefaultTimeout: time.Second, MaxTimeout: time.Second})
 	hs := httptest.NewServer(s.WorkerService())
@@ -181,6 +185,7 @@ func FuzzModelPut(f *testing.F) {
 	g, _, err = flow.Graph(mult2)
 	m2 := snapshot(g, err)
 	f.Add("bench-c432-s1.snap", c432)
+	// Same ports, other graphs: both must be refused.
 	f.Add("bench-c432-s7.snap", c432)
 	f.Add("bench-c432-s1-clk.snap", c432)
 	f.Add("bench-c880-s1.snap", c432)
@@ -220,6 +225,13 @@ func FuzzModelPut(f *testing.F) {
 		if err != nil {
 			t.Fatalf("PUT %q: 204 for a graph that does not build: %v", key, err)
 		}
+		pushed, err := ssta.DecodeModelSnapshot(body)
+		if err != nil {
+			t.Fatalf("PUT %q: 204 for a body that does not decode: %v", key, err)
+		}
+		if pushed.Source != g.Digest() {
+			t.Fatalf("PUT %q: 204 for a model extracted from another graph", key)
+		}
 		m, ok := s.flow.Cache.Lookup(g, ssta.ExtractOptions{})
 		if !ok {
 			t.Fatalf("PUT %q: 204 but the keyed graph has no model", key)
@@ -230,10 +242,6 @@ func FuzzModelPut(f *testing.F) {
 		}
 		if s.remoteCache.hits.Load() == seeded {
 			return // the graph already had a model; Seed kept it
-		}
-		pushed, err := ssta.DecodeModelSnapshot(body)
-		if err != nil {
-			t.Fatalf("PUT %q: seeded from a body that does not decode: %v", key, err)
 		}
 		want, _ := pushed.EncodeSnapshot()
 		got, _ := m.EncodeSnapshot()

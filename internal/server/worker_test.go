@@ -114,8 +114,10 @@ func putModel(t *testing.T, base, key string, data []byte) int {
 
 // TestModelPushRoute: PUT /cluster/models/{key} exists only on
 // WorkerService, bounds its body, and refuses a bad key, a corrupt or
-// oversized snapshot, or a model of another graph with a 4xx, leaving the
-// extract cache unseeded. A valid push seeds it, once.
+// oversized snapshot, a model without a source digest, or a model of
+// another graph with a 4xx, leaving the extract cache unseeded. That
+// includes models whose ports match: c432 seed 1's model keyed as seed 7
+// or as clocked c432. A valid push seeds it, once.
 func TestModelPushRoute(t *testing.T) {
 	flow := ssta.DefaultFlow()
 	g, _, err := flow.BenchGraph("c432", 1)
@@ -131,6 +133,12 @@ func TestModelPushRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	const key = "bench-c432-s1.snap"
+	unsourced := *m
+	unsourced.Source = ""
+	bare, err := unsourced.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	s, pub := newTestServer(t, Config{MaxBodyBytes: int64(len(snap))})
 	worker := httptest.NewServer(s.WorkerService())
@@ -147,6 +155,9 @@ func TestModelPushRoute(t *testing.T) {
 		{"corrupt snapshot", worker.URL, key, snap[:len(snap)-7], http.StatusBadRequest},
 		{"oversized body", worker.URL, key, append(append([]byte(nil), snap...), ' '), http.StatusRequestEntityTooLarge},
 		{"foreign model", worker.URL, "bench-c880-s1.snap", snap, http.StatusBadRequest},
+		{"model without source digest", worker.URL, key, bare, http.StatusBadRequest},
+		{"model of another seed", worker.URL, "bench-c432-s7.snap", snap, http.StatusConflict},
+		{"model of the clocked graph", worker.URL, "bench-c432-s1-clk.snap", snap, http.StatusConflict},
 	}
 	for _, tc := range refused {
 		if got := putModel(t, tc.base, tc.key, tc.data); got != tc.want {

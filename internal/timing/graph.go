@@ -285,14 +285,31 @@ func (g *Graph) Order() ([]int, error) {
 // gate fanin connection (paper Section II). The canonical space has one
 // global per parameter and one component block per parameter.
 //
-// Sequential circuits get one extra virtual clock-root vertex (id
-// c.NumNodes()): each register's Q vertex is launched from it through a
-// clk->Q delay edge, and the register's D-pin capture is recorded in
-// g.Registers instead of a graph edge — register feedback therefore cannot
-// create a cycle. A primary output that is itself a register maps to its
-// D-source vertex in g.Outputs (the data arrival being captured), keeping
-// MaxDelay and extraction meaningful on clocked designs.
+// The graph comes out in walk order (see relayout): vertices are numbered
+// by level, and each vertex's fan-in edges are consecutive and sorted the
+// way a forward pass gathers them, so a flat pass reads its delay bank as
+// one forward stream. Vertex ids therefore do not match circuit node ids;
+// Inputs, Outputs, ClockRoots and Registers name the vertices.
+//
+// Sequential circuits get one extra virtual clock-root vertex (the only
+// entry of g.ClockRoots, a level-0 vertex with no fan-in): each register's
+// Q vertex is launched from it through a clk->Q delay edge, and the
+// register's D-pin capture is recorded in g.Registers instead of a graph
+// edge — register feedback therefore cannot create a cycle. A primary
+// output that is itself a register maps to its D-source vertex in
+// g.Outputs (the data arrival being captured), keeping MaxDelay and
+// extraction meaningful on clocked designs.
 func Build(c *circuit.Circuit, lib *cell.Library, plan *place.Plan, gm *variation.GridModel) (*Graph, error) {
+	g, err := build(c, lib, plan, gm)
+	if err != nil {
+		return nil, err
+	}
+	return relayout(g)
+}
+
+// build is Build in circuit-node order: vertex id = circuit node id (the
+// clock root, if any, is c.NumNodes()), edges appended gate by gate.
+func build(c *circuit.Circuit, lib *cell.Library, plan *place.Plan, gm *variation.GridModel) (*Graph, error) {
 	if len(lib.Params) == 0 {
 		return nil, errors.New("timing: library has no variation parameters")
 	}
@@ -434,6 +451,72 @@ func Build(c *circuit.Circuit, lib *cell.Library, plan *place.Plan, gm *variatio
 		return nil, err
 	}
 	return g, nil
+}
+
+// relayout returns g renumbered into walk order. Vertices take their
+// position in Levels.Wave as their id, and edges are appended vertex by
+// vertex in Levels.FaninSorted order, so every edge runs from a lower id to
+// a higher one, edge ids ascend with To, and each In list is a run of
+// consecutive ids already in gather order. A forward pass then streams
+// through the delay bank and finds its fan-in arrivals a few waves back.
+//
+// g's topological order is level-monotone (Order is a FIFO Kahn pass), so
+// the new ids are g's topological positions, and the relaid graph's own
+// topological order is the identity: every vertex gathers the same
+// contributions in the same order, and passes stay bit-identical. Backward
+// passes gather fan-outs in adjacency order, which now follows To.
+func relayout(g *Graph) (*Graph, error) {
+	lv, err := g.Levels()
+	if err != nil {
+		return nil, err
+	}
+	newID := make([]int, g.NumVerts)
+	for i, v := range lv.Wave {
+		newID[v] = i
+	}
+	remap := func(vs []int) []int {
+		out := make([]int, len(vs))
+		for i, v := range vs {
+			out[i] = newID[v]
+		}
+		return out
+	}
+	ng := NewGraph(g.Space, g.NumVerts, g.Params)
+	ng.Edges = make([]Edge, 0, len(g.Edges))
+	newEdge := make([]int, len(g.Edges))
+	for _, v := range lv.Wave {
+		for _, ei := range lv.FaninSorted(int(v)) {
+			e := &g.Edges[ei]
+			ni, err := ng.AddEdge(newID[e.From], newID[e.To], e.Delay, e.LSens, e.Grid)
+			if err != nil {
+				return nil, err
+			}
+			newEdge[ei] = ni
+		}
+	}
+	if err := ng.SetIO(remap(g.Inputs), remap(g.Outputs), g.InputNames, g.OutputNames); err != nil {
+		return nil, err
+	}
+	if len(g.ClockRoots) > 0 {
+		ng.ClockRoots = remap(g.ClockRoots)
+	}
+	for _, r := range g.Registers {
+		r.Q, r.D = newID[r.Q], newID[r.D]
+		if r.ClkEdge >= 0 {
+			r.ClkEdge = newEdge[r.ClkEdge]
+		}
+		ng.Registers = append(ng.Registers, r)
+	}
+	ng.Grids = g.Grids
+	ng.OutputLoadSlopes = g.OutputLoadSlopes
+	ng.RefSlew = g.RefSlew
+	ng.InputSlewSlopes = g.InputSlewSlopes
+	ng.OutputPortSlews = g.OutputPortSlews
+	ng.OutputSlewSlopes = g.OutputSlewSlopes
+	if _, err := ng.Order(); err != nil {
+		return nil, err
+	}
+	return ng, nil
 }
 
 // Clone returns an independent copy of the graph for session-style

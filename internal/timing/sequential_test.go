@@ -12,10 +12,9 @@ import (
 	"repro/internal/variation"
 )
 
-// buildSeq builds the full stack for a clocked circuit.
-func buildSeq(t testing.TB, c *circuit.Circuit) *Graph {
+// placed returns the library, placement and grid model Build needs for c.
+func placed(t testing.TB, c *circuit.Circuit) (*cell.Library, *place.Plan, *variation.GridModel) {
 	t.Helper()
-	lib := cell.Synthetic90nm()
 	plan, err := place.Topological(c, place.DefaultPitch)
 	if err != nil {
 		t.Fatal(err)
@@ -28,6 +27,13 @@ func buildSeq(t testing.TB, c *circuit.Circuit) *Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cell.Synthetic90nm(), plan, gm
+}
+
+// buildSeq builds the full stack for a clocked circuit.
+func buildSeq(t testing.TB, c *circuit.Circuit) *Graph {
+	t.Helper()
+	lib, plan, gm := placed(t, c)
 	g, err := Build(c, lib, plan, gm)
 	if err != nil {
 		t.Fatal(err)
@@ -45,8 +51,8 @@ func clockedC17(t *testing.T) *circuit.Circuit {
 }
 
 // TestBuildSequentialStructure pins the sequential graph shape: one virtual
-// clock root, one clk->Q edge per register, no D->Q edge, registered POs
-// mapped to their D sources.
+// clock root without fan-in, driving exactly one clk->Q edge per register,
+// no D->Q edge, registered POs mapped to their D sources.
 func TestBuildSequentialStructure(t *testing.T) {
 	c := clockedC17(t)
 	g := buildSeq(t, c)
@@ -56,15 +62,28 @@ func TestBuildSequentialStructure(t *testing.T) {
 	if g.NumVerts != c.NumNodes()+1 {
 		t.Fatalf("verts = %d, want %d (+1 clock root)", g.NumVerts, c.NumNodes())
 	}
-	if len(g.ClockRoots) != 1 || g.ClockRoots[0] != c.NumNodes() {
+	if len(g.ClockRoots) != 1 {
 		t.Fatalf("clock roots = %v", g.ClockRoots)
 	}
 	if len(g.Registers) != c.NumRegs() {
 		t.Fatalf("registers = %d, want %d", len(g.Registers), c.NumRegs())
 	}
 	clk := g.ClockRoots[0]
+	if len(g.In[clk]) != 0 {
+		t.Fatalf("clock root has %d fanin edges", len(g.In[clk]))
+	}
 	if got, want := len(g.Out[clk]), c.NumRegs(); got != want {
 		t.Fatalf("clock root drives %d edges, want %d", got, want)
+	}
+	// The clock root drives exactly the registers' clk->Q edges.
+	clkEdges := make(map[int32]bool)
+	for _, r := range g.Registers {
+		clkEdges[int32(r.ClkEdge)] = true
+	}
+	for _, ei := range g.Out[clk] {
+		if !clkEdges[ei] {
+			t.Fatalf("clock root drives edge %d, which is no register's clk->Q edge", ei)
+		}
 	}
 	for _, r := range g.Registers {
 		e := &g.Edges[r.ClkEdge]

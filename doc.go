@@ -111,9 +111,17 @@
 //
 // The propagation kernels run on flat storage: canon.Bank is a contiguous
 // structure-of-arrays arena of canonical forms (stride dim+2), canon.View
-// one form inside it, and the fused view kernels (AddViews, MaxViews,
-// VarCovViews, TightnessProbViews) match the pointer-based kernels at
-// 1e-12. timing.Pass wraps a pooled per-graph arena so forward/backward
+// one form inside it, and the fused view kernels (AddViews,
+// AddScaledViews, MaxViews, MinViews, VarCovViews, TightnessProbViews)
+// allocate nothing. The package has one arithmetic per process: every
+// kernel's coefficient body runs on the AVX2/FMA kernels where the CPU has
+// them (chosen once at init; the purego build tag and other architectures
+// run the generic loops), and the pointer-based kernels (MaxInto, MinInto,
+// VarCov, TightnessProb) stage their operands into Views and call the View
+// kernels, so View and *Form results are bit-identical by construction.
+// The element-wise adds and scaled adds equal a scalar loop bit for bit; a
+// scalar evaluation of Clark's equations agrees with MaxViews and MinViews
+// at 1e-12. timing.Pass wraps a pooled per-graph arena so forward/backward
 // passes — including the one-pass-per-input all-pairs scheme and the
 // criticality engine's cutset evaluation — perform O(1) allocations per
 // pass. Every pass, and every incremental cone sweep, runs through one

@@ -1,16 +1,22 @@
-//go:build amd64
+//go:build amd64 && !purego
 
 package canon
 
-// AVX2/FMA vector kernels for the hot criticality loops (asm_amd64.s).
-// They cover only the shared-coefficient body of a View — the nominal and
-// private-random words stay in Go — and each carries a full scalar tail,
-// so the dispatchers hand over the whole coefficient range. Lane-parallel
-// accumulation changes the summation order relative to the generic loops,
-// which is within the kernels' documented contract (no cross-kernel bit
-// identity; see chain.go). Dispatch is decided once at init, so every
-// evaluation in a process — exact, screened, incremental — runs the same
-// code path and their bit-identity guarantees are unaffected.
+// AVX2/FMA vector kernels (asm_amd64.s) for the coefficient bodies of
+// every canonical-form kernel: the propagation walker's adds, scaled adds
+// and Clark max/min, the VarCov and tightness passes, the tracked-variance
+// criticality chain, and the pointer-based *Form kernels, which stage their
+// operands into Views and call the same bodies. They cover only the
+// shared-coefficient words of a View (AddViews also hands over the nominal)
+// — the private-random word stays in Go — and each carries a full scalar
+// tail, so the kernels hand over the whole range.
+//
+// Dispatch is decided once at init, so every evaluation in a process runs
+// one arithmetic. The element-wise kernels equal the generic loops of
+// vec.go bit for bit; the reductions reorder the summation (lane-parallel
+// accumulation and FMA contraction) and agree with them to 1e-12 relative
+// (TestAsmKernelsMatchGeneric). Build with the purego tag to run the
+// generic loops on amd64.
 
 //go:noescape
 func dotVec(a, b *float64, n int) float64
@@ -23,6 +29,15 @@ func addSqVec(dst, a, b *float64, n int) float64
 
 //go:noescape
 func blendSqVec(dst, a, b *float64, n int, tp, tq float64) float64
+
+//go:noescape
+func varCovVec(a, b *float64, n int) (va, vb, cov float64)
+
+//go:noescape
+func addVec(dst, a, b *float64, n int)
+
+//go:noescape
+func addScaledVec(dst, a, src *float64, n int, k float64)
 
 func cpuidAsm(op, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -10,10 +10,15 @@ import (
 // This file is the flat structure-of-arrays representation of canonical
 // forms: a Bank is one contiguous []float64 arena holding many forms at a
 // fixed stride, and a View is one form inside it. The fused View kernels
-// below (AddViews, MaxViews, VarCovViews, ...) are numerically identical to
-// the pointer-based Form kernels — they perform the same floating-point
-// operations in the same order — but touch a single cache-friendly slice
-// per operand and never allocate. The propagation hot path (timing.Pass,
+// below (AddViews, AddScaledViews, MaxViews, MinViews, VarCovViews,
+// TightnessProbViews) touch a single cache-friendly slice per operand,
+// never allocate, and run their coefficient bodies on the AVX2 kernels
+// where the CPU has them (the generic loops of vec.go otherwise). They are
+// the package's one
+// arithmetic: the pointer-based Form kernels (MaxInto, MinInto, VarCov,
+// TightnessProb, ...) stage their operands into Views and call these same
+// kernels, so a View result and the Form result of the same operands are
+// bit-identical by construction. The propagation hot path (timing.Pass,
 // the criticality engine, the hierarchical stitcher) runs entirely on
 // Views; *Form stays the boundary representation for construction,
 // serialization and reporting.
@@ -76,11 +81,16 @@ func (v View) LoadForm(f *Form) {
 // Form materializes the view as a heap-allocated pointer form of the space.
 func (v View) Form(s Space) *Form {
 	f := s.NewForm()
+	v.storeForm(f)
+	return f
+}
+
+// storeForm copies the view into an existing pointer form of its space.
+func (v View) storeForm(f *Form) {
 	f.Nominal = v[0]
 	n := copy(f.Glob, v[1:])
 	copy(f.Loc, v[1+n:])
 	f.Rand = v[len(v)-1]
-	return f
 }
 
 // Alias points f at the view's storage instead of copying it: f.Glob and
@@ -102,9 +112,11 @@ func CopyView(dst, src View) { copy(dst, src) }
 // not b). Private random parts combine by root-sum-of-squares.
 func AddViews(dst, a, b View) {
 	n := len(dst) - 1
-	a, b = a[:n+1], b[:n+1] // equal lengths let the compiler drop bounds checks
-	for i := 0; i < n; i++ {
-		dst[i] = a[i] + b[i]
+	dc, ac, bc := dst[:n], a[:n], b[:n] // the nominal and the shared coefficients
+	if useAsm && n >= asmMin {
+		addVec(&dc[0], &ac[0], &bc[0], n)
+	} else {
+		addGeneric(dc, ac, bc)
 	}
 	ra, rb := a[n], b[n]
 	dst[n] = math.Sqrt(ra*ra + rb*rb)
@@ -114,37 +126,22 @@ func AddViews(dst, a, b View) {
 // over the coefficient slices.
 func VarCovViews(a, b View) (va, vb, cov float64) {
 	n := len(a) - 1
-	b = b[:n+1] // equal lengths let the compiler drop bounds checks
-	for i := 1; i < n; i++ {
-		x, y := a[i], b[i]
-		va += x * x
-		vb += y * y
-		cov += x * y
+	b = b[:n+1]
+	if ac, bc := a[1:n], b[1:n]; useAsm && len(ac) >= asmMin {
+		va, vb, cov = varCovVec(&ac[0], &bc[0], len(ac))
+	} else {
+		va, vb, cov = varCovGeneric(ac, bc)
 	}
 	va += a[n] * a[n]
 	vb += b[n] * b[n]
 	return va, vb, cov
 }
 
-// CovViews returns the covariance of two views.
-func CovViews(a, b View) float64 {
-	var s float64
-	n := len(a) - 1
-	for i := 1; i < n; i++ {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// TightnessProbViews returns TP = P(A >= B) per paper eq. 6, matching
-// TightnessProb on the equivalent pointer forms.
+// TightnessProbViews returns TP = P(A >= B) per paper eq. 6, with the
+// degenerate theta ~ 0 case resolved by comparing means (1/2 on a tie).
 func TightnessProbViews(a, b View) float64 {
 	va, vb, cov := VarCovViews(a, b)
-	t2 := va + vb - 2*cov
-	if t2 < 0 {
-		t2 = 0
-	}
-	theta := math.Sqrt(t2)
+	theta := thetaOf(va, vb, cov)
 	if theta < thetaEps {
 		switch {
 		case a[0] > b[0]:
@@ -155,7 +152,8 @@ func TightnessProbViews(a, b View) float64 {
 			return 0.5
 		}
 	}
-	return stats.NormCDF((a[0] - b[0]) / theta)
+	c, _ := stats.NormTP((a[0] - b[0]) / theta)
+	return c
 }
 
 // AddScaledViews computes a + scale(src) into dst in one fused pass, where
@@ -169,16 +167,20 @@ func TightnessProbViews(a, b View) float64 {
 // stored intermediate never allowed). dst may alias a (but not src).
 func AddScaledViews(dst, a, src View, nGlob int, all, glob, loc, rand float64) {
 	n := len(dst) - 1
-	a, src = a[:n+1], src[:n+1] // equal lengths let the compiler drop bounds checks
+	a, src = a[:n+1], src[:n+1]
 	dst[0] = a[0] + float64(src[0]*all)
+	g := 1 + nGlob
 	kg := all * glob
-	i := 1
-	for ; i <= nGlob; i++ {
-		dst[i] = a[i] + float64(src[i]*kg)
+	if dc, ac, sc := dst[1:g], a[1:g], src[1:g]; useAsm && len(dc) >= asmMin {
+		addScaledVec(&dc[0], &ac[0], &sc[0], len(dc), kg)
+	} else {
+		addScaledGeneric(dc, ac, sc, kg)
 	}
 	kl := all * loc
-	for ; i < n; i++ {
-		dst[i] = a[i] + float64(src[i]*kl)
+	if dc, ac, sc := dst[g:n], a[g:n], src[g:n]; useAsm && len(dc) >= asmMin {
+		addScaledVec(&dc[0], &ac[0], &sc[0], len(dc), kl)
+	} else {
+		addScaledGeneric(dc, ac, sc, kl)
 	}
 	kr := all * rand
 	if kr < 0 {
@@ -200,8 +202,10 @@ func MaxViews(dst, a, b View) { clarkViews(dst, a, b, 1) }
 // hold analysis needs. dst may alias a (but not b).
 func MinViews(dst, a, b View) { clarkViews(dst, a, b, -1) }
 
-// clarkViews is the flat twin of clarkInto: the same operations in the same
-// order, so a View result is bit-identical to the Form kernel's.
+// clarkViews is the shared body of MaxViews (sign 1) and MinViews (sign
+// -1), and through them of every pointer-based max and min: one fused
+// VarCov pass, the Clark moments, and the shared-coefficient blend (eq. 9)
+// with the private part matched to the Clark variance.
 func clarkViews(dst, a, b View, sign float64) {
 	va, vb, cov := VarCovViews(a, b)
 	tp, mean, variance, ok := clarkMoments(va, vb, cov, sign*a[0], sign*b[0])
@@ -213,13 +217,12 @@ func clarkViews(dst, a, b View, sign float64) {
 		copy(dst, src)
 		return
 	}
-	var shared float64
 	n := len(dst) - 1
-	a, b = a[:n], b[:n] // equal lengths let the compiler drop bounds checks
-	for i := 1; i < n; i++ {
-		c := tp*a[i] + (1-tp)*b[i]
-		dst[i] = c
-		shared += c * c
+	var shared float64
+	if dc, ac, bc := dst[1:n], a[1:n], b[1:n]; useAsm && len(dc) >= asmMin {
+		shared = blendSqVec(&dc[0], &ac[0], &bc[0], len(dc), tp, 1-tp)
+	} else {
+		shared = blendSqGeneric(dc, ac, bc, tp, 1-tp)
 	}
 	dst[0] = sign * mean
 	dst[n] = matchedRand(variance, shared)
@@ -268,9 +271,12 @@ func (b *Bank) Space() Space { return b.space }
 func (b *Bank) Cap() int { return len(b.data) / b.stride }
 
 // View returns the view of slot i. Views remain valid for the lifetime of
-// the bank (banks never grow).
+// the bank (banks never grow). A view's capacity ends with its slot, so a
+// kernel handed views of mismatched spaces panics instead of reading the
+// neighbouring slot.
 func (b *Bank) View(i int) View {
-	return b.data[i*b.stride : (i+1)*b.stride]
+	end := (i + 1) * b.stride
+	return b.data[i*b.stride : end : end]
 }
 
 // Reset rewinds the sequential allocator; existing slot contents are
@@ -288,13 +294,4 @@ func (b *Bank) Take() View {
 	v := b.View(b.used)
 	b.used++
 	return v
-}
-
-// TakeBlock hands out n consecutive slots as one view per slot.
-func (b *Bank) TakeBlock(n int) []View {
-	out := make([]View, n)
-	for i := range out {
-		out[i] = b.Take()
-	}
-	return out
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 const kernelTol = 1e-12
@@ -278,5 +280,125 @@ func TestAddScaledViewsMatchesScaleThenAdd(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestClarkViewsMatchScalarEquations checks MaxViews and MinViews against
+// a plain scalar evaluation of Clark's equations (paper eqs. 6-9), with the
+// erfc-based NormCDF and NormPDF, over dimensions on both sides of the
+// vector dispatch threshold. The *Form kernels run the same bodies as the
+// View kernels, so this is the independent check on their arithmetic:
+// nominal and blended coefficients at 1e-12 relative, and the matched
+// private part through the variance it restores, at 1e-12 of the second
+// moment eq. 8 subtracts from.
+func TestClarkViewsMatchScalarEquations(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, d := range []int{1, 5, 7, 8, 9, 21, 30, 75, 111, 130} {
+		space := Space{Globals: 1, Components: d - 1}
+		if d > 3 {
+			space = Space{Globals: 3, Components: d - 3}
+		}
+		bank := NewBank(space, 3)
+		for iter := 0; iter < 200; iter++ {
+			a, b := bank.View(0), bank.View(1)
+			a[0], b[0] = 50+20*rng.Float64(), 50+20*rng.Float64()
+			rho := rng.Float64() // correlate b with a
+			for i := 1; i <= d; i++ {
+				a[i] = rng.NormFloat64()
+				b[i] = rho*a[i] + (1-rho)*rng.NormFloat64()
+			}
+			a[d+1], b[d+1] = rng.Float64(), rng.Float64()
+			for _, sign := range []float64{1, -1} {
+				dst := bank.View(2)
+				if sign > 0 {
+					MaxViews(dst, a, b)
+				} else {
+					MinViews(dst, a, b)
+				}
+
+				// Eq. 6: theta and the tightness of the (sign-mirrored) max.
+				var va, vb, cov float64
+				for i := 1; i <= d; i++ {
+					va += a[i] * a[i]
+					vb += b[i] * b[i]
+					cov += a[i] * b[i]
+				}
+				va += a[d+1] * a[d+1]
+				vb += b[d+1] * b[d+1]
+				theta := math.Sqrt(va + vb - 2*cov)
+				ma, mb := sign*a[0], sign*b[0]
+				alpha := (ma - mb) / theta
+				tp := stats.NormCDF(alpha)
+				phi := stats.NormPDF(alpha)
+				// Eqs. 7-8: the first two moments.
+				mean := tp*ma + (1-tp)*mb + theta*phi
+				variance := tp*(va+ma*ma) + (1-tp)*(vb+mb*mb) + (ma+mb)*theta*phi - mean*mean
+				// Eq. 9: blended shared coefficients.
+				var shared, got float64
+				for i := 1; i <= d; i++ {
+					c := tp*a[i] + (1-tp)*b[i]
+					shared += c * c
+					got += dst[i] * dst[i]
+					if relDiff(dst[i], c) > kernelTol {
+						t.Fatalf("d=%d sign=%g: coeff %d = %g, eqs. give %g", d, sign, i, dst[i], c)
+					}
+				}
+				if relDiff(dst[0], sign*mean) > kernelTol {
+					t.Fatalf("d=%d sign=%g: mean %g, eqs. give %g", d, sign, dst[0], sign*mean)
+				}
+				// Eq. 8 takes the squared mean off the second moment, so its
+				// rounding scales with the second moment, not the variance.
+				second := variance + mean*mean
+				want := math.Max(variance, shared) // private part clips at 0
+				if got += dst[d+1] * dst[d+1]; math.Abs(got-want) > kernelTol*second {
+					t.Fatalf("d=%d sign=%g: variance %g, eqs. give %g", d, sign, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFormKernelsDoNotAllocate: the pointer kernels stage their operands
+// on the stack, so at c7552 dimensions they allocate nothing per call.
+func TestFormKernelsDoNotAllocate(t *testing.T) {
+	space := Space{Globals: 3, Components: 108}
+	rng := rand.New(rand.NewSource(5))
+	a, b, dst := randomForm(rng, space), randomForm(rng, space), space.NewForm()
+	a.Nominal, b.Nominal = 100, 101
+	allocs := testing.AllocsPerRun(100, func() {
+		MaxInto(dst, a, b)
+		MinInto(dst, dst, b)
+		VarCov(a, b)
+		TightnessProb(a, b)
+	})
+	if allocs != 0 {
+		t.Fatalf("pointer kernels allocate %v times per call set", allocs)
+	}
+}
+
+// TestViewKernelsRejectMismatchedSpaces: a bank view's capacity ends with
+// its slot, so a kernel handed a shorter operand panics rather than
+// reading the slot after it.
+func TestViewKernelsRejectMismatchedSpaces(t *testing.T) {
+	big, small := Space{Globals: 3, Components: 9}, Space{Globals: 3, Components: 5}
+	bb, sb := NewBank(big, 2), NewBank(small, 4)
+	kernels := map[string]func(){
+		"AddViews":    func() { AddViews(bb.View(0), bb.View(1), sb.View(1)) },
+		"MaxViews":    func() { MaxViews(bb.View(0), bb.View(1), sb.View(1)) },
+		"VarCovViews": func() { VarCovViews(bb.View(1), sb.View(1)) },
+		"DotCoeffs":   func() { DotCoeffs(bb.View(1), sb.View(1)) },
+		"AddScaledViews": func() {
+			AddScaledViews(bb.View(0), bb.View(1), sb.View(1), 3, 1, 1, 1, 1)
+		},
+	}
+	for name, k := range kernels {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a shorter operand", name)
+				}
+			}()
+			k()
+		}()
 	}
 }

@@ -22,9 +22,21 @@
 // type used for construction, serialization and reporting. The propagation
 // hot path instead runs on flat storage: a Bank is one contiguous
 // structure-of-arrays arena holding many forms at stride Dim()+2, a View is
-// one form inside it, and the fused view kernels (AddViews, MaxViews,
-// VarCovViews, TightnessProbViews — see bank.go) are numerically equivalent
-// to the *Form kernels at 1e-12 while allocating nothing.
+// one form inside it, and the fused view kernels (AddViews, AddScaledViews,
+// MaxViews, MinViews, VarCovViews, TightnessProbViews — see bank.go)
+// allocate nothing.
+//
+// The package has one arithmetic per process. Every View kernel hands its
+// coefficient body to the AVX2/FMA kernels of asm_amd64.s, chosen once at
+// init, or to the generic loops of vec.go (on other CPUs and
+// architectures, and under the purego build tag). The Clark max/min,
+// VarCov and tightness kernels on *Form stage their operands into
+// stack-backed Views and call the View kernels, so a View result is
+// bit-identical to the *Form result of the same operands by construction.
+// The element-wise adds equal a plain scalar loop bit for bit on either
+// path; the reductions (variances, covariances, the blend energy) are
+// summed lane-parallel with FMA on the vector path and agree with a scalar
+// loop to 1e-12 relative.
 package canon
 
 import (
@@ -116,23 +128,30 @@ func Cov(a, b *Form) float64 {
 }
 
 // VarCov returns Var(a), Var(b) and Cov(a, b) in a single pass over the
-// coefficient vectors (hot path of the criticality engine).
+// coefficient vectors: VarCovViews on the staged operands.
 func VarCov(a, b *Form) (va, vb, cov float64) {
-	for i, x := range a.Glob {
-		y := b.Glob[i]
-		va += x * x
-		vb += y * y
-		cov += x * y
+	var buf [stageLen]float64
+	x, y := stage(buf[:], a, b)
+	return VarCovViews(x, y)
+}
+
+// stageLen is the length of the stack buffer the pointer kernels stage two
+// operands in: forms of up to stageLen/2-2 shared coefficients (a c7552
+// graph has 111) never touch the heap.
+const stageLen = 2 * 128
+
+// stage copies a and b into contiguous Views over buf, or over a fresh heap
+// buffer when they do not fit, so the pointer kernels can run the View
+// kernels' bodies.
+func stage(buf []float64, a, b *Form) (x, y View) {
+	na, nb := len(a.Glob)+len(a.Loc)+2, len(b.Glob)+len(b.Loc)+2
+	if na+nb > len(buf) {
+		buf = make([]float64, na+nb)
 	}
-	for i, x := range a.Loc {
-		y := b.Loc[i]
-		va += x * x
-		vb += y * y
-		cov += x * y
-	}
-	va += a.Rand * a.Rand
-	vb += b.Rand * b.Rand
-	return va, vb, cov
+	x, y = View(buf[:na:na]), View(buf[na:na+nb:na+nb])
+	x.LoadForm(a)
+	y.LoadForm(b)
+	return x, y
 }
 
 // Corr returns the correlation coefficient of two forms; 0 when either is
@@ -181,16 +200,6 @@ func AddInto(dst, a, b *Form) {
 	dst.Rand = math.Sqrt(a.Rand*a.Rand + b.Rand*b.Rand)
 }
 
-// Copy copies src into dst (shapes must match).
-func Copy(dst, src *Form) { copyInto(dst, src) }
-
-// AddConst returns the form shifted by constant c.
-func (f *Form) AddConst(c float64) *Form {
-	out := f.Clone()
-	out.Nominal += c
-	return out
-}
-
 // Scale returns s*f. Negative s flips coefficient signs; Rand stays
 // non-negative.
 func (f *Form) Scale(s float64) *Form {
@@ -212,21 +221,12 @@ func (f *Form) Scale(s float64) *Form {
 const thetaEps = 1e-12
 
 // TightnessProb returns TP = P(A >= B) per paper eq. 6, with the degenerate
-// theta ~ 0 case resolved by comparing means (and variances for ties).
+// theta ~ 0 case resolved by comparing means (1/2 on a tie):
+// TightnessProbViews on the staged operands.
 func TightnessProb(a, b *Form) float64 {
-	va, vb, cov := VarCov(a, b)
-	theta := thetaOf(va, vb, cov)
-	if theta < thetaEps {
-		switch {
-		case a.Nominal > b.Nominal:
-			return 1
-		case a.Nominal < b.Nominal:
-			return 0
-		default:
-			return 0.5
-		}
-	}
-	return stats.NormCDF((a.Nominal - b.Nominal) / theta)
+	var buf [stageLen]float64
+	x, y := stage(buf[:], a, b)
+	return TightnessProbViews(x, y)
 }
 
 func thetaOf(va, vb, cov float64) float64 {
@@ -246,38 +246,18 @@ func Max(a, b *Form) *Form {
 	return out
 }
 
-// MaxInto computes max(a, b) into dst. dst may alias a (but not b). The
-// variances and covariance come from one fused VarCov pass, so the whole
-// operation reads each coefficient vector exactly once before the blend.
+// MaxInto computes max(a, b) into dst: MaxViews on the staged operands.
+// dst may alias a or b.
 func MaxInto(dst, a, b *Form) { clarkInto(dst, a, b, 1) }
 
 // clarkInto is the shared body of MaxInto (sign 1) and MinInto (sign -1):
-// one fused VarCov pass, the Clark moments, and the shared-coefficient
-// blend (eq. 9) with the private part matched to the Clark variance.
+// it stages the operands and runs clarkViews, the body of MaxViews and
+// MinViews, then stores the result into dst.
 func clarkInto(dst, a, b *Form, sign float64) {
-	va, vb, cov := VarCov(a, b)
-	tp, mean, variance, ok := clarkMoments(va, vb, cov, sign*a.Nominal, sign*b.Nominal)
-	if !ok {
-		src := a
-		if tp == 0 {
-			src = b
-		}
-		copyInto(dst, src)
-		return
-	}
-	var shared float64
-	for i := range dst.Glob {
-		c := tp*a.Glob[i] + (1-tp)*b.Glob[i]
-		dst.Glob[i] = c
-		shared += c * c
-	}
-	for i := range dst.Loc {
-		c := tp*a.Loc[i] + (1-tp)*b.Loc[i]
-		dst.Loc[i] = c
-		shared += c * c
-	}
-	dst.Nominal = sign * mean
-	dst.Rand = matchedRand(variance, shared)
+	var buf [stageLen]float64
+	x, y := stage(buf[:], a, b)
+	clarkViews(x, x, y, sign)
+	x.storeForm(dst)
 }
 
 // clarkMoments is the Clark moment algebra shared by every max and min
@@ -300,8 +280,7 @@ func clarkMoments(va, vb, cov, ma, mb float64) (tp, mean, variance float64, ok b
 		return 1, 0, 0, false
 	}
 	z := (ma - mb) / theta
-	tp = stats.NormCDF(z)
-	phi := stats.NormPDF(z)
+	tp, phi := stats.NormTP(z)
 	mean = tp*ma + (1-tp)*mb + theta*phi
 	second := tp*(va+ma*ma) + (1-tp)*(vb+mb*mb) + (ma+mb)*theta*phi
 	variance = second - mean*mean
@@ -321,13 +300,6 @@ func matchedRand(variance, shared float64) float64 {
 		rest = 0
 	}
 	return math.Sqrt(rest)
-}
-
-func copyInto(dst, src *Form) {
-	dst.Nominal = src.Nominal
-	copy(dst.Glob, src.Glob)
-	copy(dst.Loc, src.Loc)
-	dst.Rand = src.Rand
 }
 
 // MaxAll folds Max over a non-empty slice of forms.
@@ -351,9 +323,10 @@ func Min(a, b *Form) *Form {
 	return out
 }
 
-// MinInto computes min(a, b) into dst. dst may alias a (but not b). It is
-// the Clark dual of MaxInto, min(A, B) = -max(-A, -B): the tightness
-// becomes P(A <= B), and blend and variance matching are shared.
+// MinInto computes min(a, b) into dst: MinViews on the staged operands.
+// dst may alias a or b. It is the Clark dual of MaxInto, min(A, B) =
+// -max(-A, -B): the tightness becomes P(A <= B), and blend and variance
+// matching are shared.
 func MinInto(dst, a, b *Form) { clarkInto(dst, a, b, -1) }
 
 // MinAll folds a slice of forms with MinInto, left to right — the

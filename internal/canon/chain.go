@@ -27,61 +27,17 @@ import (
 // Views they write fully materialized (including the private coefficient),
 // so a tracked chain slot is still a valid form for any untracked kernel.
 
-// asmMin is the coefficient count below which the generic loops beat the
-// vector kernels' call and reduction overhead.
-const asmMin = 8
-
 // DotCoeffs returns the shared-coefficient dot product Σ a[i]·b[i] — the
 // covariance of the two viewed forms (private parts never co-vary). The
-// four-way unrolled accumulators break the add dependency chain; the
-// summation order differs from CovViews, which is irrelevant to every
-// caller (no cross-kernel bit contract exists) and slightly more accurate.
-// On amd64 with AVX2+FMA the body runs in a vector kernel (asm_amd64.s).
+// generic loop sums in a different order from VarCovViews', which no
+// caller depends on: the tracked chain never compares the two.
 func DotCoeffs(a, b View) float64 {
 	n := len(a) - 1
-	if useAsm && n-1 >= asmMin {
-		return dotVec(&a[1], &b[1], n-1)
+	ac, bc := a[1:n], b[1:n]
+	if useAsm && len(ac) >= asmMin {
+		return dotVec(&ac[0], &bc[0], len(ac))
 	}
-	var s0, s1, s2, s3 float64
-	i := 1
-	for ; i+3 < n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	for ; i < n; i++ {
-		s0 += a[i] * b[i]
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// dot3Coeffs returns the three pairwise coefficient dots of one fused pass
-// over three streams: de·p, de·s and p·s.
-func dot3Coeffs(de, p, s View) (dp, ds, ps float64) {
-	n := len(de) - 1
-	if useAsm && n-1 >= asmMin {
-		return dot3Vec(&de[1], &p[1], &s[1], n-1)
-	}
-	var dp0, dp1, ds0, ds1, ps0, ps1 float64
-	i := 1
-	for ; i+1 < n; i += 2 {
-		d0, p0, q0 := de[i], p[i], s[i]
-		d1, p1, q1 := de[i+1], p[i+1], s[i+1]
-		dp0 += d0 * p0
-		ds0 += d0 * q0
-		ps0 += p0 * q0
-		dp1 += d1 * p1
-		ds1 += d1 * q1
-		ps1 += p1 * q1
-	}
-	for ; i < n; i++ {
-		d, pp, q := de[i], p[i], s[i]
-		dp0 += d * pp
-		ds0 += d * q
-		ps0 += pp * q
-	}
-	return dp0 + dp1, ds0 + ds1, ps0 + ps1
+	return dotGeneric(ac, bc)
 }
 
 // AddViewsVar is AddViews with the destination's tracked variance computed
@@ -90,28 +46,10 @@ func dot3Coeffs(de, p, s View) (dp, ds, ps float64) {
 func AddViewsVar(dst, a, b View) (cv, r2 float64) {
 	n := len(dst) - 1
 	dst[0] = a[0] + b[0]
-	if useAsm && n-1 >= asmMin {
-		cv = addSqVec(&dst[1], &a[1], &b[1], n-1)
+	if dc, ac, bc := dst[1:n], a[1:n], b[1:n]; useAsm && len(dc) >= asmMin {
+		cv = addSqVec(&dc[0], &ac[0], &bc[0], len(dc))
 	} else {
-		var c0, c1, c2, c3 float64
-		i := 1
-		for ; i+3 < n; i += 4 {
-			x0 := a[i] + b[i]
-			x1 := a[i+1] + b[i+1]
-			x2 := a[i+2] + b[i+2]
-			x3 := a[i+3] + b[i+3]
-			dst[i], dst[i+1], dst[i+2], dst[i+3] = x0, x1, x2, x3
-			c0 += x0 * x0
-			c1 += x1 * x1
-			c2 += x2 * x2
-			c3 += x3 * x3
-		}
-		for ; i < n; i++ {
-			x := a[i] + b[i]
-			dst[i] = x
-			c0 += x * x
-		}
-		cv = (c0 + c1) + (c2 + c3)
+		cv = addSqGeneric(dc, ac, bc)
 	}
 	ra, rb := a[n], b[n]
 	r2 = ra*ra + rb*rb
@@ -153,28 +91,10 @@ func MaxViewsVar(dst, a, b View, cvA, r2A, cvB, r2B float64) (cv, r2 float64) {
 
 	tq := 1 - tp
 	n := len(dst) - 1
-	if useAsm && n-1 >= asmMin {
-		cv = blendSqVec(&dst[1], &a[1], &b[1], n-1, tp, tq)
+	if dc, ac, bc := dst[1:n], a[1:n], b[1:n]; useAsm && len(dc) >= asmMin {
+		cv = blendSqVec(&dc[0], &ac[0], &bc[0], len(dc), tp, tq)
 	} else {
-		var s0, s1, s2, s3 float64
-		i := 1
-		for ; i+3 < n; i += 4 {
-			c0 := tp*a[i] + tq*b[i]
-			c1 := tp*a[i+1] + tq*b[i+1]
-			c2 := tp*a[i+2] + tq*b[i+2]
-			c3 := tp*a[i+3] + tq*b[i+3]
-			dst[i], dst[i+1], dst[i+2], dst[i+3] = c0, c1, c2, c3
-			s0 += c0 * c0
-			s1 += c1 * c1
-			s2 += c2 * c2
-			s3 += c3 * c3
-		}
-		for ; i < n; i++ {
-			c := tp*a[i] + tq*b[i]
-			dst[i] = c
-			s0 += c * c
-		}
-		cv = (s0 + s1) + (s2 + s3)
+		cv = blendSqGeneric(dc, ac, bc, tp, tq)
 	}
 	dst[0] = mean
 	r2 = variance - cv
@@ -231,7 +151,13 @@ func TightnessProbVar(a, b View, va, vb float64) (c, z float64) {
 // tracked variances. Like TightnessProbVar it also returns the final
 // comparison z-score for the caller's z-space fold.
 func CompTightnessViews(de, p, s View, vDe, cvP, r2P, cvS, r2S float64) (c, z float64) {
-	covDeP, covDeS, covPS := dot3Coeffs(de, p, s)
+	var covDeP, covDeS, covPS float64
+	n := len(de) - 1
+	if dc, pc, sc := de[1:n], p[1:n], s[1:n]; useAsm && len(dc) >= asmMin {
+		covDeP, covDeS, covPS = dot3Vec(&dc[0], &pc[0], &sc[0], len(dc))
+	} else {
+		covDeP, covDeS, covPS = dot3Generic(dc, pc, sc)
+	}
 	vP, vS := cvP+r2P, cvS+r2S
 
 	t2 := vP + vS - 2*covPS

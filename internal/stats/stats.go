@@ -31,10 +31,12 @@ func NormCDF(x float64) float64 {
 // error of the CDF is below 1e-14; the density is bit-identical to
 // NormPDF. The symmetry Phi(z) + Phi(-z) = 1 is exact by construction.
 //
-// NormTP is the hot-path companion of NormCDF, not a replacement: NormCDF
-// (erfc-based) remains the reference used by propagation, quantiles and
-// tests, while the criticality chain kernels — which consume hundreds of
-// millions of (Phi, phi) pairs per run — use NormTP.
+// NormTP is the hot-path companion of NormCDF, not a replacement: every
+// canonical-form kernel in internal/canon (the Clark max and min of
+// propagation, tightness probabilities, the criticality chain) takes its
+// (Phi, phi) pair from NormTP, while NormCDF (erfc-based) remains the
+// reference used by quantiles, Form.CDF and the tests that check the
+// kernels' arithmetic.
 func NormTP(z float64) (cdf, pdf float64) {
 	x := math.Abs(z)
 	e := math.Exp(-0.5 * x * x)

@@ -267,6 +267,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for i, name := range storeOpNames {
 			p(`sstad_store_errors_total{op=%q} %d`, name, ps.store.errs[i].Load())
 		}
+		p("# HELP sstad_store_put_bytes_total Bytes written by successful durable-store puts.")
+		p("sstad_store_put_bytes_total %d", ps.store.putBytes.Load())
+		p("# HELP sstad_store_flush_seconds_total Wall time spent in write-behind flush rounds.")
+		p("sstad_store_flush_seconds_total %g", time.Duration(ps.flushNanos.Load()).Seconds())
 		p("# HELP sstad_store_flush_lag_seconds Age of the oldest unflushed checkpoint (0 when drained).")
 		p("sstad_store_flush_lag_seconds %g", ps.flushLag(now).Seconds())
 		p("# HELP sstad_store_pending Checkpoints waiting in the write-behind queue.")

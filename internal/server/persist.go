@@ -49,7 +49,7 @@ const (
 	// the envelope around sessionCheckpoint, which embeds the library's
 	// own session snapshot payload.
 	checkpointKind    = "sstad-session"
-	checkpointVersion = 1
+	checkpointVersion = 2
 
 	// prepKind/Version seal a prep stamp: not the prep itself (preps are
 	// large and cheap to rebuild from the deterministic design), just the
@@ -211,9 +211,10 @@ func decodePrepStamp(data []byte) (prepStamp, error) {
 // measuredBackend wraps a Backend with per-op counters for /metrics.
 // A Get miss (ErrNotFound) is an answer, not a failure.
 type measuredBackend struct {
-	inner store.Backend
-	ops   [5]atomic.Int64 // indexed by storeOpIndex
-	errs  [5]atomic.Int64
+	inner    store.Backend
+	ops      [5]atomic.Int64 // indexed by storeOpIndex
+	errs     [5]atomic.Int64
+	putBytes atomic.Int64 // bytes of successful Puts
 }
 
 const (
@@ -238,6 +239,9 @@ func (m *measuredBackend) Kind() string { return m.inner.Kind() }
 func (m *measuredBackend) Put(ctx context.Context, key string, data []byte) error {
 	err := m.inner.Put(ctx, key, data)
 	m.record(opIdxPut, err)
+	if err == nil {
+		m.putBytes.Add(int64(len(data)))
+	}
 	return err
 }
 
@@ -286,6 +290,7 @@ type persister struct {
 	recovering  atomic.Bool
 	quarantined atomic.Int64
 	restored    atomic.Int64 // sessions brought back at warm start
+	flushNanos  atomic.Int64 // wall time spent in flush rounds
 }
 
 func newPersister(s *Server, backend store.Backend, every time.Duration) *persister {
@@ -414,6 +419,7 @@ func (s *Server) runStoreFlusher(base context.Context) {
 // re-queued so the next round retries them; a fully clean round resets
 // the degradation counters.
 func (p *persister) flush(ctx context.Context) {
+	defer func(start time.Time) { p.flushNanos.Add(int64(time.Since(start))) }(time.Now())
 	p.mu.Lock()
 	dirty, dead, models, preps := p.dirty, p.dead, p.models, p.preps
 	prevMark := p.oldestMark

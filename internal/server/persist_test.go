@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -417,5 +418,84 @@ func TestCloseFlushesPendingState(t *testing.T) {
 	}
 	if _, err := decodeCheckpoint(data); err != nil {
 		t.Fatalf("final-flush checkpoint does not decode: %v", err)
+	}
+}
+
+// TestWarmStartQuarantinesVersionOneCheckpoint: a checkpoint in the
+// version-1 layout, which wrote each edge delay as JSON numbers, is
+// version skew for the packed-delay reader. Boot succeeds, the checkpoint
+// is quarantined and counted, and requests are served as usual.
+func TestWarmStartQuarantinesVersionOneCheckpoint(t *testing.T) {
+	mem := store.NewMem()
+	ctx := context.Background()
+	v1 := `{"id":"sess-7","name":"pair","created_unix_ms":1,"edits":0,"session":{"graph":{` +
+		`"globals":1,"components":1,"num_verts":2,` +
+		`"edges":[{"from":0,"to":1,"nominal":3,"glob":[0.1],"loc":[0.2],"rand":0.3}],` +
+		`"inputs":[0],"outputs":[1],"input_names":["a"],"output_names":["y"]},"mean_ps":3}}`
+	data := store.Seal(checkpointKind, 1, []byte(v1))
+	if _, err := decodeCheckpoint(data); !errors.Is(err, store.ErrVersion) {
+		t.Fatalf("version-1 checkpoint decodes with %v, want version skew", err)
+	}
+	if err := mem.Put(ctx, sessionKey("sess-7"), data); err != nil {
+		t.Fatal(err)
+	}
+
+	s, hs := newTestServer(t, Config{Store: mem, StoreFlushInterval: 10 * time.Millisecond})
+	waitFor(t, 10*time.Second, "warm start", func() bool {
+		return !s.persist.recovering.Load()
+	})
+	if got := metricValue(t, hs.URL, "sstad_store_quarantined_total"); got != 1 {
+		t.Fatalf("sstad_store_quarantined_total = %g, want 1", got)
+	}
+	if q := mem.Quarantined(); len(q) != 1 || s.sessions.len() != 0 {
+		t.Fatalf("quarantined %v with %d live sessions; want the one checkpoint and none", q, s.sessions.len())
+	}
+
+	resp := analyze(t, hs.URL, AnalyzeRequest{Items: []ItemSpec{{Bench: "c432", Seed: 1}}})
+	if resp.Results[0].Error != "" {
+		t.Fatalf("analyze failed after a skewed warm start: %s", resp.Results[0].Error)
+	}
+	v := createSession(t, hs.URL, SessionCreateRequest{ItemSpec: ItemSpec{Bench: "c432", Seed: 1}})
+	if out := applyEdits(t, hs.URL, v.ID, SessionEditRequest{Edits: []EditSpec{
+		{Op: "scale_delay", Edge: 3, Scale: 1.2},
+	}}); out.Applied != 1 {
+		t.Fatalf("edit not applied after a skewed warm start: %+v", out)
+	}
+	r, err := http.Get(hs.URL + "/v1/sessions/sess-7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusNotFound {
+		t.Fatalf("skewed checkpoint's session served: status %d", r.StatusCode)
+	}
+}
+
+// TestStoreFlushMetrics: the flusher accounts the bytes it writes and the
+// time its rounds take; requests alone move neither counter.
+func TestStoreFlushMetrics(t *testing.T) {
+	mem := store.NewMem()
+	ctx := context.Background()
+	s, hs := newTestServer(t, Config{Store: mem, StoreFlushInterval: time.Hour})
+	v := createSession(t, hs.URL, SessionCreateRequest{ItemSpec: ItemSpec{Bench: "c432", Seed: 1}})
+	applyEdits(t, hs.URL, v.ID, SessionEditRequest{Edits: []EditSpec{
+		{Op: "scale_delay", Edge: 3, Scale: 1.2},
+	}})
+	for _, name := range []string{"sstad_store_put_bytes_total", "sstad_store_flush_seconds_total"} {
+		if got := metricValue(t, hs.URL, name); got != 0 {
+			t.Fatalf("%s = %g before any flush round, want 0", name, got)
+		}
+	}
+
+	s.persist.flush(ctx) // one round, as the flusher's ticker would run it
+	data, err := mem.Get(ctx, sessionKey(v.ID))
+	if err != nil {
+		t.Fatalf("flush round did not write the checkpoint: %v", err)
+	}
+	if got := metricValue(t, hs.URL, "sstad_store_put_bytes_total"); got != float64(len(data)) {
+		t.Fatalf("sstad_store_put_bytes_total = %g, want the checkpoint's %d bytes", got, len(data))
+	}
+	if got := metricValue(t, hs.URL, "sstad_store_flush_seconds_total"); !(got > 0) {
+		t.Fatalf("sstad_store_flush_seconds_total = %g after a flush round, want > 0", got)
 	}
 }

@@ -27,8 +27,13 @@
 // internal/server (checkpoint marking, bounded background flusher with
 // Backoff retries, warm-start recovery); the snapshot payload formats live
 // with their owners (internal/timing GraphSnapshot, ssta SessionSnapshot,
-// internal/core model snapshots). The robustness contract threaded through
-// all of it: a down, slow or corrupt store must never fail or slow an
-// analysis — store trouble surfaces in metrics and health, never in
-// request results.
+// internal/core model snapshots). A session checkpoint's payload is JSON
+// whose bulk, the timing graph's edge-delay bank, is one base64 field of
+// packed little-endian float64s: a c7552 session checkpoint is 8.0 MB, a
+// c3540 one 2.3 MB and a quad-c1355 one 0.56 MB (15.3, 4.3 and 0.97 MB
+// when each delay was JSON numbers).
+//
+// The robustness contract threaded through all of it: a down, slow or
+// corrupt store must never fail or slow an analysis — store trouble
+// surfaces in metrics and health, never in request results.
 package store

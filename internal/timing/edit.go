@@ -28,8 +28,22 @@ const MaxEditDelayPS = 1e12
 // checkEditDelay rejects an edited delay that is not finite or beyond
 // MaxEditDelayPS.
 func checkEditDelay(from, to int, f *canon.Form) error {
-	if m, sd := math.Abs(f.Nominal), f.Std(); !(m <= MaxEditDelayPS && sd <= MaxEditDelayPS) {
-		return fmt.Errorf("timing: edge %d->%d delay (mean %g ps, std %g ps) is not finite or beyond %g ps", from, to, f.Nominal, sd, MaxEditDelayPS)
+	return checkDelay(from, to, f.Nominal, f.Std())
+}
+
+// checkDelayView applies checkEditDelay's rule to a delay in flat storage
+// and also rejects a negative private coefficient, which no form the
+// engine builds has.
+func checkDelayView(from, to int, v canon.View) error {
+	if v.Rand() < 0 {
+		return fmt.Errorf("timing: edge %d->%d delay has negative private coefficient %g", from, to, v.Rand())
+	}
+	return checkDelay(from, to, v.Nominal(), v.Std())
+}
+
+func checkDelay(from, to int, mean, sd float64) error {
+	if !(math.Abs(mean) <= MaxEditDelayPS && sd <= MaxEditDelayPS) {
+		return fmt.Errorf("timing: edge %d->%d delay (mean %g ps, std %g ps) is not finite or beyond %g ps", from, to, mean, sd, MaxEditDelayPS)
 	}
 	return nil
 }

@@ -2,7 +2,9 @@ package timing
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -144,14 +146,24 @@ func TestGraphSnapshotRestoredGraphIsEditable(t *testing.T) {
 
 func TestFromSnapshotRejectsInvalid(t *testing.T) {
 	base := func() *GraphSnapshot { return snapTestGraph(t).Snapshot() }
+	// setDelay overwrites float k of the packed delay blob; the test
+	// graph's stride is 7 (nominal, 2 global, 3 local, rand), so edge 0's
+	// rand is float 6.
+	setDelay := func(s *GraphSnapshot, k int, x float64) {
+		binary.LittleEndian.PutUint64(s.Delays[8*k:], math.Float64bits(x))
+	}
 	cases := map[string]func(*GraphSnapshot){
 		"negative verts":    func(s *GraphSnapshot) { s.NumVerts = -1 },
 		"huge verts":        func(s *GraphSnapshot) { s.NumVerts = maxSnapshotVerts + 1 },
 		"edge from range":   func(s *GraphSnapshot) { s.Edges[0].From = 99 },
 		"edge to negative":  func(s *GraphSnapshot) { s.Edges[0].To = -2 },
 		"self loop":         func(s *GraphSnapshot) { s.Edges[0].To = s.Edges[0].From },
-		"glob dim":          func(s *GraphSnapshot) { s.Edges[0].Glob = []float64{1} },
-		"loc dim":           func(s *GraphSnapshot) { s.Edges[0].Loc = []float64{1} },
+		"short delays":      func(s *GraphSnapshot) { s.Delays = s.Delays[:len(s.Delays)-8] },
+		"long delays":       func(s *GraphSnapshot) { s.Delays = append(s.Delays, make([]byte, 8)...) },
+		"nan delay":         func(s *GraphSnapshot) { setDelay(s, 1, math.NaN()) },
+		"inf delay":         func(s *GraphSnapshot) { setDelay(s, 0, math.Inf(1)) },
+		"negative rand":     func(s *GraphSnapshot) { setDelay(s, 6, -0.5) },
+		"over-limit delay":  func(s *GraphSnapshot) { setDelay(s, 7, 2*MaxEditDelayPS) },
 		"input range":       func(s *GraphSnapshot) { s.Inputs[0] = 100 },
 		"output range":      func(s *GraphSnapshot) { s.Outputs[0] = -1 },
 		"io name count":     func(s *GraphSnapshot) { s.InputNames = s.InputNames[:1] },
@@ -164,6 +176,12 @@ func TestFromSnapshotRejectsInvalid(t *testing.T) {
 		"negative globals":  func(s *GraphSnapshot) { s.Globals = -1 },
 		"huge components":   func(s *GraphSnapshot) { s.Components = maxSnapshotComponents + 1 },
 		"grid out of range": func(s *GraphSnapshot) { s.Grid = &GridSnapshot{NX: 64, NY: 64, Pitch: 1} },
+		"grid cells wrap": func(s *GraphSnapshot) {
+			s.Grid = &GridSnapshot{NX: 1 << 62, NY: 4, Pitch: 1, RhoNeighbor: 0.5, RhoFloor: 0.1, Range: 4}
+		},
+		"grid pitch nan": func(s *GraphSnapshot) {
+			s.Grid = &GridSnapshot{NX: 2, NY: 2, Pitch: math.NaN(), RhoNeighbor: 0.5, RhoFloor: 0.1, Range: 4}
+		},
 	}
 	for name, mutate := range cases {
 		s := base()
@@ -175,7 +193,8 @@ func TestFromSnapshotRejectsInvalid(t *testing.T) {
 	// A cycle without a stored order is caught by the order computation.
 	s := base()
 	s.Order = nil
-	s.Edges = append(s.Edges, EdgeSnapshot{From: 5, To: 0, Glob: make([]float64, s.Globals), Loc: make([]float64, s.Components)})
+	s.Edges = append(s.Edges, EdgeSnapshot{From: 5, To: 0})
+	s.Delays = append(s.Delays, make([]byte, 8*canon.Space{Globals: s.Globals, Components: s.Components}.Stride())...)
 	if _, err := FromSnapshot(s); err == nil {
 		t.Error("cycle: FromSnapshot accepted cyclic snapshot")
 	}

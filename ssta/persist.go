@@ -21,6 +21,10 @@ import (
 // RestoreSession rebuilds a live session from it, paying one full
 // propagation (which reproduces the incrementally maintained delay at
 // propagation tolerance, by the engine's 1e-12 equivalence contract).
+// The graph's edge delays travel as one packed float64 blob (see
+// timing.GraphSnapshot.Delays), which is what format version 2 changed:
+// a version-1 snapshot, with per-edge JSON delay fields, is version skew
+// and is not read.
 //
 // Hierarchical sessions snapshot their stitched top graph and restore as
 // flat sessions: the graph, delays and sweep are preserved exactly, while
@@ -31,7 +35,7 @@ import (
 // snapshot (see internal/store's envelope).
 const (
 	SessionSnapshotKind    = "ssta-session"
-	SessionSnapshotVersion = 1
+	SessionSnapshotVersion = 2
 )
 
 // SweepSnapshot is the durable state of a session's active MCMM sweep.
@@ -59,18 +63,28 @@ type SessionSnapshot struct {
 	// MeanPS is the mean circuit delay at snapshot time — an end-to-end
 	// integrity cross-check on restore, over and above the envelope
 	// checksum: it catches a snapshot that decodes cleanly but propagates
-	// to a different answer.
-	MeanPS float64 `json:"mean_ps,omitempty"`
+	// to a different answer. It is always written, so a snapshot missing
+	// it restores only if its graph propagates to a zero mean.
+	MeanPS float64 `json:"mean_ps"`
 }
 
-// Snapshot captures the session's durable state under the session lock.
+// Snapshot captures the session's durable state. The session lock is held
+// only to clone the graph (O(V+E), sharing the immutable delay forms) and
+// to read the sweep and criticality settings; the graph snapshot, whose
+// delay packing is proportional to E·stride, is taken from the clone after
+// the lock is released, so a checkpoint does not stall the session's
+// requests for its whole duration.
 func (s *Session) Snapshot() *SessionSnapshot {
+	snap, g := s.snapshotLocked()
+	snap.Graph = g.Snapshot()
+	return snap
+}
+
+// snapshotLocked is the part of Snapshot that runs under the session lock.
+func (s *Session) snapshotLocked() (*SessionSnapshot, *Graph) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := &SessionSnapshot{
-		Hier:  s.hs != nil,
-		Graph: s.graph.Snapshot(),
-	}
+	snap := &SessionSnapshot{Hier: s.hs != nil}
 	if s.delay != nil {
 		snap.MeanPS = s.delay.Mean()
 	}
@@ -94,7 +108,7 @@ func (s *Session) Snapshot() *SessionSnapshot {
 	if s.critOn {
 		snap.Crit = &CritSnapshot{Workers: s.critOpt.Workers, ScreenDelta: s.critOpt.ScreenDelta}
 	}
-	return snap
+	return snap, s.graph.Clone()
 }
 
 // Encode seals the snapshot in a checksummed store envelope.
@@ -142,10 +156,9 @@ func (f *Flow) RestoreSession(ctx context.Context, snap *SessionSnapshot) (*Sess
 	if err != nil {
 		return nil, err
 	}
-	if snap.MeanPS != 0 {
-		if m := delay.Mean(); math.Abs(m-snap.MeanPS) > 1e-6*(1+math.Abs(snap.MeanPS)) {
-			return nil, fmt.Errorf("ssta: restored session delay %.9g ps disagrees with checkpointed %.9g ps", m, snap.MeanPS)
-		}
+	// Written as "not within" so a NaN on either side fails the check.
+	if m := delay.Mean(); !(math.Abs(m-snap.MeanPS) <= 1e-6*(1+math.Abs(snap.MeanPS))) {
+		return nil, fmt.Errorf("ssta: restored session delay %.9g ps disagrees with checkpointed %.9g ps", m, snap.MeanPS)
 	}
 	s := &Session{graph: g, inc: inc, delay: delay, restoredFlat: snap.Hier}
 	if snap.Sweep != nil {

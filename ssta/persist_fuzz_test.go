@@ -3,6 +3,9 @@ package ssta
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
+	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
 
@@ -45,8 +48,19 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
 	f.Add(store.Seal(SessionSnapshotKind, SessionSnapshotVersion, []byte("{}")))
-	f.Add(store.Seal(SessionSnapshotKind, SessionSnapshotVersion,
-		[]byte(`{"graph":{"globals":1,"components":1,"num_verts":2,"edges":[{"from":0,"to":1,"nominal":3,"glob":[0.1],"loc":[0.2],"rand":0.3}]}}`)))
+	// A one-edge graph FromSnapshot accepts, and the same graph with a NaN
+	// mean, which only the packed layout can carry.
+	oneEdge := func(delay ...float64) []byte {
+		blob := make([]byte, 8*len(delay))
+		for i, x := range delay {
+			binary.LittleEndian.PutUint64(blob[8*i:], math.Float64bits(x))
+		}
+		return store.Seal(SessionSnapshotKind, SessionSnapshotVersion,
+			[]byte(`{"graph":{"globals":1,"components":1,"num_verts":2,"edges":[{"from":0,"to":1}],"delays":"`+
+				base64.StdEncoding.EncodeToString(blob)+`"}}`))
+	}
+	f.Add(oneEdge(3, 0.1, 0.2, 0.3))
+	f.Add(oneEdge(math.NaN(), 0.1, 0.2, 0.3))
 	f.Add(store.Seal(SessionSnapshotKind, SessionSnapshotVersion,
 		[]byte(`{"graph":{"num_verts":-5,"edges":[{"from":9,"to":9}]}}`)))
 	f.Add(store.Seal("wrong-kind", 99, []byte("{}")))
@@ -76,7 +90,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatal("snapshot re-encode not bit-identical")
 		}
 		// Graph reconstruction validates instead of panicking; a graph it
-		// accepts must re-snapshot to an equivalent structure.
+		// accepts must re-snapshot to an equivalent structure and to the
+		// same delay bytes.
 		if snap.Graph != nil {
 			rg, err := timing.FromSnapshot(snap.Graph)
 			if err != nil {
@@ -86,6 +101,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 			if rs.NumVerts != snap.Graph.NumVerts || len(rs.Edges) != len(snap.Graph.Edges) {
 				t.Fatalf("rebuilt graph shape %d/%d differs from snapshot %d/%d",
 					rs.NumVerts, len(rs.Edges), snap.Graph.NumVerts, len(snap.Graph.Edges))
+			}
+			if !bytes.Equal(rs.Delays, snap.Graph.Delays) {
+				t.Fatal("rebuilt graph's delays differ from the snapshot's")
 			}
 		}
 	})

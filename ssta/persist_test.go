@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/store"
@@ -206,6 +207,11 @@ func TestDecodeSessionSnapshotRejectsCorruptAndSkew(t *testing.T) {
 	if _, err := DecodeSessionSnapshot(wrongVer); !errors.Is(err, store.ErrVersion) {
 		t.Fatalf("wrong version: %v, want ErrVersion", err)
 	}
+	// Version 1 wrote each edge delay as JSON numbers; it is not read.
+	v1 := store.Seal(SessionSnapshotKind, 1, []byte("{}"))
+	if _, err := DecodeSessionSnapshot(v1); !errors.Is(err, store.ErrVersion) {
+		t.Fatalf("version 1: %v, want ErrVersion", err)
+	}
 
 	// A checksummed envelope around garbage JSON is corrupt.
 	badJSON := store.Seal(SessionSnapshotKind, SessionSnapshotVersion, []byte("{not json"))
@@ -214,12 +220,47 @@ func TestDecodeSessionSnapshotRejectsCorruptAndSkew(t *testing.T) {
 	}
 }
 
+// TestSessionSnapshotConcurrentWithEdits: Session.Snapshot packs the graph
+// after releasing the session lock, while edits go on. Every snapshot must
+// still be one consistent state: its graph restores and propagates to the
+// mean it recorded.
+func TestSessionSnapshotConcurrentWithEdits(t *testing.T) {
+	f, s := persistFlow(t)
+	ctx := context.Background()
+	n := len(s.Graph().Edges)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 0; k < 20; k++ {
+			if _, err := s.Apply(ctx, []Edit{
+				{Op: EditScaleDelay, Edge: (7 * k) % n, Scale: 1.1},
+				{Op: EditSetNominal, Edge: (11*k + 1) % n, Value: 30 + float64(k)},
+			}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for k := 0; k < 10; k++ {
+		if _, err := f.RestoreSession(ctx, s.Snapshot()); err != nil {
+			t.Errorf("snapshot %d taken during edits does not restore: %v", k, err)
+			break
+		}
+	}
+	wg.Wait()
+}
+
 func TestRestoreSessionIntegrityCrossCheck(t *testing.T) {
 	f, s := persistFlow(t)
-	snap := s.Snapshot()
-	snap.MeanPS *= 1.5 // a snapshot that decodes cleanly but claims a different answer
-	if _, err := f.RestoreSession(context.Background(), snap); err == nil {
-		t.Fatal("RestoreSession accepted a snapshot failing the delay cross-check")
+	// Snapshots that decode cleanly but claim a different answer: a wrong
+	// mean, a NaN mean, and a missing mean_ps (decoded as 0).
+	for _, mean := range []float64{1.5 * s.Delay().Mean(), math.NaN(), 0} {
+		snap := s.Snapshot()
+		snap.MeanPS = mean
+		if _, err := f.RestoreSession(context.Background(), snap); err == nil {
+			t.Fatalf("RestoreSession accepted a snapshot recording mean %g", mean)
+		}
 	}
 }
 

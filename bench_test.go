@@ -11,6 +11,8 @@
 //	BenchmarkPropagate/*       — flat SSTA propagation (substrate)
 //	BenchmarkAnalyzeStream     — flat analysis over the analyze-mix graphs
 //	                             in random order (cold-cache substrate)
+//	BenchmarkGraphFootprint/*  — live heap bytes and objects a cached graph
+//	                             set holds (substrate)
 //	BenchmarkSum/BenchmarkMax  — canonical-form micro-operations (substrate)
 //	BenchmarkViewSum/ViewMax   — fused flat-view kernels (arena substrate)
 //	BenchmarkArrivalPass/*     — pooled-arena exclusive passes (run with
@@ -24,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/canon"
@@ -178,6 +181,76 @@ func BenchmarkAnalyzeStream(b *testing.B) {
 		if _, _, err := g.AnalyzeCtx(ctx, nil, ssta.ClockSpec{}, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGraphFootprint reports what a graph cache holds: the live heap
+// bytes ("live-MiB") and heap objects ("live-objects") left after full
+// collections, for one built c7552 graph and for the analyze-mix warm-up set
+// (the 36 graphs of BenchmarkAnalyzeStream plus the 12 models extracted
+// from the flat c432-c1908 ones). Every graph is analyzed once, as a
+// daemon's first request for it does, so state built on first use counts.
+// Each op builds the set with a fresh flow, so no extraction is served from
+// a cache; run it with -benchtime 1x.
+func BenchmarkGraphFootprint(b *testing.B) {
+	ctx := context.Background()
+	analyzed := func(b *testing.B, g *ssta.Graph, err error) *ssta.Graph {
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := g.AnalyzeCtx(ctx, nil, ssta.ClockSpec{}, nil); err != nil {
+			b.Fatal(err)
+		}
+		return g
+	}
+	sets := []struct {
+		name  string
+		build func(b *testing.B) []any
+	}{
+		{"c7552", func(b *testing.B) []any {
+			g, _, err := ssta.DefaultFlow().BenchGraph("c7552", 1)
+			return []any{analyzed(b, g, err)}
+		}},
+		{"analyze-mix", func(b *testing.B) []any {
+			flow := ssta.DefaultFlow()
+			var keep []any
+			for _, name := range []string{"c432", "c880", "c1355", "c1908", "c3540", "c7552"} {
+				for seed := int64(1); seed <= 3; seed++ {
+					g, _, err := flow.BenchGraph(name, seed)
+					g = analyzed(b, g, err)
+					gc, _, err := flow.ClockedBenchGraph(name, seed)
+					keep = append(keep, g, analyzed(b, gc, err))
+					if name == "c3540" || name == "c7552" {
+						continue
+					}
+					m, err := flow.Extract(g, ssta.ExtractOptions{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					keep = append(keep, m)
+				}
+			}
+			return keep
+		}},
+	}
+	live := func() (bytes, objects uint64) {
+		runtime.GC()
+		runtime.GC() // the second empties the pass pool's victim cache
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc, ms.HeapObjects
+	}
+	for _, set := range sets {
+		b.Run(set.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bytes0, objects0 := live()
+				keep := set.build(b)
+				bytes1, objects1 := live()
+				runtime.KeepAlive(keep)
+				b.ReportMetric(float64(bytes1-bytes0)/(1<<20), "live-MiB")
+				b.ReportMetric(float64(objects1-objects0), "live-objects")
+			}
+		})
 	}
 }
 

@@ -135,7 +135,11 @@
 // the level waves and edge ids follow each vertex's gather order, so a
 // forward pass streams through the delay bank and finds its fan-in
 // arrivals a few waves back (vertex ids are not circuit node ids; the
-// answers are bit-identical to a node-order graph's). See README.md
+// answers are bit-identical to a node-order graph's). A built graph, and
+// one restored from a snapshot, stores each edge delay once: the bank is
+// the storage, every Edge.Delay a form aliasing its slot, and edges,
+// forms and adjacency lists live in a handful of slabs, so a cached
+// graph holds no second copy and few heap objects. See README.md
 // ("Performance") for measurements.
 //
 // # Incremental analysis: the edit and invalidation model
@@ -149,7 +153,9 @@
 //     patch the affected slot in place, edge additions invalidate the bank
 //     structurally (capacity mismatch forces a rebuild), and removed edges
 //     leave unreferenced slots behind tombstones so edge indices stay
-//     stable.
+//     stable. A bank that the forms alias (a built or restored graph's)
+//     is immutable: the first delay edit patches a private copy, so the
+//     old forms, and clones sharing them, keep their values.
 //   - The cached topological order survives every edit that provably keeps
 //     it valid (delay edits, removals, order-respecting additions). An
 //     order-violating addition — the one edit that would reorder Clark-max

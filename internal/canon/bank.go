@@ -96,8 +96,10 @@ func (v View) storeForm(f *Form) {
 // Alias points f at the view's storage instead of copying it: f.Glob and
 // f.Loc become capacity-capped subslices of v, so an append can never spill
 // into a neighbouring slot, and Nominal and Rand are copied. The form lives
-// as long as the view's storage and must be treated as read-only; this is
-// how one slab backs many boundary forms.
+// as long as the view's storage and must be treated as read-only, and so
+// must the storage while the form is in use; this is how one slab backs
+// many forms: the register slacks of a sequential analysis, and the edge
+// delays of a built timing graph, whose delay bank is their only storage.
 func (v View) Alias(s Space, f *Form) *Form {
 	g, d := 1+s.Globals, len(v)-1
 	f.Nominal, f.Rand = v[0], v[d]
@@ -260,8 +262,9 @@ func NewBankOver(s Space, capacity int, buf []float64) *Bank {
 	return &Bank{space: s, stride: s.Stride(), data: buf[:need]}
 }
 
-// Data exposes the backing slab, e.g. for returning it to a recycling
-// pool. The bank must not be used afterwards.
+// Data exposes the backing slab: to read or copy the whole bank at once,
+// or to return it to a recycling pool, after which the bank must not be
+// used.
 func (b *Bank) Data() []float64 { return b.data }
 
 // Space returns the space the bank's forms live in.

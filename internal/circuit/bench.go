@@ -225,36 +225,6 @@ func gateTypeFromBench(fn string) (GateType, error) {
 	}
 }
 
-// WriteBench writes the circuit in .bench format. ParseBench(WriteBench(c))
-// reproduces the circuit structure.
-func (c *Circuit) WriteBench(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# %s\n", c.Name)
-	if c.Sequential() {
-		fmt.Fprintf(bw, "# %d inputs, %d outputs, %d gates, %d dffs\n",
-			len(c.PIs), len(c.POs), c.NumGates(), c.NumRegs())
-	} else {
-		fmt.Fprintf(bw, "# %d inputs, %d outputs, %d gates\n", len(c.PIs), len(c.POs), c.NumGates())
-	}
-	for _, pi := range c.PIs {
-		fmt.Fprintf(bw, "INPUT(%s)\n", c.Gates[pi].Name)
-	}
-	for _, po := range c.POs {
-		fmt.Fprintf(bw, "OUTPUT(%s)\n", c.Gates[po].Name)
-	}
-	for _, g := range c.Gates {
-		if g.Type == Input {
-			continue
-		}
-		names := make([]string, len(g.Fanin))
-		for i, f := range g.Fanin {
-			names[i] = c.Gates[f].Name
-		}
-		fmt.Fprintf(bw, "%s = %s(%s)\n", g.Name, g.Type, strings.Join(names, ", "))
-	}
-	return bw.Flush()
-}
-
 // C17 returns the classic ISCAS85 c17 benchmark (the only one small enough
 // to embed verbatim; all six NAND gates).
 func C17() *Circuit {

@@ -342,20 +342,6 @@ func (c *Circuit) Simulate(inputs []bool) ([]bool, error) {
 	return vals, nil
 }
 
-// SimulateOutputs evaluates the circuit and returns the PO values in c.POs
-// order.
-func (c *Circuit) SimulateOutputs(inputs []bool) ([]bool, error) {
-	vals, err := c.Simulate(inputs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]bool, len(c.POs))
-	for i, po := range c.POs {
-		out[i] = vals[po]
-	}
-	return out, nil
-}
-
 func evalGate(t GateType, fanin []int, vals []bool) bool {
 	switch t {
 	case Buf:

@@ -263,15 +263,3 @@ func (e *ECDF) KSAgainst(cdf func(float64) float64) float64 {
 	}
 	return d
 }
-
-// KSTwoSample returns the two-sample KS distance between two ECDFs.
-func KSTwoSample(a, b *ECDF) float64 {
-	var d float64
-	for _, x := range a.sorted {
-		d = math.Max(d, math.Abs(a.Eval(x)-b.Eval(x)))
-	}
-	for _, x := range b.sorted {
-		d = math.Max(d, math.Abs(a.Eval(x)-b.Eval(x)))
-	}
-	return d
-}

@@ -186,6 +186,19 @@ func TestKSAgainstNormal(t *testing.T) {
 	}
 }
 
+// KSTwoSample returns the two-sample KS distance between two ECDFs; only
+// tests compare two samples directly.
+func KSTwoSample(a, b *ECDF) float64 {
+	var d float64
+	for _, x := range a.sorted {
+		d = math.Max(d, math.Abs(a.Eval(x)-b.Eval(x)))
+	}
+	for _, x := range b.sorted {
+		d = math.Max(d, math.Abs(a.Eval(x)-b.Eval(x)))
+	}
+	return d
+}
+
 func TestKSTwoSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := make([]float64, 5000)

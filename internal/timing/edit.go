@@ -96,6 +96,9 @@ func (g *Graph) liveEdge(ei int) (*Edge, error) {
 // SetEdgeDelay replaces the delay form of an edge. The previous form is
 // never mutated (it may be shared with clones or caches); the cached flat
 // delay bank is patched in place so it can never serve the stale value.
+// A bank the old forms alias (a built or restored graph's) is copied on
+// the first write and the copy patched from then on, so those forms, and
+// every clone holding them, keep their values.
 func (g *Graph) SetEdgeDelay(ei int, delay *canon.Form) error {
 	e, err := g.liveEdge(ei)
 	if err != nil {
@@ -110,6 +113,11 @@ func (g *Graph) SetEdgeDelay(ei int, delay *canon.Form) error {
 	e.Delay = delay
 	g.delayMu.Lock()
 	if g.delayBank != nil && g.delayBank.Cap() == len(g.Edges) {
+		if g.delayShared {
+			b := canon.NewBank(g.Space, len(g.Edges))
+			copy(b.Data(), g.delayBank.Data())
+			g.delayBank, g.delayShared = b, false
+		}
 		g.delayBank.View(ei).LoadForm(delay)
 	}
 	g.delayMu.Unlock()

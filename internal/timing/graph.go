@@ -117,10 +117,13 @@ type Graph struct {
 	topoGen     uint64
 	levelsCache levelsCache
 
-	// delayMu guards delayBank, the lazily built flat copy of the edge
-	// delay forms the propagation kernels run on (see EdgeDelays).
-	delayMu   sync.Mutex
-	delayBank *canon.Bank
+	// delayMu guards delayBank, the flat edge-delay bank the propagation
+	// kernels run on (see EdgeDelays), and delayShared, set while the
+	// Edge.Delay forms alias the bank's slots (packEdges): such a bank is
+	// immutable, and SetEdgeDelay copies it before its first patch.
+	delayMu     sync.Mutex
+	delayBank   *canon.Bank
+	delayShared bool
 
 	// Edit/dirty metadata consumed by the incremental engine (edit.go,
 	// incremental.go): seed vertices whose arrival (fwdDirty) or required
@@ -159,11 +162,8 @@ func (g *Graph) AddEdge(from, to int, delay *canon.Form, lsens []float64, grid i
 }
 
 func (g *Graph) addEdge(from, to int, delay *canon.Form, lsens []float64, grid int) (int, error) {
-	if from < 0 || from >= g.NumVerts || to < 0 || to >= g.NumVerts {
-		return 0, fmt.Errorf("timing: edge %d->%d outside vertex range %d", from, to, g.NumVerts)
-	}
-	if from == to {
-		return 0, fmt.Errorf("timing: self-loop on vertex %d", from)
+	if err := g.checkEnds(from, to); err != nil {
+		return 0, err
 	}
 	if !delay.In(g.Space) {
 		return 0, fmt.Errorf("timing: edge %d->%d delay form not in graph space", from, to)
@@ -177,12 +177,25 @@ func (g *Graph) addEdge(from, to int, delay *canon.Form, lsens []float64, grid i
 	return idx, nil
 }
 
-// EdgeDelays returns the flat bank holding a copy of every edge delay form,
-// one slot per edge index, building it on first use. The propagation and
-// criticality kernels read edge delays from this bank so the innermost
-// loops run over contiguous memory instead of chasing per-edge pointers.
+// checkEnds rejects an edge outside the vertex range or a self-loop.
+func (g *Graph) checkEnds(from, to int) error {
+	if from < 0 || from >= g.NumVerts || to < 0 || to >= g.NumVerts {
+		return fmt.Errorf("timing: edge %d->%d outside vertex range %d", from, to, g.NumVerts)
+	}
+	if from == to {
+		return fmt.Errorf("timing: self-loop on vertex %d", from)
+	}
+	return nil
+}
+
+// EdgeDelays returns the flat bank of the edge delays, one slot per edge
+// index. The propagation and criticality kernels read edge delays from
+// this bank so the innermost loops run over contiguous memory instead of
+// chasing per-edge pointers.
 //
-// The bank is a cache: a stale bank is detected by edge count, so plain
+// Build and FromSnapshot store each delay only here: every Edge.Delay is a
+// form aliasing its slot (see packEdges). Other graphs build the bank from
+// the forms on first use. A stale bank is detected by edge count, so plain
 // AddEdge growth rebuilds it transparently (AddEdge itself stays
 // lock-free), but callers that mutate an existing Edge.Delay form in place
 // must call InvalidateDelays themselves. The returned bank is shared —
@@ -195,17 +208,82 @@ func (g *Graph) EdgeDelays() *canon.Bank {
 		for i := range g.Edges {
 			b.View(i).LoadForm(g.Edges[i].Delay)
 		}
-		g.delayBank = b
+		g.delayBank, g.delayShared = b, false
 	}
 	return g.delayBank
 }
 
 // InvalidateDelays drops the cached flat edge-delay bank; the next
-// propagation rebuilds it. Required after mutating an Edge.Delay in place.
+// propagation builds a private one from the forms. Required after mutating
+// an Edge.Delay in place.
 func (g *Graph) InvalidateDelays() {
 	g.delayMu.Lock()
-	g.delayBank = nil
+	g.delayBank, g.delayShared = nil, false
 	g.delayMu.Unlock()
+}
+
+// packEdges moves the per-edge storage of a freshly assembled graph into a
+// handful of slabs: the delay bank, one []canon.Form whose entries alias
+// its slots, one slab of every LSens vector, and one each of the In and
+// Out lists (live edges in index order, as AddEdge would append them).
+// Each piece is a capacity-capped subslice, so a later append reallocates
+// instead of spilling into a neighbour. bank, when non-nil, already holds
+// the delays (FromSnapshot's decoded blob); otherwise it is filled from the
+// Edge.Delay forms. The bank becomes the graph's EdgeDelays, shared with
+// the forms and therefore immutable.
+func (g *Graph) packEdges(bank *canon.Bank) {
+	if bank == nil {
+		bank = canon.NewBank(g.Space, len(g.Edges))
+		for i := range g.Edges {
+			bank.View(i).LoadForm(g.Edges[i].Delay)
+		}
+	}
+	forms := make([]canon.Form, len(g.Edges))
+	nls := 0
+	for i := range g.Edges {
+		nls += len(g.Edges[i].LSens)
+	}
+	ls := make([]float64, nls)
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		e.Delay = bank.View(i).Alias(g.Space, &forms[i])
+		if n := len(e.LSens); n > 0 {
+			copy(ls, e.LSens)
+			e.LSens, ls = ls[:n:n], ls[n:]
+		}
+	}
+	g.In = adjacency(g.NumVerts, g.Edges, func(e *Edge) int { return e.To })
+	g.Out = adjacency(g.NumVerts, g.Edges, func(e *Edge) int { return e.From })
+	g.delayBank, g.delayShared = bank, true
+}
+
+// adjacency returns, per vertex, the indices of the live edges whose end
+// is that vertex, in index order, as capacity-capped subslices of one
+// slab; a vertex without such edges gets nil.
+func adjacency(nverts int, edges []Edge, end func(*Edge) int) [][]int32 {
+	deg := make([]int, nverts)
+	live := 0
+	for i := range edges {
+		if !edges[i].Removed {
+			deg[end(&edges[i])]++
+			live++
+		}
+	}
+	slab := make([]int32, live)
+	lists := make([][]int32, nverts)
+	for v, d := range deg {
+		if d > 0 {
+			lists[v] = slab[:0:d]
+			slab = slab[d:]
+		}
+	}
+	for i := range edges {
+		if !edges[i].Removed {
+			v := end(&edges[i])
+			lists[v] = append(lists[v], int32(i))
+		}
+	}
+	return lists
 }
 
 // SetIO declares the input and output vertices with their port names. The
@@ -349,6 +427,35 @@ func build(c *circuit.Circuit, lib *cell.Library, plan *place.Plan, gm *variatio
 		outSlew[id] = s
 	}
 
+	// Each arc's delay is written straight into one node-order bank, and
+	// the edges are packed over it (packEdges), so building makes no
+	// allocation per edge.
+	nedges := 0
+	for _, gate := range c.Gates {
+		switch gate.Type {
+		case circuit.Input:
+		case circuit.Dff:
+			nedges++
+		default:
+			nedges += len(gate.Fanin)
+		}
+	}
+	delays := canon.NewBank(space, nedges)
+	np := len(lib.Params)
+	lsens := make([]float64, nedges*np)
+	g.Edges = make([]Edge, 0, nedges)
+	addArc := func(from, to int, arc cell.Arc, grid int) (int, error) {
+		if err := g.checkEnds(from, to); err != nil {
+			return 0, err
+		}
+		ei := len(g.Edges)
+		ls := lsens[ei*np : (ei+1)*np : (ei+1)*np]
+		abs := func(p int) float64 { return arc.Sens[p] * lib.Params[p].Sigma }
+		writeDelay(delays.View(ei), lib.Params, gm, grid, arc.Nominal, abs, arc.LoadAbs, ls)
+		g.Edges = append(g.Edges, Edge{From: from, To: to, LSens: ls, Grid: grid})
+		return ei, nil
+	}
+
 	for id, gate := range c.Gates {
 		if gate.Type == circuit.Input {
 			continue
@@ -369,8 +476,7 @@ func build(c *circuit.Circuit, lib *cell.Library, plan *place.Plan, gm *variatio
 			if err != nil {
 				return nil, fmt.Errorf("timing: register %q: %w", gate.Name, err)
 			}
-			delay, lsens := formFromArc(space, lib.Params, gm, arc, grid)
-			ei, err := g.AddEdge(clkRoot, id, delay, lsens, grid)
+			ei, err := addArc(clkRoot, id, arc, grid)
 			if err != nil {
 				return nil, err
 			}
@@ -388,12 +494,12 @@ func build(c *circuit.Circuit, lib *cell.Library, plan *place.Plan, gm *variatio
 			if err != nil {
 				return nil, fmt.Errorf("timing: gate %q: %w", gate.Name, err)
 			}
-			delay, lsens := formFromArc(space, lib.Params, gm, arc, grid)
-			if _, err := g.AddEdge(src, id, delay, lsens, grid); err != nil {
+			if _, err := addArc(src, id, arc, grid); err != nil {
 				return nil, err
 			}
 		}
 	}
+	g.packEdges(delays)
 	if clkRoot >= 0 {
 		g.ClockRoots = []int{clkRoot}
 	}
@@ -465,6 +571,10 @@ func build(c *circuit.Circuit, lib *cell.Library, plan *place.Plan, gm *variatio
 // topological order is the identity: every vertex gathers the same
 // contributions in the same order, and passes stay bit-identical. Backward
 // passes gather fan-outs in adjacency order, which now follows To.
+//
+// The new graph is packed (packEdges): each delay is stored once, in the
+// walk-order bank its passes read, and g's forms are left for the
+// collector.
 func relayout(g *Graph) (*Graph, error) {
 	lv, err := g.Levels()
 	if err != nil {
@@ -486,14 +596,14 @@ func relayout(g *Graph) (*Graph, error) {
 	newEdge := make([]int, len(g.Edges))
 	for _, v := range lv.Wave {
 		for _, ei := range lv.FaninSorted(int(v)) {
-			e := &g.Edges[ei]
-			ni, err := ng.AddEdge(newID[e.From], newID[e.To], e.Delay, e.LSens, e.Grid)
-			if err != nil {
-				return nil, err
-			}
-			newEdge[ei] = ni
+			e := g.Edges[ei]
+			e.From, e.To = newID[e.From], newID[e.To]
+			newEdge[ei] = len(ng.Edges)
+			ng.Edges = append(ng.Edges, e)
 		}
 	}
+	ng.packEdges(nil)
+	ng.dirtyFull = true // as AddEdge leaves a graph it assembles
 	if err := ng.SetIO(remap(g.Inputs), remap(g.Outputs), g.InputNames, g.OutputNames); err != nil {
 		return nil, err
 	}
@@ -525,7 +635,10 @@ func relayout(g *Graph) (*Graph, error) {
 // characterization slices are shared — the edit API never mutates a form in
 // place (SetEdgeDelay replaces the pointer), so sharing them is safe and
 // keeps cloning O(V+E) instead of O(V+E)·dim. The clone starts with clean
-// edit metadata and no cached delay bank.
+// edit metadata and no delay bank; its first pass builds a private one
+// from the forms. Where the forms alias g's bank (a built or restored
+// graph), that bank stays immutable: an edit of g copies it first (see
+// SetEdgeDelay), so the clone's forms never change under it.
 func (g *Graph) Clone() *Graph {
 	ng := &Graph{
 		Space:            g.Space,
@@ -560,58 +673,44 @@ func (g *Graph) Clone() *Graph {
 	return ng
 }
 
-// formFromArc converts a cell arc at a grid location into the canonical
-// form (paper eq. 3) plus the MC structural sensitivities.
-func formFromArc(space canon.Space, params []variation.Parameter, gm *variation.GridModel, arc cell.Arc, grid int) (*canon.Form, []float64) {
-	f := space.NewForm()
-	f.Nominal = arc.Nominal
-	lsens := make([]float64, len(params))
+// writeDelay writes the canonical form of a delay at a grid location
+// (paper eq. 3) into v: nominal, and per parameter p the absolute
+// sensitivity abs(p) split into its global, grid-local and private shares,
+// with extra private sigma beyond the parameters' random shares. The
+// absolute local sensitivities go to lsens for the Monte Carlo engine.
+func writeDelay(v canon.View, params []variation.Parameter, gm *variation.GridModel, grid int,
+	nominal float64, abs func(p int) float64, extra float64, lsens []float64) {
+	glob, loc := v[1:1+len(params)], v[1+len(params):len(v)-1]
+	v.SetNominal(nominal)
 	var rand2 float64
 	row := gm.CoeffRow(grid)
 	for p, par := range params {
-		abs := arc.Sens[p] * par.Sigma
-		f.Glob[p] = abs * sqrt(par.GlobalShare)
-		ls := abs * sqrt(par.LocalShare)
+		a := abs(p)
+		glob[p] = a * sqrt(par.GlobalShare)
+		ls := a * sqrt(par.LocalShare)
 		lsens[p] = ls
 		base := p * gm.Comps
-		for k, a := range row {
-			f.Loc[base+k] = ls * a
+		for k, c := range row {
+			loc[base+k] = ls * c
 		}
-		r := abs * sqrt(par.RandomShare)
+		r := a * sqrt(par.RandomShare)
 		rand2 += r * r
 	}
-	rand2 += arc.LoadAbs * arc.LoadAbs
-	f.Rand = sqrt(rand2)
-	return f, lsens
+	rand2 += extra * extra
+	v[len(v)-1] = sqrt(rand2)
 }
 
 // formFromConstraint converts a register constraint characterization
 // (nominal value plus relative per-parameter sensitivities and a relative
 // private mismatch sigma) at a grid location into a canonical form plus the
 // absolute local sensitivities for Monte Carlo — the constraint analogue of
-// formFromArc.
+// an arc delay.
 func formFromConstraint(space canon.Space, params []variation.Parameter, gm *variation.GridModel, nominal float64, relSens []float64, randSigma float64, grid int) (*canon.Form, []float64) {
-	f := space.NewForm()
-	f.Nominal = nominal
+	v := make(canon.View, space.Stride())
 	lsens := make([]float64, len(params))
-	var rand2 float64
-	row := gm.CoeffRow(grid)
-	for p, par := range params {
-		abs := nominal * relSens[p] * par.Sigma
-		f.Glob[p] = abs * sqrt(par.GlobalShare)
-		ls := abs * sqrt(par.LocalShare)
-		lsens[p] = ls
-		base := p * gm.Comps
-		for k, a := range row {
-			f.Loc[base+k] = ls * a
-		}
-		r := abs * sqrt(par.RandomShare)
-		rand2 += r * r
-	}
-	mismatch := nominal * randSigma
-	rand2 += mismatch * mismatch
-	f.Rand = sqrt(rand2)
-	return f, lsens
+	abs := func(p int) float64 { return nominal * relSens[p] * params[p].Sigma }
+	writeDelay(v, params, gm, grid, nominal, abs, nominal*randSigma, lsens)
+	return v.Alias(space, new(canon.Form)), lsens
 }
 
 // sqrt clamps tiny negative share values (from float rounding) to zero.

@@ -196,6 +196,13 @@ func (g *Graph) Snapshot() *GraphSnapshot {
 // result is numerically identical to the snapshotted graph: edge slots
 // (tombstones included), adjacency order and cached topological order are
 // restored exactly.
+//
+// The decoded blob becomes the graph's delay bank, and each Edge.Delay a
+// form aliasing its slot, as Build leaves a graph: the bank is immutable,
+// and SetEdgeDelay copies it on the first write. The PCA grid model is
+// rebuilt last, after every other check: its eigensolve is cubic in the
+// grid cells (on the order of 100 s at 32x32), and a snapshot that fails a
+// cheap check must not pay it.
 func FromSnapshot(s *GraphSnapshot) (*Graph, error) {
 	if s.Globals < 0 || s.Globals > maxSnapshotGlobals {
 		return nil, fmt.Errorf("timing: snapshot globals %d out of range", s.Globals)
@@ -234,26 +241,17 @@ func FromSnapshot(s *GraphSnapshot) (*Graph, error) {
 		if !(s.Grid.Pitch > 0) || math.IsInf(s.Grid.Pitch*maxSnapshotGridCells, 0) {
 			return nil, fmt.Errorf("timing: snapshot grid pitch %g out of range", s.Grid.Pitch)
 		}
-		corr, err := variation.NewCorrelationModel(s.Grid.RhoNeighbor, s.Grid.RhoFloor, s.Grid.Range)
-		if err != nil {
-			return nil, fmt.Errorf("timing: snapshot grid correlation: %w", err)
+		gridN = s.Grid.NX * s.Grid.NY
+		// The model keeps at most one component per grid, the same count
+		// for every parameter.
+		if n := len(params); n > 0 && (s.Components%n != 0 || s.Components/n > gridN) {
+			return nil, fmt.Errorf("timing: snapshot components %d do not fit %d parameters on %d grids", s.Components, n, gridN)
 		}
-		gm, err := variation.NewGridModel(s.Grid.NX, s.Grid.NY, s.Grid.Pitch, corr)
-		if err != nil {
-			return nil, fmt.Errorf("timing: snapshot grid rebuild: %w", err)
-		}
-		if len(params) > 0 && len(params)*gm.Comps != space.Components {
-			return nil, fmt.Errorf("timing: rebuilt grid model has %d components, form space expects %d",
-				len(params)*gm.Comps, space.Components)
-		}
-		g.Grids = gm
-		gridN = gm.N()
 	}
 
-	// Delays: the blob becomes the graph's delay bank as is, and each
-	// Edge.Delay is a copy of its slot. Every slot must pass the rule
-	// edits obey; the packed floats, unlike JSON numbers, can carry NaN
-	// and ±Inf.
+	// Delays: the blob becomes the graph's delay bank as is. Every slot
+	// must pass the rule edits obey; the packed floats, unlike JSON
+	// numbers, can carry NaN and ±Inf.
 	stride := space.Stride()
 	if len(s.Delays) != 8*stride*len(s.Edges) {
 		return nil, fmt.Errorf("timing: snapshot delays hold %d bytes, want %d (%d edges of %d floats)",
@@ -269,7 +267,7 @@ func FromSnapshot(s *GraphSnapshot) (*Graph, error) {
 	// enter the adjacency lists, in index order — exactly the invariant a
 	// live graph maintains (insertions append in index order, removals
 	// preserve relative order).
-	g.Edges = make([]Edge, 0, len(s.Edges))
+	g.Edges = make([]Edge, len(s.Edges))
 	for i := range s.Edges {
 		e := &s.Edges[i]
 		if e.From < 0 || e.From >= s.NumVerts || e.To < 0 || e.To >= s.NumVerts {
@@ -287,21 +285,10 @@ func FromSnapshot(s *GraphSnapshot) (*Graph, error) {
 		if gridN > 0 && (e.Grid < 0 || e.Grid >= gridN) {
 			return nil, fmt.Errorf("timing: snapshot edge %d grid %d outside model (%d grids)", i, e.Grid, gridN)
 		}
-		var lsens []float64
-		if len(e.LSens) > 0 {
-			lsens = append([]float64(nil), e.LSens...)
-		}
-		idx := len(g.Edges)
-		g.Edges = append(g.Edges, Edge{
-			From: e.From, To: e.To, Delay: bank.View(i).Form(space),
-			LSens: lsens, Grid: e.Grid, Removed: e.Removed,
-		})
-		if !e.Removed {
-			g.Out[e.From] = append(g.Out[e.From], int32(idx))
-			g.In[e.To] = append(g.In[e.To], int32(idx))
-		}
+		// packEdges copies LSens into the graph's own slab.
+		g.Edges[i] = Edge{From: e.From, To: e.To, LSens: e.LSens, Grid: e.Grid, Removed: e.Removed}
 	}
-	g.delayBank = bank
+	g.packEdges(bank)
 
 	for _, v := range s.Inputs {
 		if v < 0 || v >= s.NumVerts {
@@ -404,6 +391,22 @@ func FromSnapshot(s *GraphSnapshot) (*Graph, error) {
 		g.order = append([]int(nil), s.Order...)
 	} else if _, err := g.Order(); err != nil {
 		return nil, err // snapshot encodes a cyclic graph
+	}
+
+	if s.Grid != nil {
+		corr, err := variation.NewCorrelationModel(s.Grid.RhoNeighbor, s.Grid.RhoFloor, s.Grid.Range)
+		if err != nil {
+			return nil, fmt.Errorf("timing: snapshot grid correlation: %w", err)
+		}
+		gm, err := variation.NewGridModel(s.Grid.NX, s.Grid.NY, s.Grid.Pitch, corr)
+		if err != nil {
+			return nil, fmt.Errorf("timing: snapshot grid rebuild: %w", err)
+		}
+		if len(params) > 0 && len(params)*gm.Comps != space.Components {
+			return nil, fmt.Errorf("timing: rebuilt grid model has %d components, form space expects %d",
+				len(params)*gm.Comps, space.Components)
+		}
+		g.Grids = gm
 	}
 	return g, nil
 }

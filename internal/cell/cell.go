@@ -147,12 +147,15 @@ type Arc struct {
 // the gate drives `fanout` loads, with the input arriving at the reference
 // transition. Fanout 0 (a primary output) is billed as one load.
 func (l *Library) Arc(gt circuit.GateType, pin, fanout int) (Arc, error) {
-	return l.ArcAtSlew(gt, pin, fanout, RefSlew)
+	return l.ArcAtSlew(gt, pin, fanout, RefSlew, nil)
 }
 
 // ArcAtSlew is Arc with an explicit input transition: the nominal delay
-// grows by SlewSens per ps of transition beyond the reference.
-func (l *Library) ArcAtSlew(gt circuit.GateType, pin, fanout int, slew float64) (Arc, error) {
+// grows by SlewSens per ps of transition beyond the reference. The
+// sensitivities are written into sens, which becomes the arc's Sens, when
+// it holds one entry per parameter; otherwise a new slice is allocated. A
+// caller building many arcs passes one buffer for all of them.
+func (l *Library) ArcAtSlew(gt circuit.GateType, pin, fanout int, slew float64, sens []float64) (Arc, error) {
 	s, err := l.Spec(gt)
 	if err != nil {
 		return Arc{}, err
@@ -170,7 +173,11 @@ func (l *Library) ArcAtSlew(gt circuit.GateType, pin, fanout int, slew float64) 
 	if nom < 1 {
 		nom = 1 // extremely sharp inputs cannot drive the delay negative
 	}
-	arc := Arc{Nominal: nom, Sens: make([]float64, len(l.Params))}
+	if len(sens) != len(l.Params) {
+		sens = make([]float64, len(l.Params))
+	}
+	clear(sens)
+	arc := Arc{Nominal: nom, Sens: sens}
 	for i, k := range s.Sens {
 		arc.Sens[i] = nom * k // relative sensitivity scaled to absolute ps
 	}

@@ -149,9 +149,6 @@ func (d *Design) AnalyzeOpt(mode Mode, opt AnalyzeOptions) (*Result, error) {
 // ctx, so a long-running analysis driven by a served request stops promptly
 // once the request is cancelled or times out.
 func (d *Design) AnalyzeCtx(ctx context.Context, mode Mode, opt AnalyzeOptions) (*Result, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
 	start := time.Now()
 	res, err := d.buildTop(ctx, mode, false, opt)
 	if err != nil {
@@ -184,11 +181,9 @@ func (d *Design) AnalyzeCtx(ctx context.Context, mode Mode, opt AnalyzeOptions) 
 // Every call returns a fresh Result carrying the graph, space and
 // partition (Delay/OutputArrivals nil), but the graph itself is shared
 // between calls and with concurrent analyses: treat it as read-only, and
-// Clone it before editing.
+// Clone it before editing. The design is validated first, unless the same
+// fingerprints show it unchanged since it last passed.
 func (d *Design) Stitch(ctx context.Context, mode Mode, opt AnalyzeOptions) (*Result, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
 	return d.buildTop(ctx, mode, false, opt)
 }
 
@@ -316,7 +311,11 @@ const rewriteChunkSize = 128
 // cache; on a miss every instance is rewritten on opt.Workers goroutines
 // and committed.
 func (d *Design) buildTop(ctx context.Context, mode Mode, useOrig bool, opt AnalyzeOptions) (*Result, error) {
-	pp, err := d.getPrep(ctx, mode, opt)
+	fp, sfp, err := d.validate(opt)
+	if err != nil {
+		return nil, err
+	}
+	pp, err := d.getPrep(ctx, mode, opt, fp)
 	if err != nil {
 		return nil, err
 	}
@@ -327,10 +326,8 @@ func (d *Design) buildTop(ctx context.Context, mode Mode, useOrig bool, opt Anal
 	// fingerprint moved. Each caller gets a fresh Result around the shared,
 	// read-only graph.
 	cache := !useOrig && !opt.DisableCache
-	var fp stitchFP
 	if cache {
-		fp = d.stitchFingerprint()
-		if top := d.cachedTop(mode, pp, fp); top != nil {
+		if top := d.cachedTop(mode, pp, sfp); top != nil {
 			stitchHits.Add(1)
 			return &Result{Mode: mode, Space: space, Partition: part, Graph: top}, nil
 		}
@@ -345,7 +342,7 @@ func (d *Design) buildTop(ctx context.Context, mode Mode, useOrig bool, opt Anal
 		return nil, err
 	}
 	if cache {
-		d.storeTop(mode, pp, fp, top)
+		d.storeTop(mode, pp, sfp, top)
 	}
 	return &Result{Mode: mode, Space: space, Partition: part, Graph: top}, nil
 }

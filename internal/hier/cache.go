@@ -66,7 +66,9 @@ type prepSlot struct {
 // mutated design (moved instance, swapped module) transparently invalidates
 // the cached prep instead of serving stale grids. It retains the Module and
 // CorrelationModel pointers it compares, so a pointer match can never be a
-// recycled allocation at the same address.
+// recycled allocation at the same address. It also holds each module's
+// footprint (grid size and pitch), which Validate reads: together with
+// stitchFP it covers every Validate input.
 type designFP struct {
 	width, height, pitch float64
 	corr                 *variation.CorrelationModel
@@ -78,6 +80,8 @@ type instFP struct {
 	name   string
 	module *Module
 	x, y   float64
+	nx, ny int
+	mpitch float64
 }
 
 func (d *Design) fingerprint() designFP {
@@ -88,6 +92,9 @@ func (d *Design) fingerprint() designFP {
 	}
 	for i, inst := range d.Instances {
 		fp.insts[i] = instFP{name: inst.Name, module: inst.Module, x: inst.OriginX, y: inst.OriginY}
+		if m := inst.Module; m != nil {
+			fp.insts[i].nx, fp.insts[i].ny, fp.insts[i].mpitch = m.NX, m.NY, m.Pitch
+		}
 	}
 	return fp
 }
@@ -105,19 +112,18 @@ func (a designFP) equal(b designFP) bool {
 	return true
 }
 
-// getPrep returns the cached prep for the mode, computing it on first use
-// or after the design changed. Concurrent callers for the same mode are
+// getPrep returns the cached prep for the mode (fp is the design's
+// fingerprint), computing it on first use or after the design changed. Concurrent callers for the same mode are
 // coalesced into one computation; a waiter whose ctx fires stops waiting.
 // The computing caller runs under its own ctx — a cancellation there
 // surfaces as an error and removes the failed slot. A waiter that
 // coalesced onto such an aborted computation must not inherit the other
 // caller's context error: if its own ctx is still live it retries against
 // the (now empty) slot instead of failing spuriously.
-func (d *Design) getPrep(ctx context.Context, mode Mode, opt AnalyzeOptions) (*prep, error) {
+func (d *Design) getPrep(ctx context.Context, mode Mode, opt AnalyzeOptions, fp designFP) (*prep, error) {
 	if opt.DisableCache {
 		return d.computePrep(ctx, mode, opt.Workers)
 	}
-	fp := d.fingerprint()
 	for {
 		d.prepMu.Lock()
 		if d.preps == nil {
@@ -162,7 +168,8 @@ func (d *Design) getPrep(ctx context.Context, mode Mode, opt AnalyzeOptions) (*p
 	}
 }
 
-// InvalidatePrep drops any cached analysis prep and stitched top graph.
+// InvalidatePrep drops any cached analysis prep and stitched top graph, and
+// the record of the last validation.
 // Analyze and Stitch detect geometry, net, IO and boundary-characterization
 // changes on their own via the design and stitch fingerprints; this is only
 // needed after mutations the fingerprints cannot see — in particular
@@ -172,7 +179,38 @@ func (d *Design) InvalidatePrep() {
 	d.prepMu.Lock()
 	d.preps = nil
 	d.tops = nil
+	d.valid = nil
 	d.prepMu.Unlock()
+}
+
+// validFP is the pair of fingerprints a design had when it last passed
+// Validate.
+type validFP struct {
+	design designFP
+	stitch stitchFP
+}
+
+// validate runs Validate unless the design and stitch fingerprints equal
+// those of the design's last successful validation, which proves every
+// Validate input unchanged (DisableCache always validates). It returns the
+// fingerprints for the caches to key on.
+func (d *Design) validate(opt AnalyzeOptions) (designFP, stitchFP, error) {
+	fp, sfp := d.fingerprint(), d.stitchFingerprint()
+	if !opt.DisableCache {
+		d.prepMu.Lock()
+		ok := d.valid != nil && d.valid.design.equal(fp) && d.valid.stitch.equal(sfp)
+		d.prepMu.Unlock()
+		if ok {
+			return fp, sfp, nil
+		}
+	}
+	if err := d.Validate(); err != nil {
+		return designFP{}, stitchFP{}, err
+	}
+	d.prepMu.Lock()
+	d.valid = &validFP{design: fp, stitch: sfp}
+	d.prepMu.Unlock()
+	return fp, sfp, nil
 }
 
 // stitchSlot is one cached stitched top graph: valid while the design
@@ -187,8 +225,11 @@ type stitchSlot struct {
 
 // stitchFP captures everything buildTop reads beyond the prep: the nets
 // (including wire delays), the primary IO, and per distinct instance graph
-// the boundary characterization contents plus the edge count. Slices are
-// copied, so in-place edits to nets or slopes are seen as changes.
+// the boundary characterization contents plus the edge count, and the port
+// names Validate checks references against. Slices are copied, so
+// in-place edits to nets, slopes or names are seen as changes. An
+// instance without a module graph (which Validate refuses) contributes
+// nothing.
 type stitchFP struct {
 	nets     []Net
 	pis, pos []PortRef
@@ -198,6 +239,8 @@ type stitchFP struct {
 type graphFP struct {
 	g             *timing.Graph
 	edges         int
+	inNames       []string
+	outNames      []string
 	refSlew       float64
 	loadSlopes    []float64
 	inSlewSlopes  []float64
@@ -212,12 +255,17 @@ func (d *Design) stitchFingerprint() stitchFP {
 		pos:  slices.Clone(d.PrimaryOutputs),
 	}
 	for _, inst := range d.Instances {
+		if inst.Module == nil || inst.Module.Model == nil || inst.Module.Model.Graph == nil {
+			continue
+		}
 		g := inst.Module.Model.Graph
 		if slices.ContainsFunc(fp.graphs, func(gf graphFP) bool { return gf.g == g }) {
 			continue
 		}
 		fp.graphs = append(fp.graphs, graphFP{
 			g: g, edges: len(g.Edges), refSlew: g.RefSlew,
+			inNames:       slices.Clone(g.InputNames),
+			outNames:      slices.Clone(g.OutputNames),
 			loadSlopes:    slices.Clone(g.OutputLoadSlopes),
 			inSlewSlopes:  slices.Clone(g.InputSlewSlopes),
 			outSlews:      slices.Clone(g.OutputPortSlews),
@@ -235,6 +283,7 @@ func (a stitchFP) equal(b stitchFP) bool {
 	for i := range a.graphs {
 		x, y := &a.graphs[i], &b.graphs[i]
 		if x.g != y.g || x.edges != y.edges || x.refSlew != y.refSlew ||
+			!slices.Equal(x.inNames, y.inNames) || !slices.Equal(x.outNames, y.outNames) ||
 			!slices.Equal(x.loadSlopes, y.loadSlopes) || !slices.Equal(x.inSlewSlopes, y.inSlewSlopes) ||
 			!slices.Equal(x.outSlews, y.outSlews) || !slices.Equal(x.outSlewSlopes, y.outSlewSlopes) {
 			return false

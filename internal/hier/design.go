@@ -103,10 +103,12 @@ type Design struct {
 	// keyed by mode and guarded by a design fingerprint so geometry edits
 	// invalidate it. Next to it, the per-mode stitched top graph, keyed by
 	// the prep it was built from plus a stitch fingerprint (nets, IO,
-	// boundary characterization). See cache.go.
+	// boundary characterization). The two fingerprints also let Analyze
+	// and Stitch skip re-validating an unchanged design. See cache.go.
 	prepMu sync.Mutex
 	preps  map[Mode]*prepSlot
 	tops   map[Mode]*stitchSlot
+	valid  *validFP // fingerprints at the last successful Validate
 }
 
 // CopyStructure returns an independent structural copy of the design for

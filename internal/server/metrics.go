@@ -269,6 +269,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		p("# HELP sstad_store_put_bytes_total Bytes written by successful durable-store puts.")
 		p("sstad_store_put_bytes_total %d", ps.store.putBytes.Load())
+		p("# HELP sstad_store_session_checkpoints_total Session checkpoints written, full bases and deltas.")
+		p(`sstad_store_session_checkpoints_total{kind="base"} %d`, ps.bases.Load())
+		p(`sstad_store_session_checkpoints_total{kind="delta"} %d`, ps.deltas.Load())
 		p("# HELP sstad_store_flush_seconds_total Wall time spent in write-behind flush rounds.")
 		p("sstad_store_flush_seconds_total %g", time.Duration(ps.flushNanos.Load()).Seconds())
 		p("# HELP sstad_store_flush_lag_seconds Age of the oldest unflushed checkpoint (0 when drained).")

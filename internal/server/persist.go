@@ -26,7 +26,10 @@ import (
 //
 // Store layout (all keys validated by store.ValidKey):
 //
-//	sessions/<id>.snap            one sealed sessionCheckpoint per session
+//	sessions/<id>.snap            one sealed sessionCheckpoint per session:
+//	                              the full base, stamped with a generation
+//	sessions/<id>.delta           the delay slots changed since that base
+//	                              (sessionDelta, naming its generation)
 //	models/bench-<name>-s<seed>.snap  extracted model of a bench graph
 //	models/mult-<n>.snap              extracted model of a multiplier graph
 //	preps/quad-<bench>-s<seed>-g<gap>-<mode>.snap
@@ -39,10 +42,22 @@ import (
 // extraction cache (keyed by the deterministically rebuilt graph), then
 // prep stamps rebuild each recorded quad design and stitch it once so the
 // per-mode prep cache is hot before the first sweep arrives, then sessions
-// are restored — each checkpoint is decoded, re-propagated and
-// cross-checked against its recorded mean before it goes live. Anything
-// that fails is quarantined, counted, and skipped; recovery is never
-// fatal.
+// are restored — each checkpoint is decoded, patched with its delta,
+// re-propagated and cross-checked against its recorded mean before it goes
+// live. Anything that fails is quarantined, counted, and skipped; recovery
+// is never fatal.
+//
+// A dirty session costs one small delta per round while its edits only
+// move edge delays: the flusher writes a full base only for a new or
+// restored session, after a structural change (see
+// ssta.Session.CheckpointDelta), after a failed base Put, or once the
+// delta outgrows 1/deltaRebaseFraction of the base's delay bytes. The base
+// generation advances only when its Put succeeds; the stale delta is
+// deleted after it. Restore applies a delta only to the base of its own
+// generation: an older delta is the leftover of that window and is
+// deleted, while a newer, unknown, torn or invalid one quarantines the
+// base with it, since restoring the base alone would bring back an older
+// state.
 
 const (
 	// checkpointKind/Version seal the server-level session checkpoint —
@@ -50,6 +65,15 @@ const (
 	// own session snapshot payload.
 	checkpointKind    = "sstad-session"
 	checkpointVersion = 2
+
+	// deltaKind/Version seal a session delta (sessionDelta).
+	deltaKind    = "sstad-session-delta"
+	deltaVersion = 1
+
+	// deltaRebaseFraction: a delta whose slots exceed this fraction of
+	// its base's delay bytes is replaced by a fresh base, which bounds
+	// both the delta's size and what restore has to patch.
+	deltaRebaseFraction = 8
 
 	// prepKind/Version seal a prep stamp: not the prep itself (preps are
 	// large and cheap to rebuild from the deterministic design), just the
@@ -61,25 +85,52 @@ const (
 	modelKeyPrefix   = "models/"
 	prepKeyPrefix    = "preps/"
 	snapSuffix       = ".snap"
+	deltaSuffix      = ".delta"
 
 	// degradedAfter is how many consecutive failed flush rounds mark the
 	// store degraded in /healthz.
 	degradedAfter = 3
 )
 
-// sessionCheckpoint is the durable form of one live session: the server
+// sessionCheckpoint is the durable base of one live session: the server
 // bookkeeping plus the full library snapshot (graph, sweep scenarios,
-// criticality enablement).
+// criticality enablement). Gen numbers the session's bases from 1; a
+// checkpoint written before deltas existed has none and reads as 0.
 type sessionCheckpoint struct {
 	ID        string                `json:"id"`
 	Name      string                `json:"name"`
 	CreatedMS int64                 `json:"created_unix_ms"`
 	Edits     int64                 `json:"edits"`
+	Gen       uint64                `json:"gen,omitempty"`
 	Session   *ssta.SessionSnapshot `json:"session"`
 }
 
-// sessionKey maps a session id onto its store key.
+// sessionDelta is the durable change of one session since its base of
+// generation Gen: the edit count and the library delta (mean and changed
+// delay slots).
+type sessionDelta struct {
+	ID    string `json:"id"`
+	Gen   uint64 `json:"gen"`
+	Edits int64  `json:"edits"`
+	ssta.SessionDelta
+}
+
+// sessionKey maps a session id onto its base's store key, deltaKey onto
+// its delta's.
 func sessionKey(id string) string { return sessionKeyPrefix + id + snapSuffix }
+func deltaKey(id string) string   { return sessionKeyPrefix + id + deltaSuffix }
+
+// durableSession is what the store holds for one session, as far as this
+// process knows.
+type durableSession struct {
+	gen       uint64 // generation of the durable base (0: none, or a pre-delta one)
+	baseBytes int    // that base's delay bytes, the yardstick of its deltas
+	delta     bool   // a delta key may exist next to it
+	// needBase: the session's delta base is not the durable one (a
+	// restored session, or a base whose Put failed), so the next
+	// checkpoint must be a base.
+	needBase bool
+}
 
 // modelKey maps a cacheable graph identity onto a durable store key.
 // Netlist-derived graphs have no reproducible identity and return false.
@@ -277,13 +328,14 @@ type persister struct {
 	every time.Duration
 
 	mu         sync.Mutex
-	dirty      map[string]struct{}    // session ids with unflushed edits
-	dead       map[string]struct{}    // session ids whose checkpoint must go
-	models     map[string]*ssta.Model // durable key -> model awaiting write
-	preps      map[string]prepStamp   // durable key -> prep stamp awaiting write
-	prepDone   map[string]struct{}    // stamp keys already persisted this process
-	oldestMark time.Time              // when the oldest pending entry was enqueued
-	lastFlush  time.Time              // last fully successful flush round
+	dirty      map[string]struct{}       // session ids with unflushed edits
+	dead       map[string]struct{}       // session ids whose checkpoint must go
+	models     map[string]*ssta.Model    // durable key -> model awaiting write
+	preps      map[string]prepStamp      // durable key -> prep stamp awaiting write
+	prepDone   map[string]struct{}       // stamp keys already persisted this process
+	durable    map[string]durableSession // session id -> what the store holds for it
+	oldestMark time.Time                 // when the oldest pending entry was enqueued
+	lastFlush  time.Time                 // last fully successful flush round
 	lastErr    error
 	consecFail int
 
@@ -291,6 +343,8 @@ type persister struct {
 	quarantined atomic.Int64
 	restored    atomic.Int64 // sessions brought back at warm start
 	flushNanos  atomic.Int64 // wall time spent in flush rounds
+	bases       atomic.Int64 // session base checkpoints written
+	deltas      atomic.Int64 // session delta checkpoints written
 }
 
 func newPersister(s *Server, backend store.Backend, every time.Duration) *persister {
@@ -303,6 +357,7 @@ func newPersister(s *Server, backend store.Backend, every time.Duration) *persis
 		models:    make(map[string]*ssta.Model),
 		preps:     make(map[string]prepStamp),
 		prepDone:  make(map[string]struct{}),
+		durable:   make(map[string]durableSession),
 		lastFlush: time.Now(),
 	}
 }
@@ -455,15 +510,24 @@ func (p *persister) flush(ctx context.Context) {
 	}
 
 	for id := range dead {
-		key := sessionKey(id)
-		err := bo.Retry(ctx, func() error { return p.store.Delete(ctx, key) })
+		// Base first: a crash between the two leaves a delta without a
+		// base, which warm start quarantines instead of restoring.
+		var err error
+		for _, key := range []string{sessionKey(id), deltaKey(id)} {
+			if err = bo.Retry(ctx, func() error { return p.store.Delete(ctx, key) }); err != nil {
+				err = fmt.Errorf("delete %s: %w", key, err)
+				break
+			}
+		}
+		p.mu.Lock()
 		if err != nil {
-			fail(fmt.Errorf("delete %s: %w", key, err))
-			p.mu.Lock()
+			fail(err)
 			p.dead[id] = struct{}{}
 			requeueMark()
-			p.mu.Unlock()
+		} else {
+			delete(p.durable, id)
 		}
+		p.mu.Unlock()
 	}
 
 	for id := range dirty {
@@ -471,23 +535,19 @@ func (p *persister) flush(ctx context.Context) {
 		if !ok {
 			continue // evicted or deleted since the mark; its dead entry wins
 		}
-		data, err := encodeCheckpoint(reg)
-		if err != nil {
-			// A snapshot that cannot encode will not encode next round
-			// either; surface it and drop the mark instead of spinning.
-			fail(fmt.Errorf("snapshot %s: %w", id, err))
-			continue
-		}
-		key := sessionKey(id)
-		err = bo.Retry(ctx, func() error { return p.store.Put(ctx, key, data) })
-		if err != nil {
-			fail(fmt.Errorf("put %s: %w", key, err))
-			p.mu.Lock()
-			if _, gone := p.dead[id]; !gone {
-				p.dirty[id] = struct{}{}
-				requeueMark()
+		// A snapshot that cannot encode will not encode next round either;
+		// surface it and drop the mark instead of spinning. Store failures
+		// re-queue.
+		if retry, err := p.flushSession(ctx, bo, reg); err != nil {
+			fail(err)
+			if retry {
+				p.mu.Lock()
+				if _, gone := p.dead[id]; !gone {
+					p.dirty[id] = struct{}{}
+					requeueMark()
+				}
+				p.mu.Unlock()
 			}
-			p.mu.Unlock()
 		}
 	}
 
@@ -547,10 +607,71 @@ func (p *persister) flush(ctx context.Context) {
 	p.mu.Unlock()
 }
 
-// encodeCheckpoint seals one live session into its durable bytes. The
-// session snapshot is taken here, on the flusher — the request path only
-// marked the id dirty.
-func encodeCheckpoint(reg *srvSession) ([]byte, error) {
+// flushSession writes one dirty session's checkpoint: a delta against its
+// durable base when the session can capture one within
+// 1/deltaRebaseFraction of the base's delay bytes, a new base otherwise.
+// retry reports whether a failure is worth re-queuing (a store failure,
+// not an encode failure).
+func (p *persister) flushSession(ctx context.Context, bo store.Backoff, reg *srvSession) (retry bool, err error) {
+	p.mu.Lock()
+	st := p.durable[reg.id]
+	p.mu.Unlock()
+	if st.gen > 0 && !st.needBase {
+		if d := reg.sess.CheckpointDelta(); d != nil && len(d.Slots)*deltaRebaseFraction <= st.baseBytes {
+			data, err := encodeDelta(reg, st.gen, d)
+			if err != nil {
+				return false, fmt.Errorf("delta %s: %w", reg.id, err)
+			}
+			key := deltaKey(reg.id)
+			if err := bo.Retry(ctx, func() error { return p.store.Put(ctx, key, data) }); err != nil {
+				return true, fmt.Errorf("put %s: %w", key, err)
+			}
+			p.deltas.Add(1)
+			st.delta = true
+			p.setDurable(reg.id, st)
+			return false, nil
+		}
+	}
+	gen := st.gen + 1
+	data, baseBytes, err := encodeCheckpoint(reg, gen)
+	if err != nil {
+		return false, fmt.Errorf("snapshot %s: %w", reg.id, err)
+	}
+	key := sessionKey(reg.id)
+	if err := bo.Retry(ctx, func() error { return p.store.Put(ctx, key, data) }); err != nil {
+		// The previous base and delta stay the durable state, and the
+		// session's delta base now matches nothing durable.
+		st.needBase = true
+		p.setDurable(reg.id, st)
+		return true, fmt.Errorf("put %s: %w", key, err)
+	}
+	p.bases.Add(1)
+	st = durableSession{gen: gen, baseBytes: baseBytes, delta: st.delta}
+	if st.delta {
+		dkey := deltaKey(reg.id)
+		if err := bo.Retry(ctx, func() error { return p.store.Delete(ctx, dkey) }); err != nil {
+			// Harmless until deleted: restore drops a delta older than
+			// its base, and the next delta overwrites it.
+			p.setDurable(reg.id, st)
+			return true, fmt.Errorf("delete %s: %w", dkey, err)
+		}
+		st.delta = false
+	}
+	p.setDurable(reg.id, st)
+	return false, nil
+}
+
+func (p *persister) setDurable(id string, st durableSession) {
+	p.mu.Lock()
+	p.durable[id] = st
+	p.mu.Unlock()
+}
+
+// encodeCheckpoint seals a base checkpoint of one live session under
+// generation gen, makes it the session's delta base, and returns its
+// delay bytes too. The snapshot is taken here, on the flusher — the
+// request path only marked the id dirty.
+func encodeCheckpoint(reg *srvSession, gen uint64) ([]byte, int, error) {
 	reg.mu.Lock()
 	edits := reg.edits
 	reg.mu.Unlock()
@@ -559,13 +680,44 @@ func encodeCheckpoint(reg *srvSession) ([]byte, error) {
 		Name:      reg.name,
 		CreatedMS: reg.created.UnixMilli(),
 		Edits:     edits,
-		Session:   reg.sess.Snapshot(),
+		Gen:       gen,
+		Session:   reg.sess.CheckpointBase(),
 	}
 	payload, err := json.Marshal(&cp)
 	if err != nil {
+		return nil, 0, err
+	}
+	return store.Seal(checkpointKind, checkpointVersion, payload), len(cp.Session.Graph.Delays), nil
+}
+
+// encodeDelta seals a captured delta of one live session against its base
+// of generation gen.
+func encodeDelta(reg *srvSession, gen uint64, d *ssta.SessionDelta) ([]byte, error) {
+	reg.mu.Lock()
+	edits := reg.edits
+	reg.mu.Unlock()
+	payload, err := json.Marshal(&sessionDelta{ID: reg.id, Gen: gen, Edits: edits, SessionDelta: *d})
+	if err != nil {
 		return nil, err
 	}
-	return store.Seal(checkpointKind, checkpointVersion, payload), nil
+	return store.Seal(deltaKind, deltaVersion, payload), nil
+}
+
+// decodeDelta is the inverse of encodeDelta, with decodeCheckpoint's
+// failure classes.
+func decodeDelta(data []byte) (*sessionDelta, error) {
+	payload, err := store.OpenKind(data, deltaKind, deltaVersion)
+	if err != nil {
+		return nil, err
+	}
+	var d sessionDelta
+	if err := json.Unmarshal(payload, &d); err != nil {
+		return nil, fmt.Errorf("%w: delta payload: %v", store.ErrCorrupt, err)
+	}
+	if d.ID == "" {
+		return nil, fmt.Errorf("%w: delta missing id", store.ErrCorrupt)
+	}
+	return &d, nil
 }
 
 // decodeCheckpoint is the inverse of encodeCheckpoint. Corruption and
@@ -598,7 +750,7 @@ func (p *persister) bumpSessionSeq(ctx context.Context) {
 	}
 	var max int64
 	for _, key := range keys {
-		id, ok := sessionIDFromKey(key)
+		id, _, ok := parseSessionKey(key)
 		if !ok {
 			continue
 		}
@@ -611,12 +763,17 @@ func (p *persister) bumpSessionSeq(ctx context.Context) {
 	p.srv.sessions.bumpSeq(max)
 }
 
-func sessionIDFromKey(key string) (string, bool) {
-	id, ok := strings.CutPrefix(key, sessionKeyPrefix)
+// parseSessionKey inverts sessionKey and deltaKey.
+func parseSessionKey(key string) (id string, delta, ok bool) {
+	id, ok = strings.CutPrefix(key, sessionKeyPrefix)
 	if !ok {
-		return "", false
+		return "", false, false
 	}
-	return strings.CutSuffix(id, snapSuffix)
+	if id, ok = strings.CutSuffix(id, deltaSuffix); ok {
+		return id, true, true
+	}
+	id, ok = strings.CutSuffix(id, snapSuffix)
+	return id, false, ok
 }
 
 // runWarmStart restores durable state in the background: extracted models
@@ -742,46 +899,125 @@ func (p *persister) warmStartSessions(ctx context.Context) {
 		log.Printf("sstad: store: warm start: list sessions: %v", err)
 		return
 	}
+	deltas := make(map[string]string) // session id -> delta key
+	var bases []string
 	for _, key := range keys {
+		if id, delta, _ := parseSessionKey(key); delta {
+			deltas[id] = key
+		} else {
+			bases = append(bases, key)
+		}
+	}
+	// A delete that raced the warm start wins: skip ids already marked
+	// dead so a removed session cannot resurrect.
+	dead := func(id string) bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		_, gone := p.dead[id]
+		return gone
+	}
+	for _, key := range bases {
 		if ctx.Err() != nil {
 			return
 		}
-		// A delete that raced the warm start wins: skip ids already marked
-		// dead so a removed session cannot resurrect.
-		if id, ok := sessionIDFromKey(key); ok {
-			p.mu.Lock()
-			_, gone := p.dead[id]
-			p.mu.Unlock()
-			if gone {
-				continue
-			}
-		}
-		data, err := p.store.Get(ctx, key)
-		if err != nil {
+		id, _, ok := parseSessionKey(key)
+		dkey := deltas[id]
+		delete(deltas, id)
+		if ok && dead(id) {
 			continue
 		}
-		cp, err := decodeCheckpoint(data)
-		if err != nil {
-			p.quarantine(ctx, key, err)
-			continue
+		p.restoreSession(ctx, key, dkey)
+	}
+	// A delta without a base cannot restore (a delete cut between its two
+	// keys leaves one); keep its bytes aside.
+	for id, dkey := range deltas {
+		if ctx.Err() == nil && !dead(id) {
+			p.quarantine(ctx, dkey, errors.New("session delta without a base checkpoint"))
 		}
-		sess, err := p.srv.flow.RestoreSession(ctx, cp.Session)
-		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			p.quarantine(ctx, key, err)
-			continue
-		}
-		created := time.UnixMilli(cp.CreatedMS)
-		if !p.srv.sessions.restore(cp.ID, cp.Name, created, cp.Edits, sess) {
-			continue // id taken or table full; leave the checkpoint be
-		}
-		p.restored.Add(1)
 	}
 	if n := p.restored.Load(); n > 0 {
 		log.Printf("sstad: store: warm start: restored %d sessions", n)
 	}
+}
+
+// restoreSession brings back one session from its base checkpoint and, when
+// dkey is not empty, the delta stored next to it (see the file comment for
+// which deltas apply).
+func (p *persister) restoreSession(ctx context.Context, key, dkey string) {
+	data, err := p.store.Get(ctx, key)
+	if err != nil {
+		return
+	}
+	bad := func(err error, keys ...string) {
+		for _, k := range keys {
+			p.quarantine(ctx, k, err)
+		}
+	}
+	withDelta := []string{key}
+	if dkey != "" {
+		withDelta = append(withDelta, dkey)
+	}
+	cp, err := decodeCheckpoint(data)
+	if err != nil {
+		bad(err, withDelta...)
+		return
+	}
+	snap, edits, applied := cp.Session, cp.Edits, false
+	if dkey != "" {
+		ddata, err := p.store.Get(ctx, dkey)
+		switch {
+		case errors.Is(err, store.ErrNotFound):
+		case err != nil:
+			// Restoring the base alone could bring back an older state;
+			// leave both for the next boot.
+			log.Printf("sstad: store: warm start: get %s: %v", dkey, err)
+			return
+		default:
+			d, err := decodeDelta(ddata)
+			switch {
+			case err != nil:
+				bad(err, withDelta...)
+				return
+			case d.ID != cp.ID:
+				bad(fmt.Errorf("delta of session %q next to base of %q", d.ID, cp.ID), withDelta...)
+				return
+			case d.Gen == 0 || d.Gen > cp.Gen:
+				bad(fmt.Errorf("delta generation %d, base generation %d", d.Gen, cp.Gen), withDelta...)
+				return
+			case d.Gen < cp.Gen:
+				// Left over from a rebase cut before its delete.
+				if err := p.store.Delete(ctx, dkey); err != nil {
+					log.Printf("sstad: store: warm start: delete stale %s: %v", dkey, err)
+				}
+			default:
+				if snap, err = cp.Session.WithDelta(&d.SessionDelta); err != nil {
+					bad(err, withDelta...)
+					return
+				}
+				edits, applied = d.Edits, true
+			}
+		}
+	}
+	sess, err := p.srv.flow.RestoreSession(ctx, snap)
+	if err != nil {
+		if ctx.Err() != nil {
+			return
+		}
+		if applied {
+			bad(err, withDelta...)
+		} else {
+			bad(err, key)
+		}
+		return
+	}
+	created := time.UnixMilli(cp.CreatedMS)
+	if !p.srv.sessions.restore(cp.ID, cp.Name, created, edits, sess) {
+		return // id taken or table full; leave the checkpoint be
+	}
+	p.restored.Add(1)
+	// The restored session has no delta base yet: its first checkpoint is
+	// a new base, which also deletes the delta.
+	p.setDurable(cp.ID, durableSession{gen: cp.Gen, delta: dkey != "", needBase: true})
 }
 
 // finalFlush is the shutdown drain: one synchronous flush with its own

@@ -27,11 +27,24 @@
 // internal/server (checkpoint marking, bounded background flusher with
 // Backoff retries, warm-start recovery); the snapshot payload formats live
 // with their owners (internal/timing GraphSnapshot, ssta SessionSnapshot,
-// internal/core model snapshots). A session checkpoint's payload is JSON
-// whose bulk, the timing graph's edge-delay bank, is one base64 field of
-// packed little-endian float64s: a c7552 session checkpoint is 8.0 MB, a
-// c3540 one 2.3 MB and a quad-c1355 one 0.56 MB (15.3, 4.3 and 0.97 MB
-// when each delay was JSON numbers).
+// internal/core model snapshots). Key layout:
+//
+//	sessions/<id>.snap    a session's full base checkpoint, numbered by
+//	                      a generation
+//	sessions/<id>.delta   the delay slots changed since that base, naming
+//	                      its generation (absent until the first edit)
+//	models/<graph>.snap   an extracted model of a reproducible graph
+//	preps/<design>.snap   a stamp of a warm per-mode analysis prep
+//	quarantine/...        objects moved aside as corrupt or skewed
+//
+// A session base's payload is JSON whose bulk, the timing graph's
+// edge-delay bank, is one base64 field of packed little-endian float64s:
+// a c7552 base is 8.0 MB, a c3540 one 2.3 MB and a quad-c1355 one
+// 0.56 MB (15.3, 4.3 and 0.97 MB when each delay was JSON numbers). A
+// delta packs only the changed slots, one per edited edge (its index and
+// the form's floats), so a busy session writes its base again only when
+// its structure changes or the delta outgrows an eighth of the base's
+// delays.
 //
 // The robustness contract threaded through all of it: a down, slow or
 // corrupt store must never fail or slow an analysis — store trouble

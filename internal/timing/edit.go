@@ -110,6 +110,7 @@ func (g *Graph) SetEdgeDelay(ei int, delay *canon.Form) error {
 	if err := checkEditDelay(e.From, e.To, delay); err != nil {
 		return err
 	}
+	g.noteWrite(ei, e)
 	e.Delay = delay
 	g.delayMu.Lock()
 	if g.delayBank != nil && g.delayBank.Cap() == len(g.Edges) {
@@ -217,6 +218,7 @@ func (g *Graph) RemoveEdge(ei int) error {
 	g.In[e.To] = dropEdgeIndex(g.In[e.To], int32(ei))
 	e.Removed = true
 	g.topoGen++
+	g.structGen++
 	g.markDirty(e.To, e.From)
 	return nil
 }
@@ -257,6 +259,7 @@ func (g *Graph) RetargetIO(inputs, outputs []int, inNames, outNames []string) er
 		g.markDirty(-1, v)
 	}
 	g.dirtyIO = true
+	g.structGen++
 	return nil
 }
 

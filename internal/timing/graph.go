@@ -125,6 +125,13 @@ type Graph struct {
 	delayBank   *canon.Bank
 	delayShared bool
 
+	// Delta-checkpoint tracking (see MarkBase): structGen counts the edits
+	// that change more than edge delays (added or removed edges, retargeted
+	// ports), and base, once MarkBase has run, holds the delay slot each
+	// edge had at the mark, for every edge written since.
+	structGen uint64
+	base      *deltaBase
+
 	// Edit/dirty metadata consumed by the incremental engine (edit.go,
 	// incremental.go): seed vertices whose arrival (fwdDirty) or required
 	// time (bwdDirty) may have changed since the last Incremental.Update,
@@ -174,6 +181,7 @@ func (g *Graph) addEdge(from, to int, delay *canon.Form, lsens []float64, grid i
 	g.In[to] = append(g.In[to], int32(idx))
 	g.order = nil
 	g.topoGen++
+	g.structGen++
 	return idx, nil
 }
 
@@ -456,6 +464,7 @@ func build(c *circuit.Circuit, lib *cell.Library, plan *place.Plan, gm *variatio
 		return ei, nil
 	}
 
+	sens := make([]float64, np) // every arc's sensitivities, in turn
 	for id, gate := range c.Gates {
 		if gate.Type == circuit.Input {
 			continue
@@ -490,7 +499,7 @@ func build(c *circuit.Circuit, lib *cell.Library, plan *place.Plan, gm *variatio
 			continue
 		}
 		for pin, src := range gate.Fanin {
-			arc, err := lib.ArcAtSlew(gate.Type, pin, nf, outSlew[src])
+			arc, err := lib.ArcAtSlew(gate.Type, pin, nf, outSlew[src], sens)
 			if err != nil {
 				return nil, fmt.Errorf("timing: gate %q: %w", gate.Name, err)
 			}

@@ -1,9 +1,11 @@
 package timing
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/canon"
 	"repro/internal/variation"
@@ -32,6 +34,11 @@ import (
 // any size-proportional allocation. Each packed delay must obey the rule
 // edits do (finite, |mean| and std within MaxEditDelayPS, no negative
 // private coefficient), since a blob, unlike JSON, can carry NaN and ±Inf.
+//
+// A delta checkpoint carries only the delay slots that changed since a
+// full snapshot (MarkBase, AppendDelta, PatchDelays at the end of this
+// file); restore patches them into the full snapshot's Delays, so a
+// patched slot meets the same FromSnapshot checks as any other.
 
 // Snapshot size caps: generous multiples of the largest graphs the repo
 // builds (tens of thousands of vertices), small enough that a hostile
@@ -191,6 +198,112 @@ func (g *Graph) Snapshot() *GraphSnapshot {
 	return s
 }
 
+// deltaIndexBytes is the little-endian uint32 edge index in front of each
+// slot of a delta (see AppendDelta).
+const deltaIndexBytes = 4
+
+// deltaBase is the state MarkBase tracks: the structure generation at the
+// mark and, for each edge written since, its delay slot at the mark.
+type deltaBase struct {
+	gen   uint64
+	slots map[int]canon.View
+}
+
+// MarkBase starts tracking the graph's delay writes against its current
+// state: the moment a full snapshot of it (or of a Clone taken with it,
+// under the same lock) becomes the base later deltas patch. From then on
+// SetEdgeDelay keeps each edge's slot as it was at the mark before the
+// edge's first write. Like every edit, it follows the single-writer
+// contract.
+func (g *Graph) MarkBase() {
+	g.base = &deltaBase{gen: g.structGen, slots: make(map[int]canon.View)}
+}
+
+// noteWrite saves edge ei's current delay slot before its first write
+// since MarkBase.
+func (g *Graph) noteWrite(ei int, e *Edge) {
+	if g.base == nil {
+		return
+	}
+	if _, seen := g.base.slots[ei]; !seen {
+		v := make(canon.View, g.Space.Stride())
+		v.LoadForm(e.Delay)
+		g.base.slots[ei] = v
+	}
+}
+
+// AppendDelta appends to dst one record per edge whose delay slot differs
+// bit for bit from its slot at the last MarkBase, in ascending edge order:
+// the edge index as a little-endian uint32, then Space.Stride()
+// little-endian float64s in the canon.View layout. It reports false, and
+// appends nothing, when no base is marked or an edit since the mark
+// changed more than edge delays; a delta cannot carry that, so the caller
+// takes a fresh base. Edges written back to their base value drop out of
+// the tracking. It costs O(edges written since the mark) and follows the
+// single-writer contract.
+func (g *Graph) AppendDelta(dst []byte) ([]byte, bool) {
+	b := g.base
+	if b == nil || b.gen != g.structGen {
+		return dst, false
+	}
+	cur := make(canon.View, g.Space.Stride())
+	idx := make([]int, 0, len(b.slots))
+	for ei, was := range b.slots {
+		cur.LoadForm(g.Edges[ei].Delay)
+		if slices.EqualFunc(cur, was, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			// Back at its base value: a later first write saves the same
+			// slot again.
+			delete(b.slots, ei)
+			continue
+		}
+		idx = append(idx, ei)
+	}
+	slices.Sort(idx)
+	for _, ei := range idx {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(ei))
+		cur.LoadForm(g.Edges[ei].Delay)
+		for _, x := range cur {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+		}
+	}
+	return dst, true
+}
+
+// PatchDelays returns a copy of s whose Delays carry the slot records of a
+// delta (see AppendDelta) in place of the base's. It checks the records'
+// framing — whole records, edge indices ascending and inside the snapshot
+// — and leaves the values to FromSnapshot, which checks every slot. s is
+// not modified.
+func (s *GraphSnapshot) PatchDelays(slots []byte) (*GraphSnapshot, error) {
+	if s.Globals < 0 || s.Globals > maxSnapshotGlobals || s.Components < 0 || s.Components > maxSnapshotComponents {
+		return nil, fmt.Errorf("timing: snapshot space %d+%d out of range", s.Globals, s.Components)
+	}
+	stride := canon.Space{Globals: s.Globals, Components: s.Components}.Stride()
+	if len(s.Delays) != 8*stride*len(s.Edges) {
+		return nil, fmt.Errorf("timing: snapshot delays hold %d bytes, want %d (%d edges of %d floats)",
+			len(s.Delays), 8*stride*len(s.Edges), len(s.Edges), stride)
+	}
+	rec := deltaIndexBytes + 8*stride
+	if len(slots)%rec != 0 {
+		return nil, fmt.Errorf("timing: delta holds %d bytes, not whole %d-byte slots", len(slots), rec)
+	}
+	out := *s
+	if len(slots) == 0 {
+		return &out, nil
+	}
+	out.Delays = bytes.Clone(s.Delays)
+	prev := -1
+	for off := 0; off < len(slots); off += rec {
+		ei := int(binary.LittleEndian.Uint32(slots[off:]))
+		if ei <= prev || ei >= len(s.Edges) {
+			return nil, fmt.Errorf("timing: delta slot for edge %d out of order or outside %d edges", ei, len(s.Edges))
+		}
+		prev = ei
+		copy(out.Delays[8*stride*ei:], slots[off+deltaIndexBytes:off+rec])
+	}
+	return &out, nil
+}
+
 // FromSnapshot reconstructs a graph from a snapshot, validating every
 // index, dimension and the topological order before trusting it. The
 // result is numerically identical to the snapshotted graph: edge slots
@@ -202,7 +315,9 @@ func (g *Graph) Snapshot() *GraphSnapshot {
 // and SetEdgeDelay copies it on the first write. The PCA grid model is
 // rebuilt last, after every other check: its eigensolve is cubic in the
 // grid cells (on the order of 100 s at 32x32), and a snapshot that fails a
-// cheap check must not pay it.
+// cheap check must not pay it. One of those checks bounds the components
+// the grid must keep (variation.MinComponents), which refuses most grids
+// too large for the form space without the eigensolve.
 func FromSnapshot(s *GraphSnapshot) (*Graph, error) {
 	if s.Globals < 0 || s.Globals > maxSnapshotGlobals {
 		return nil, fmt.Errorf("timing: snapshot globals %d out of range", s.Globals)
@@ -397,6 +512,15 @@ func FromSnapshot(s *GraphSnapshot) (*Graph, error) {
 		corr, err := variation.NewCorrelationModel(s.Grid.RhoNeighbor, s.Grid.RhoFloor, s.Grid.Range)
 		if err != nil {
 			return nil, fmt.Errorf("timing: snapshot grid correlation: %w", err)
+		}
+		// A grid too large for the form space's components is refused
+		// before the eigensolve shows it. A grid keeps at most one
+		// component per cell, so only a snapshot with fewer needs the bound.
+		if n := len(params); n > 0 && s.Components/n < gridN {
+			if lo := variation.MinComponents(s.Grid.NX, s.Grid.NY, corr); s.Components/n < lo {
+				return nil, fmt.Errorf("timing: snapshot grid %dx%d keeps at least %d components per parameter, form space has %d",
+					s.Grid.NX, s.Grid.NY, lo, s.Components/n)
+			}
 		}
 		gm, err := variation.NewGridModel(s.Grid.NX, s.Grid.NY, s.Grid.Pitch, corr)
 		if err != nil {

@@ -195,6 +195,90 @@ func NewGridModel(nx, ny int, pitch float64, corr *CorrelationModel) (*GridModel
 	return newGridModelFromCenters(nx, ny, pitch, corr, centers)
 }
 
+// MinComponents returns a lower bound on the component count
+// NewGridModel(nx, ny, pitch, corr) retains, without its eigensolve (the
+// pitch cancels out of grid distances).
+//
+// The correlation matrix C has trace n = nx*ny, and its largest eigenvalue
+// is at most R, its largest Gershgorin row sum. Every dropped eigenvalue is
+// at most the threshold τ = eigDropTol·max(λmax, 1) ≤ τ' = eigDropTol·R,
+// so for k retained ones n ≤ k·R + (n−k)·τ', that is k ≥ n(1−τ')/(R−τ'),
+// lowered by a relative margin for the eigensolver's rounding. That bound
+// is weak on strongly correlated grids (3 for the default correlation on
+// 16x16 cells, which keep all 256), so when it is below n the bound is
+// sharpened with a certificate: if C − σI, σ = 1e-6·R, has a Cholesky
+// factor, every eigenvalue of C exceeds σ less the factorization's
+// rounding (a few n·ε·R), far above τ', and all n components are kept.
+// The certificate is one O(n³/6) factorization, a small fraction of the
+// eigensolve it stands in for.
+func MinComponents(nx, ny int, corr *CorrelationModel) int {
+	n := nx * ny
+	// near[dy*nx+dx] is the correlation of two grids dx, dy cells apart.
+	near := make([]float64, n)
+	for dy := 0; dy < ny; dy++ {
+		for dx := 0; dx < nx; dx++ {
+			near[dy*nx+dx] = corr.Local(math.Hypot(float64(dx), float64(dy)))
+		}
+	}
+	at := func(i, j int) float64 { return near[abs(i/nx-j/nx)*nx+abs(i%nx-j%nx)] }
+	var r float64
+	for i := 0; i < n; i++ {
+		var row float64
+		for j := 0; j < n; j++ {
+			row += at(i, j)
+		}
+		r = math.Max(r, row)
+	}
+	tau := eigDropTol * r // r >= 1: the diagonal is 1
+	k := int(math.Ceil(float64(n) * (1 - tau) / (r - tau) * (1 - 1e-9)))
+	if k < n && choleskyShifted(n, at, 1e-6*r) {
+		return n
+	}
+	return k
+}
+
+// choleskyShifted reports whether the n x n symmetric matrix with entries
+// at(i, j), less sigma on the diagonal, has a Cholesky factor with every
+// pivot positive.
+func choleskyShifted(n int, at func(i, j int) float64, sigma float64) bool {
+	l := make([]float64, n*n) // lower triangle, row-major
+	for i := 0; i < n; i++ {
+		ri := l[i*n : i*n+i+1]
+		for j := range ri {
+			ri[j] = at(i, j)
+		}
+		ri[i] -= sigma
+	}
+	for j := 0; j < n; j++ {
+		rj := l[j*n : j*n+j]
+		d := l[j*n+j] - dot(rj, rj)
+		if !(d > 0) {
+			return false
+		}
+		d = math.Sqrt(d)
+		l[j*n+j] = d
+		for i := j + 1; i < n; i++ {
+			l[i*n+j] = (l[i*n+j] - dot(l[i*n:i*n+j], rj)) / d
+		}
+	}
+	return true
+}
+
+func dot(a, b []float64) float64 {
+	var s float64
+	for k := range a {
+		s += a[k] * b[k]
+	}
+	return s
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
 // NewGridModelFromCenters builds a grid model over arbitrary grid centers
 // (used for the heterogeneous design-level partition of paper Section V,
 // where grids may have different shapes). nx/ny are informational only.

@@ -26,6 +26,19 @@ import (
 // a version-1 snapshot, with per-edge JSON delay fields, is version skew
 // and is not read.
 //
+// A checkpointing caller need not re-snapshot a session whose edits only
+// moved edge delays. CheckpointBase takes a full snapshot and marks it as
+// the base; CheckpointDelta then captures a SessionDelta — the current
+// mean and the packed delay slots that differ bit for bit from the base,
+// copied under the session lock without cloning the graph — and returns
+// nil once anything a delta cannot carry has changed since the base (an
+// added or removed edge, retargeted ports, a module swap's recommitted
+// graph, the sweep or criticality settings), so the caller takes a fresh
+// base. Restore is WithDelta, which patches the slots into the base's
+// delay blob, then RestoreSession, so a patched slot passes the same
+// checks as any other and the mean cross-check runs against the delta's
+// mean.
+//
 // Hierarchical sessions snapshot their stitched top graph and restore as
 // flat sessions: the graph, delays and sweep are preserved exactly, while
 // design-structure edits (set_net_delay, swap_module) are no longer
@@ -75,15 +88,28 @@ type SessionSnapshot struct {
 // the lock is released, so a checkpoint does not stall the session's
 // requests for its whole duration.
 func (s *Session) Snapshot() *SessionSnapshot {
-	snap, g := s.snapshotLocked()
+	snap, g := s.snapshotLocked(false)
 	snap.Graph = g.Snapshot()
 	return snap
 }
 
-// snapshotLocked is the part of Snapshot that runs under the session lock.
-func (s *Session) snapshotLocked() (*SessionSnapshot, *Graph) {
+// CheckpointBase is Snapshot that also makes the snapshot the base later
+// CheckpointDelta calls capture their changes against.
+func (s *Session) CheckpointBase() *SessionSnapshot {
+	snap, g := s.snapshotLocked(true)
+	snap.Graph = g.Snapshot()
+	return snap
+}
+
+// snapshotLocked is the part of Snapshot that runs under the session lock;
+// mark makes the snapshot the delta base.
+func (s *Session) snapshotLocked(mark bool) (*SessionSnapshot, *Graph) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if mark {
+		s.graph.MarkBase()
+		s.baseGen = s.gen
+	}
 	snap := &SessionSnapshot{Hier: s.hs != nil}
 	if s.delay != nil {
 		snap.MeanPS = s.delay.Mean()
@@ -109,6 +135,60 @@ func (s *Session) snapshotLocked() (*SessionSnapshot, *Graph) {
 		snap.Crit = &CritSnapshot{Workers: s.critOpt.Workers, ScreenDelta: s.critOpt.ScreenDelta}
 	}
 	return snap, s.graph.Clone()
+}
+
+// SessionDelta is a session's durable change since its last
+// CheckpointBase, when only edge delays changed: the snapshot a
+// CheckpointBase would take now is the base with Slots patched in and
+// MeanPS in place of the base's. Callers seal it with their own
+// bookkeeping (the server's delta checkpoint embeds it).
+type SessionDelta struct {
+	// MeanPS is the mean circuit delay at capture time, the restore's
+	// cross-check (see SessionSnapshot.MeanPS).
+	MeanPS float64 `json:"mean_ps"`
+	// Slots packs the delay slot of every edge that differs bit for bit
+	// from the base, in ascending edge order: the edge index as a
+	// little-endian uint32, then Stride() little-endian float64s in the
+	// canon.View layout (see timing.Graph.AppendDelta).
+	Slots []byte `json:"slots,omitempty"`
+}
+
+// CheckpointDelta captures the session's delta against its last
+// CheckpointBase. It copies only the changed slots, under the session
+// lock, and returns nil when there is no base or a delta cannot carry the
+// change (see the file comment): the caller then takes a new base.
+func (s *Session) CheckpointDelta() *SessionDelta {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.gen != s.baseGen {
+		return nil
+	}
+	slots, ok := s.graph.AppendDelta(nil)
+	if !ok {
+		return nil
+	}
+	d := &SessionDelta{Slots: slots}
+	if s.delay != nil {
+		d.MeanPS = s.delay.Mean()
+	}
+	return d
+}
+
+// WithDelta returns the snapshot d describes: a copy of snap, the base d
+// was captured against, with d's slots patched into its delay blob and
+// d's mean. Slot framing is checked here; the values are checked by
+// RestoreSession like every other slot. snap is not modified.
+func (snap *SessionSnapshot) WithDelta(d *SessionDelta) (*SessionSnapshot, error) {
+	if snap.Graph == nil {
+		return nil, errors.New("ssta: session snapshot has no graph")
+	}
+	g, err := snap.Graph.PatchDelays(d.Slots)
+	if err != nil {
+		return nil, fmt.Errorf("ssta: apply session delta: %w", err)
+	}
+	out := *snap
+	out.Graph, out.MeanPS = g, d.MeanPS
+	return &out, nil
 }
 
 // Encode seals the snapshot in a checksummed store envelope.

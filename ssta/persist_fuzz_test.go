@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/binary"
+	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
@@ -105,6 +106,84 @@ func FuzzSnapshotDecode(f *testing.F) {
 			if !bytes.Equal(rs.Delays, snap.Graph.Delays) {
 				t.Fatal("rebuilt graph's delays differ from the snapshot's")
 			}
+		}
+	})
+}
+
+// deltaFuzzBase is FuzzCheckpointDelta's fixture: a c432 session's base
+// checkpoint and a delta captured against it after three edit batches,
+// one of them undone.
+func deltaFuzzBase(tb testing.TB) (*Flow, *SessionSnapshot, *SessionDelta) {
+	tb.Helper()
+	ctx := context.Background()
+	flow := DefaultFlow()
+	g, _, err := flow.BenchGraph("c432", 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := flow.NewGraphSession(ctx, g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	base := s.CheckpointBase()
+	for _, batch := range [][]Edit{
+		{{Op: EditScaleDelay, Edge: 3, Scale: 2}, {Op: EditSetNominal, Edge: 10, Value: 42.5}},
+		{{Op: EditScaleDelay, Edge: 3, Scale: 0.5}},
+		{{Op: EditScaleDelay, Edge: 12, Scale: 4}},
+	} {
+		if _, err := s.Apply(ctx, batch); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	d := s.CheckpointDelta()
+	if d == nil || len(d.Slots) == 0 {
+		tb.Fatal("fixture captured no delta")
+	}
+	return flow, base, d
+}
+
+// FuzzCheckpointDelta drives arbitrary bytes through the session-delta
+// payload decoder (the JSON a delta checkpoint seals; the envelope
+// checksum in front of it is FuzzSnapshotDecode's ground) and applies what
+// it accepts to a valid base: neither step may panic, and a delta that
+// restores must restore to a session whose re-snapshot is the base with
+// the delta's slots patched in, and nothing else changed.
+func FuzzCheckpointDelta(f *testing.F) {
+	flow, base, d := deltaFuzzBase(f)
+	valid, err := json.Marshal(d)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte{})
+	f.Add([]byte(`{"mean_ps":1}`))
+	baseDelays := bytes.Clone(base.Graph.Delays)
+	rec := 4 + 8*(base.Graph.Globals+base.Graph.Components+2) // edge index + slot
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var d SessionDelta
+		if err := json.Unmarshal(data, &d); err != nil {
+			return
+		}
+		patched, err := base.WithDelta(&d)
+		if !bytes.Equal(base.Graph.Delays, baseDelays) {
+			t.Fatal("applying a delta modified the base")
+		}
+		if err != nil {
+			return
+		}
+		rs, err := flow.RestoreSession(context.Background(), patched)
+		if err != nil {
+			return
+		}
+		want := bytes.Clone(baseDelays)
+		for off := 0; off < len(d.Slots); off += rec {
+			ei := int(binary.LittleEndian.Uint32(d.Slots[off:]))
+			copy(want[(rec-4)*ei:], d.Slots[off+4:off+rec])
+		}
+		if got := rs.Snapshot().Graph.Delays; !bytes.Equal(got, want) {
+			t.Fatal("restored session's delays are not the base with the delta's slots")
 		}
 	})
 }

@@ -145,6 +145,11 @@ type Session struct {
 	crit    *core.IncrementalCriticality
 	critOpt CriticalityOptions
 	critOn  bool
+
+	// gen counts changes to the sweep and criticality settings, which a
+	// delta checkpoint cannot carry; baseGen is its value at the last
+	// CheckpointBase (see persist.go).
+	gen, baseGen uint64
 }
 
 // sessionSweep is the per-session MCMM sweep state: one transformed clone
@@ -485,6 +490,7 @@ func (s *Session) EnableCriticality(ctx context.Context, opt CriticalityOptions)
 		return nil, err
 	}
 	s.crit, s.critOpt, s.critOn = ic, opt, true
+	s.gen++
 	return ic.Result(), nil
 }
 
@@ -492,6 +498,7 @@ func (s *Session) EnableCriticality(ctx context.Context, opt CriticalityOptions)
 func (s *Session) DisableCriticality() {
 	s.mu.Lock()
 	s.crit, s.critOn = nil, false
+	s.gen++
 	s.mu.Unlock()
 }
 
@@ -756,6 +763,7 @@ func (s *Session) SetSweep(ctx context.Context, scens []Scenario, opt SweepOptio
 		return nil, err
 	}
 	s.sweep = st
+	s.gen++
 	return st.report, nil
 }
 
@@ -774,5 +782,6 @@ func (s *Session) Sweep() *SweepReport {
 func (s *Session) ClearSweep() {
 	s.mu.Lock()
 	s.sweep = nil
+	s.gen++
 	s.mu.Unlock()
 }

@@ -109,10 +109,11 @@ func MaxViewsVar(dst, a, b View, cvA, r2A, cvB, r2B float64) (cv, r2 float64) {
 
 // TightnessProbVar is TightnessProbViews with both operand variances
 // supplied: one covariance dot instead of the fused three-dot VarCov pass.
-// It also returns the comparison z-score (+-Inf on the degenerate
-// branches), which the criticality engine folds alongside the probability
-// so its branch-and-bound tests can run in z-space without a CDF call.
-func TightnessProbVar(a, b View, va, vb float64) (c, z float64) {
+// It returns the comparison z-score rather than the probability, which is
+// TightnessCDF(z): the criticality engine compares z-scores against its
+// fold and evaluates the CDF only for the few that raise it. The degenerate
+// branches return +-Inf for a strict nominal ordering and 0 for a tie.
+func TightnessProbVar(a, b View, va, vb float64) float64 {
 	cov := DotCoeffs(a, b)
 	t2 := va + vb - 2*cov
 	if t2 < 0 {
@@ -120,18 +121,37 @@ func TightnessProbVar(a, b View, va, vb float64) (c, z float64) {
 	}
 	theta := math.Sqrt(t2)
 	if theta < thetaEps {
-		switch {
-		case a[0] > b[0]:
-			return 1, math.Inf(1)
-		case a[0] < b[0]:
-			return 0, math.Inf(-1)
-		default:
-			return 0.5, 0
-		}
+		return degenerateZ(a[0], b[0])
 	}
-	z = (a[0] - b[0]) / theta
-	c, _ = stats.NormTP(z)
-	return c, z
+	return (a[0] - b[0]) / theta
+}
+
+// degenerateZ is the z-score of a comparison whose spread collapsed: the
+// nominal ordering decides it outright, and a tie is a coin flip.
+func degenerateZ(a, b float64) float64 {
+	switch {
+	case a > b:
+		return math.Inf(1)
+	case a < b:
+		return math.Inf(-1)
+	default:
+		return 0
+	}
+}
+
+// TightnessCDF is the tightness probability of a z-score returned by
+// TightnessProbVar or CompTightnessViews. The degenerate scores keep their
+// explicit values: +Inf is certain (1), -Inf impossible (0) and a tie's 0
+// is one half, which is also NormTP(0).
+func TightnessCDF(z float64) float64 {
+	switch {
+	case math.IsInf(z, 1):
+		return 1
+	case math.IsInf(z, -1):
+		return 0
+	}
+	c, _ := stats.NormTP(z)
+	return c
 }
 
 // CompTightnessViews returns P(de >= max(p, s)) — the home-edge
@@ -148,9 +168,9 @@ func TightnessProbVar(a, b View, va, vb float64) (c, z float64) {
 // theta-collapsed complement pair reduces to the larger-mean operand, and
 // a theta-collapsed final comparison falls back to the nominal ordering.
 // vDe is de's variance; (cvP, r2P) and (cvS, r2S) are the operands'
-// tracked variances. Like TightnessProbVar it also returns the final
-// comparison z-score for the caller's z-space fold.
-func CompTightnessViews(de, p, s View, vDe, cvP, r2P, cvS, r2S float64) (c, z float64) {
+// tracked variances. Like TightnessProbVar it returns the final comparison
+// z-score, whose probability is TightnessCDF(z).
+func CompTightnessViews(de, p, s View, vDe, cvP, r2P, cvS, r2S float64) float64 {
 	var covDeP, covDeS, covPS float64
 	n := len(de) - 1
 	if dc, pc, sc := de[1:n], p[1:n], s[1:n]; useAsm && len(dc) >= asmMin {
@@ -202,16 +222,7 @@ func CompTightnessViews(de, p, s View, vDe, cvP, r2P, cvS, r2S float64) (c, z fl
 	}
 	thetaT := math.Sqrt(t2)
 	if thetaT < thetaEps {
-		switch {
-		case de[0] > meanC:
-			return 1, math.Inf(1)
-		case de[0] < meanC:
-			return 0, math.Inf(-1)
-		default:
-			return 0.5, 0
-		}
+		return degenerateZ(de[0], meanC)
 	}
-	z = (de[0] - meanC) / thetaT
-	c, _ = stats.NormTP(z)
-	return c, z
+	return (de[0] - meanC) / thetaT
 }

@@ -69,27 +69,21 @@ func TestTrackedKernelsMatchMaterialized(t *testing.T) {
 			t.Fatalf("trial %d: tracked max variance off by %g", trial, dv)
 		}
 
-		// TightnessProbVar vs TightnessProbViews, and the returned z must
-		// reproduce the probability through the engine's CDF.
-		tpT, tpZ := TightnessProbVar(c, d, cv[2]+r2[2], cv[3]+r2[3])
+		// TightnessProbVar's z through the engine's CDF vs
+		// TightnessProbViews.
+		tpT := TightnessCDF(TightnessProbVar(c, d, cv[2]+r2[2], cv[3]+r2[3]))
 		tpM := TightnessProbViews(c, d)
 		if math.Abs(tpT-tpM) > tol {
 			t.Fatalf("trial %d: TightnessProbVar %g vs %g", trial, tpT, tpM)
-		}
-		if zc, _ := stats.NormTP(tpZ); zc != tpT {
-			t.Fatalf("trial %d: TightnessProbVar pair broken: Phi(%g)=%g vs c=%g", trial, tpZ, zc, tpT)
 		}
 
 		// CompTightnessViews vs materialized MaxViews + TightnessProbViews.
 		comp := bank.Take()
 		MaxViews(comp, b, c)
 		want := TightnessProbViews(a, comp)
-		got, gotZ := CompTightnessViews(a, b, c, cv[0]+r2[0], cv[1], r2[1], cv[2], r2[2])
+		got := TightnessCDF(CompTightnessViews(a, b, c, cv[0]+r2[0], cv[1], r2[1], cv[2], r2[2]))
 		if math.Abs(got-want) > tol {
 			t.Fatalf("trial %d: CompTightnessViews %g vs %g", trial, got, want)
-		}
-		if zc, _ := stats.NormTP(gotZ); zc != got {
-			t.Fatalf("trial %d: CompTightnessViews pair broken: Phi(%g)=%g vs c=%g", trial, gotZ, zc, got)
 		}
 	}
 }
@@ -126,7 +120,7 @@ func TestTrackedChainMatchesMaterialized(t *testing.T) {
 		t.Fatalf("tracked chain variance drifted by %g", dv)
 	}
 	probe, pcv, pr2 := ops[m/2], cv[m/2], r2[m/2]
-	tpT, _ := TightnessProbVar(probe, chT[m-1], pcv+pr2, ccv+cr2)
+	tpT := TightnessCDF(TightnessProbVar(probe, chT[m-1], pcv+pr2, ccv+cr2))
 	tpM := TightnessProbViews(probe, chM[m-1])
 	if math.Abs(tpT-tpM) > 1e-9 {
 		t.Fatalf("chain tightness %g vs %g", tpT, tpM)
@@ -149,5 +143,43 @@ func TestDotCoeffsMatchesCov(t *testing.T) {
 		if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
 			t.Fatalf("comps=%d: DotCoeffs %g vs CovViews %g", comps, got, want)
 		}
+	}
+}
+
+// TestTightnessCDF pins the z-score to probability map the criticality
+// engine folds with: the degenerate scores keep their explicit values, and
+// every finite score is the engine's CDF bit for bit (a tie's 0 included,
+// so a degenerate tie and a finite z of 0 cannot disagree).
+func TestTightnessCDF(t *testing.T) {
+	if c := TightnessCDF(math.Inf(1)); c != 1 {
+		t.Fatalf("TightnessCDF(+Inf) = %g, want 1", c)
+	}
+	if c := TightnessCDF(math.Inf(-1)); c != 0 {
+		t.Fatalf("TightnessCDF(-Inf) = %g, want 0", c)
+	}
+	for _, z := range []float64{0, math.Copysign(0, -1), 1e-300, -1e-300, 0.5, -0.5, 3, -3, 7.07106781186547, -8, 40, -40} {
+		want, _ := stats.NormTP(z)
+		if got := TightnessCDF(z); got != want {
+			t.Fatalf("TightnessCDF(%g) = %g, want NormTP %g", z, got, want)
+		}
+	}
+	if c := TightnessCDF(0); c != 0.5 {
+		t.Fatalf("TightnessCDF(0) = %g, want 0.5", c)
+	}
+
+	// The degenerate branches of both kernels: equal forms tie, a pure
+	// nominal gap orders them outright.
+	space := Space{Globals: 1, Components: 2}
+	bank := NewBank(space, 3)
+	a, b, c := bank.Take(), bank.Take(), bank.Take()
+	a[0], b[0], c[0] = 5, 5, 3
+	if z := TightnessProbVar(a, b, 0, 0); z != 0 {
+		t.Fatalf("tie: z = %g, want 0", z)
+	}
+	if z := TightnessProbVar(a, c, 0, 0); !math.IsInf(z, 1) {
+		t.Fatalf("strict win: z = %g, want +Inf", z)
+	}
+	if z := CompTightnessViews(c, a, b, 0, 0, 0, 0, 0); !math.IsInf(z, -1) {
+		t.Fatalf("strict loss: z = %g, want -Inf", z)
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/memo"
 	"repro/internal/timing"
@@ -46,6 +48,11 @@ const DefaultCacheEntries = 256
 // fill policy is internal/memo's.
 type ExtractCache struct {
 	models *memo.Cache[extractKey, *Model]
+
+	// Cold extractions the cache ran (its misses, counted as they finish)
+	// and their summed wall-clock time.
+	runs     atomic.Int64
+	runNanos atomic.Int64
 }
 
 // NewExtractCache returns a cache bounded at DefaultCacheEntries entries
@@ -59,7 +66,7 @@ func NewExtractCache() *ExtractCache {
 // negative value disables the respective bound; the most recent entry is
 // always retained, so a single model larger than maxCost does not thrash.
 func NewExtractCacheSized(maxEntries int, maxCost int64) *ExtractCache {
-	return &ExtractCache{memo.New[extractKey](maxEntries, maxCost, modelCost)}
+	return &ExtractCache{models: memo.New[extractKey](maxEntries, maxCost, modelCost)}
 }
 
 // modelCost estimates the resident size of a cached model in bytes: the
@@ -91,7 +98,19 @@ func (c *ExtractCache) ExtractCtx(ctx context.Context, g *timing.Graph, opt Opti
 	if c == nil {
 		return ExtractCtx(ctx, g, opt)
 	}
-	return c.models.Get(ctx, newExtractKey(g, opt), func() (*Model, error) { return Extract(g, opt) })
+	return c.models.Get(ctx, newExtractKey(g, opt), func() (*Model, error) {
+		start := time.Now()
+		m, err := Extract(g, opt)
+		c.runNanos.Add(int64(time.Since(start)))
+		c.runs.Add(1)
+		return m, err
+	})
+}
+
+// Extractions reports the cold extractions the cache has run to completion
+// and the wall-clock time they took in total: what its misses cost.
+func (c *ExtractCache) Extractions() (n int64, total time.Duration) {
+	return c.runs.Load(), time.Duration(c.runNanos.Load())
 }
 
 // Stats reports cache hits and misses so far.

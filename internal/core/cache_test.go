@@ -42,6 +42,10 @@ func TestExtractCacheHit(t *testing.T) {
 	if misses != 1 || hits != 3 {
 		t.Fatalf("stats = %d hits / %d misses, want 3/1", hits, misses)
 	}
+	// Only the miss ran the pipeline, and its time is accounted.
+	if n, took := c.Extractions(); n != 1 || took <= 0 {
+		t.Fatalf("extractions = %d taking %v, want 1 taking > 0", n, took)
+	}
 	if c.Len() != 1 {
 		t.Fatalf("cache holds %d entries, want 1", c.Len())
 	}

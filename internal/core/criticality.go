@@ -168,9 +168,9 @@ type critEngine struct {
 
 	lv       *timing.Levels
 	rs       *timing.ReachSets
-	crossing [][]int32 // boundary k (1..maxLevel): alive crossing edge ids
-	home     []int32   // edge -> home boundary; -1 for tombstoned edges
+	crossing [][]cutEdge // boundary k (1..maxLevel): alive crossing edges
 	maxCross int
+	nCross   int // total crossing entries over every boundary
 
 	outs [][]int32 // input position -> reachable output positions
 
@@ -197,6 +197,14 @@ type critEngine struct {
 	nonneg bool
 }
 
+// cutEdge is one level-cutset entry: an edge with its endpoints and
+// whether the boundary is its home, so the row loop streams a compact
+// cutset instead of visiting g.Edges.
+type cutEdge struct {
+	e, from, to int32
+	home        bool
+}
+
 // newCritEngine prepares the shared state. rs may carry a pre-computed
 // reachability (nil: computed here); needOut selects the outputs to prepare
 // backward state for (nil: all).
@@ -219,7 +227,6 @@ func newCritEngine(ctx context.Context, g *timing.Graph, opt CriticalityOptions,
 	}
 	en := &critEngine{
 		g: g, opt: opt, lv: lv, rs: rs,
-		home:   make([]int32, len(g.Edges)),
 		screen: opt.ScreenDelta > 0,
 	}
 	if en.screen {
@@ -244,23 +251,20 @@ func newCritEngine(ctx context.Context, g *timing.Graph, opt CriticalityOptions,
 	// crosses boundary k; its criticality is evaluated once, at its home
 	// boundary level(u)+1. Tombstoned edges are on no path and never enter
 	// a cutset.
-	en.crossing = make([][]int32, lv.MaxLevel+1)
+	en.crossing = make([][]cutEdge, lv.MaxLevel+1)
 	for e := range g.Edges {
 		ed := &g.Edges[e]
 		if ed.Removed {
-			en.home[e] = -1
 			continue
 		}
 		lf, lt := lv.Level[ed.From], lv.Level[ed.To]
-		en.home[e] = lf + 1
 		for k := lf + 1; k <= lt; k++ {
-			en.crossing[k] = append(en.crossing[k], int32(e))
+			en.crossing[k] = append(en.crossing[k], cutEdge{int32(e), int32(ed.From), int32(ed.To), k == lf+1})
 		}
 	}
 	for _, c := range en.crossing {
-		if len(c) > en.maxCross {
-			en.maxCross = len(c)
-		}
+		en.maxCross = max(en.maxCross, len(c))
+		en.nCross += len(c)
 	}
 
 	// Sparse per-input list of reachable output positions.
@@ -331,6 +335,13 @@ func (en *critEngine) release() {
 type critScratch struct {
 	arrP *timing.Pass
 
+	// reach holds every boundary's crossing edges that the current input
+	// reaches, boundary k at reach[reachAt[k]:reachAt[k+1]]: the input's
+	// half of the alive filter, applied once per input row instead of once
+	// per (input, output) pair.
+	reach   []cutEdge
+	reachAt []int
+
 	// chains holds one boundary's prefix/suffix Clark maxima: slot t is
 	// prefix[t], slot maxCross+t is suffix[t].
 	chains *canon.Bank
@@ -367,7 +378,8 @@ type critScratch struct {
 	sufCv, sufR2   []float64
 
 	des, prefix, suffix []canon.View
-	alive, evalHome     []int32
+	alive               []cutEdge
+	evalHome            []int32
 }
 
 // newScratch builds a worker arena sized to the engine's graph.
@@ -376,6 +388,8 @@ func (en *critEngine) newScratch() *critScratch {
 	nE := len(g.Edges)
 	ws := &critScratch{
 		arrP:    g.AcquirePass(),
+		reach:   make([]cutEdge, 0, en.nCross),
+		reachAt: make([]int, en.lv.MaxLevel+2),
 		chains:  canon.NewBank(g.Space, 2*en.maxCross),
 		base:    canon.NewBank(g.Space, nE),
 		baseOK:  make([]bool, nE),
@@ -448,13 +462,14 @@ func (ws *critScratch) release() {
 // representability clip since the blended shared energy is itself a convex
 // combination), and theta(de, comp) <= sig(de) + sig(comp) by
 // Cauchy-Schwarz. A more negative numerator over a larger denominator only
-// lowers z. Because the evaluation kernels return their final z alongside
-// Phi(z), the fold tracks (cm, cmZ) pairs and both tests run without a CDF
-// call: a home edge with zb <= cmZ[e] is skipped outright (branch-and-bound
-// — exact, since the skipped value cannot raise the fold), and under a
-// screen, zb at or below the precomputed screenCutZ crossover skips the
-// evaluation and folds the bound instead (the one place the pass pays a
-// CDF, and only when the bound advances the fold).
+// lowers z. The fold tracks (cm, cmZ) pairs, so both tests run without a
+// CDF call: a home edge with zb <= cmZ[e] is skipped outright
+// (branch-and-bound — exact, since the skipped value cannot raise the
+// fold), and under a screen, zb at or below the precomputed screenCutZ
+// crossover skips the evaluation and folds the bound instead. The
+// evaluation kernels likewise return only the final z, and the pass pays
+// for a CDF only when a z, bound or evaluated, advances the fold (on c1908
+// about 10k of 543k evaluations do).
 //
 // Home edges that survive both tests reach the third stage:
 // tracked-variance prefix/suffix Clark chains (built only over the index
@@ -474,6 +489,17 @@ func (en *critEngine) runInput(ctx context.Context, i int, cm []float64, protect
 	for e := range ws.baseOK {
 		ws.baseOK[e] = false
 	}
+	reach := ws.reach[:0]
+	for k := 1; k <= en.lv.MaxLevel; k++ {
+		ws.reachAt[k] = len(reach)
+		for _, c := range en.crossing[k] {
+			if arrP.Reached(int(c.from)) {
+				reach = append(reach, c)
+			}
+		}
+	}
+	ws.reachAt[en.lv.MaxLevel+1] = len(reach)
+	ws.reach = reach
 	for _, j := range en.outs[i] {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -509,16 +535,16 @@ func (en *critEngine) runInput(ctx context.Context, i int, cm []float64, protect
 		}
 
 		for k := 1; k <= en.lv.MaxLevel; k++ {
-			// Gather crossing edges alive for this pair.
+			// Gather crossing edges alive for this pair: the input-reached
+			// ones that reach the output.
 			alive := ws.alive[:0]
 			nHome := 0
-			for _, e := range en.crossing[k] {
-				ed := &g.Edges[e]
-				if !arrP.Reached(ed.From) || !rq.Reached(ed.To) {
+			for _, c := range reach[ws.reachAt[k]:ws.reachAt[k+1]] {
+				if !rq.Reached(int(c.to)) {
 					continue
 				}
-				alive = append(alive, e)
-				if en.home[e] == int32(k) {
+				alive = append(alive, c)
+				if c.home {
 					nHome++
 				}
 			}
@@ -530,9 +556,9 @@ func (en *critEngine) runInput(ctx context.Context, i int, cm []float64, protect
 			if m == 1 {
 				// Single crossing edge: every path of the pair runs
 				// through it.
-				if en.home[alive[0]] == int32(k) {
-					cm[alive[0]] = 1
-					ws.cmZ[alive[0]] = math.Inf(1)
+				if c := alive[0]; c.home {
+					cm[c.e] = 1
+					ws.cmZ[c.e] = math.Inf(1)
 				}
 				continue
 			}
@@ -550,15 +576,14 @@ func (en *critEngine) runInput(ctx context.Context, i int, cm []float64, protect
 			des := ws.des[:0]
 			nomDe, sigDe := ws.nomDe[:m], ws.sigDe[:m]
 			deCv, deR2 := ws.deCv[:m], ws.deR2[:m]
-			for t, e := range alive {
-				ed := &g.Edges[e]
-				bv := ws.base.View(int(e))
-				if !ws.baseOK[e] {
-					canon.AddViews(bv, arrP.At(ed.From), en.delays.View(int(e)))
-					ws.baseOK[e] = true
+			for t, c := range alive {
+				bv := ws.base.View(int(c.e))
+				if !ws.baseOK[c.e] {
+					canon.AddViews(bv, arrP.At(int(c.from)), en.delays.View(int(c.e)))
+					ws.baseOK[c.e] = true
 				}
 				de := ws.de.View(t)
-				cv, r2 := canon.AddViewsVar(de, bv, rq.At(ed.To))
+				cv, r2 := canon.AddViewsVar(de, bv, rq.At(int(c.to)))
 				deCv[t], deR2[t] = cv, r2
 				des = append(des, de)
 				nomDe[t] = de.Nominal()
@@ -581,10 +606,11 @@ func (en *critEngine) runInput(ctx context.Context, i int, cm []float64, protect
 			}
 			evalHome := ws.evalHome[:0]
 			screened := int64(0)
-			for t, e := range alive {
-				if en.home[e] != int32(k) {
+			for t, c := range alive {
+				if !c.home {
 					continue
 				}
+				e := c.e
 				var oN, oS float64
 				switch t {
 				case 0:
@@ -650,15 +676,13 @@ func (en *critEngine) runInput(ctx context.Context, i int, cm []float64, protect
 					}
 				}
 			}
-			// Tracked-variance Clark chains, prefix and suffix interleaved.
-			// Slot 0 / m-1 alias the path delays directly. A Clark step is one
-			// long latency chain (covariance dot -> theta -> CDF -> blend, each
-			// feeding the next), and consecutive steps of one fold are serially
-			// dependent; the two folds are independent of each other, so
-			// alternating their steps hands the out-of-order core two chains to
-			// overlap instead of serializing every step back to back. The
-			// per-fold step order is unchanged, so the results are bit-identical
-			// to running the folds one after the other.
+			// Tracked-variance Clark chains, prefix and suffix, their steps
+			// alternating. Slot 0 / m-1 alias the path delays directly. Each
+			// fold keeps its own step order, so the results are bit-identical
+			// to running the folds one after the other. The alternation hides
+			// no latency: a step costs the same (~135 ns at dim 20) alone or
+			// beside other independent chains, so steps are bound by their
+			// instruction count, not by the dependency between them.
 			prefix, suffix := ws.prefix[:m], ws.suffix[:m]
 			prefCv, prefR2 := ws.prefCv[:m], ws.prefR2[:m]
 			sufCv, sufR2 := ws.sufCv[:m], ws.sufR2[:m]
@@ -686,20 +710,22 @@ func (en *critEngine) runInput(ctx context.Context, i int, cm []float64, protect
 			}
 			for _, t32 := range evalHome {
 				t := int(t32)
-				e := alive[t]
+				e := alive[t].e
 				vDe := deCv[t] + deR2[t]
-				var c, zc float64
+				var zc float64
 				switch {
 				case t == 0:
-					c, zc = canon.TightnessProbVar(des[0], suffix[1], vDe, sufCv[1]+sufR2[1])
+					zc = canon.TightnessProbVar(des[0], suffix[1], vDe, sufCv[1]+sufR2[1])
 				case t == m-1:
-					c, zc = canon.TightnessProbVar(des[m-1], prefix[m-2], vDe, prefCv[m-2]+prefR2[m-2])
+					zc = canon.TightnessProbVar(des[m-1], prefix[m-2], vDe, prefCv[m-2]+prefR2[m-2])
 				default:
-					c, zc = canon.CompTightnessViews(des[t], prefix[t-1], suffix[t+1], vDe,
+					zc = canon.CompTightnessViews(des[t], prefix[t-1], suffix[t+1], vDe,
 						prefCv[t-1], prefR2[t-1], sufCv[t+1], sufR2[t+1])
 				}
+				// Only an evaluation that raises the fold pays for its
+				// CDF; most lose to a value an earlier output folded.
 				if zc > ws.cmZ[e] {
-					cm[e], ws.cmZ[e] = c, zc
+					cm[e], ws.cmZ[e] = canon.TightnessCDF(zc), zc
 				}
 			}
 		}

@@ -165,9 +165,6 @@ func ExtractCtx(ctx context.Context, g *timing.Graph, opt Options) (*Model, erro
 // rebuildGraph compacts the mutable model graph back into an immutable
 // timing.Graph, preserving port order and names and the variation context.
 func rebuildGraph(orig *timing.Graph, mg *modelGraph) (*timing.Graph, error) {
-	if mg.dirty {
-		mg.rebuild()
-	}
 	keep := make([]bool, mg.nVerts)
 	for v := 0; v < mg.nVerts; v++ {
 		if !mg.vAlive[v] {

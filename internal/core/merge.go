@@ -1,21 +1,32 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/canon"
 	"repro/internal/timing"
 )
 
 // modelGraph is the mutable multigraph the merge operations work on. Edges
-// and vertices are soft-deleted; adjacency is rebuilt lazily per pass.
+// and vertices are soft-deleted. The adjacency lists stay current through
+// every edit: each holds the alive edge ids of its vertex in ascending
+// order, exactly what a from-scratch scan of edges would produce, so a
+// merge step never has to rebuild them.
 type modelGraph struct {
 	space  canon.Space
 	nVerts int
 	edges  []modelEdge
-	inE    [][]int // alive fanin edge ids per vertex
-	outE   [][]int // alive fanout edge ids per vertex
+	inE    [][]int // alive fanin edge ids per vertex, ascending
+	outE   [][]int // alive fanout edge ids per vertex, ascending
 	isPort []bool
 	vAlive []bool
-	dirty  bool
+
+	// parallelMerge scratch: sink multiplicities of the vertex in hand,
+	// valid where mark equals stamp, and a snapshot of its fanout.
+	mark  []int
+	count []int
+	stamp int
+	fan   []int
 }
 
 type modelEdge struct {
@@ -31,8 +42,12 @@ func newModelGraph(g *timing.Graph, removeEdge []bool) *modelGraph {
 		space:  g.Space,
 		nVerts: g.NumVerts,
 		edges:  make([]modelEdge, 0, len(g.Edges)),
+		inE:    make([][]int, g.NumVerts),
+		outE:   make([][]int, g.NumVerts),
 		isPort: make([]bool, g.NumVerts),
 		vAlive: make([]bool, g.NumVerts),
+		mark:   make([]int, g.NumVerts),
+		count:  make([]int, g.NumVerts),
 	}
 	for _, v := range g.Inputs {
 		m.isPort[v] = true
@@ -48,24 +63,17 @@ func newModelGraph(g *timing.Graph, removeEdge []bool) *modelGraph {
 			continue
 		}
 		e := &g.Edges[ei]
-		m.edges = append(m.edges, modelEdge{from: e.From, to: e.To, delay: e.Delay.Clone(), alive: true})
+		m.addEdge(e.From, e.To, e.Delay.Clone())
 	}
-	m.rebuild()
 	return m
 }
 
-func (m *modelGraph) rebuild() {
-	m.inE = make([][]int, m.nVerts)
-	m.outE = make([][]int, m.nVerts)
-	for ei := range m.edges {
-		e := &m.edges[ei]
-		if !e.alive {
-			continue
-		}
-		m.inE[e.to] = append(m.inE[e.to], ei)
-		m.outE[e.from] = append(m.outE[e.from], ei)
+// dropID removes edge id ei from the ascending list ids, keeping the order.
+func dropID(ids []int, ei int) []int {
+	if k, ok := slices.BinarySearch(ids, ei); ok {
+		ids = slices.Delete(ids, k, k+1)
 	}
-	m.dirty = false
+	return ids
 }
 
 func (m *modelGraph) killEdge(ei int) {
@@ -74,23 +82,36 @@ func (m *modelGraph) killEdge(ei int) {
 		return
 	}
 	e.alive = false
-	m.dirty = true
+	m.outE[e.from] = dropID(m.outE[e.from], ei)
+	m.inE[e.to] = dropID(m.inE[e.to], ei)
 }
 
+// addEdge appends a new edge. Its id is the largest yet, so appending it
+// keeps both endpoint lists ascending.
 func (m *modelGraph) addEdge(from, to int, delay *canon.Form) int {
+	ei := len(m.edges)
 	m.edges = append(m.edges, modelEdge{from: from, to: to, delay: delay, alive: true})
-	m.dirty = true
-	return len(m.edges) - 1
+	m.outE[from] = append(m.outE[from], ei)
+	m.inE[to] = append(m.inE[to], ei)
+	return ei
 }
 
+// killVertex kills v and its edges. It drops each edge from the far end's
+// list only, since killEdge would edit v's own lists while they are being
+// ranged over, and then clears v's lists whole.
 func (m *modelGraph) killVertex(v int) {
 	m.vAlive[v] = false
 	for _, ei := range m.inE[v] {
-		m.killEdge(ei)
+		e := &m.edges[ei]
+		e.alive = false
+		m.outE[e.from] = dropID(m.outE[e.from], ei)
 	}
 	for _, ei := range m.outE[v] {
-		m.killEdge(ei)
+		e := &m.edges[ei]
+		e.alive = false
+		m.inE[e.to] = dropID(m.inE[e.to], ei)
 	}
+	m.inE[v], m.outE[v] = nil, nil
 }
 
 // trim removes internal (non-port) vertices that lost all fanin or all
@@ -99,9 +120,6 @@ func (m *modelGraph) killVertex(v int) {
 func (m *modelGraph) trim() bool {
 	changed := false
 	for {
-		if m.dirty {
-			m.rebuild()
-		}
 		round := false
 		for v := 0; v < m.nVerts; v++ {
 			if !m.vAlive[v] || m.isPort[v] {
@@ -124,38 +142,44 @@ func (m *modelGraph) trim() bool {
 // sink) by one edge carrying their statistical maximum (paper Fig. 2).
 // Returns true on change.
 func (m *modelGraph) parallelMerge() bool {
-	if m.dirty {
-		m.rebuild()
-	}
 	changed := false
 	for v := 0; v < m.nVerts; v++ {
 		if !m.vAlive[v] || len(m.outE[v]) < 2 {
 			continue
 		}
-		// Bundles merge in the order their sinks first appear in outE,
-		// never in map order: the merged edges' order becomes the model's
-		// edge order, which fixes the contribution order of every later
-		// Clark max, so it must be the same on every run.
-		groups := make(map[int][]int) // sink -> edge ids
-		var sinks []int
+		// Count each sink's edges; a vertex without a repeated sink (the
+		// common case) has nothing to merge.
+		m.stamp++
+		bundles := false
 		for _, ei := range m.outE[v] {
 			to := m.edges[ei].to
-			if _, seen := groups[to]; !seen {
-				sinks = append(sinks, to)
+			if m.mark[to] != m.stamp {
+				m.mark[to], m.count[to] = m.stamp, 0
 			}
-			groups[to] = append(groups[to], ei)
+			m.count[to]++
+			bundles = bundles || m.count[to] > 1
 		}
-		for _, to := range sinks {
-			eids := groups[to]
-			if len(eids) < 2 {
+		if !bundles {
+			continue
+		}
+		// Bundles merge in the order their sinks first appear in outE: the
+		// merged edges' order becomes the model's edge order, which fixes
+		// the contribution order of every later Clark max. The fanout is
+		// snapshotted because merging edits outE[v].
+		m.fan = append(m.fan[:0], m.outE[v]...)
+		for k, ei := range m.fan {
+			to := m.edges[ei].to
+			if m.count[to] < 2 {
 				continue
 			}
-			merged := m.edges[eids[0]].delay.Clone()
-			for _, ei := range eids[1:] {
-				canon.MaxInto(merged, merged, m.edges[ei].delay)
-			}
-			for _, ei := range eids {
-				m.killEdge(ei)
+			m.count[to] = 0 // merged here, at the bundle's first edge
+			merged := m.edges[ei].delay.Clone()
+			m.killEdge(ei)
+			for _, ej := range m.fan[k+1:] {
+				if m.edges[ej].to == to {
+					canon.MaxInto(merged, merged, m.edges[ej].delay)
+					m.killEdge(ej)
+				}
 			}
 			m.addEdge(v, to, merged)
 			changed = true
@@ -168,17 +192,13 @@ func (m *modelGraph) parallelMerge() bool {
 // direction, paper Fig. 1a) or a single fanout (reverse direction, Fig. 1b),
 // composing the edge delays with statistical sum. Returns true on change.
 func (m *modelGraph) serialMerge() bool {
-	if m.dirty {
-		m.rebuild()
-	}
 	changed := false
 	for v := 0; v < m.nVerts; v++ {
 		if !m.vAlive[v] || m.isPort[v] {
 			continue
 		}
-		if m.dirty {
-			m.rebuild()
-		}
+		// The new edges never touch v, so in and out stay valid while they
+		// are added; killVertex then drops v's own edges.
 		in, out := m.inE[v], m.outE[v]
 		switch {
 		case len(in) == 1 && len(out) >= 1:
@@ -223,9 +243,6 @@ func (m *modelGraph) reduce(maxIters int) {
 
 // counts returns alive vertex and edge counts.
 func (m *modelGraph) counts() (verts, edges int) {
-	if m.dirty {
-		m.rebuild()
-	}
 	for v := 0; v < m.nVerts; v++ {
 		if !m.vAlive[v] {
 			continue

@@ -196,6 +196,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("sstad_extract_cache_entries %d", cache.Entries)
 	p("sstad_extract_cache_cost_bytes %d", cache.Cost)
 	p("sstad_extract_cache_entry_cap %d", cache.MaxEntries)
+	extractions, extractTime := s.flow.Cache.Extractions()
+	p("# HELP sstad_extractions_total Cold model extractions run on extract-cache misses.")
+	p("sstad_extractions_total %d", extractions)
+	p("# HELP sstad_extract_seconds_total Wall-clock seconds those cold extractions took.")
+	p("sstad_extract_seconds_total %g", extractTime.Seconds())
 	p("# HELP sstad_graph_cache Built-graph cache counters.")
 	p("sstad_graph_cache_hits_total %d", graphs.Hits)
 	p("sstad_graph_cache_misses_total %d", graphs.Misses)

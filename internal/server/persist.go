@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -670,7 +671,10 @@ func (p *persister) setDurable(id string, st durableSession) {
 // encodeCheckpoint seals a base checkpoint of one live session under
 // generation gen, makes it the session's delta base, and returns its
 // delay bytes too. The snapshot is taken here, on the flusher — the
-// request path only marked the id dirty.
+// request path only marked the id dirty. The payload is the bytes
+// json.Marshal(&cp) gives, but the session goes through
+// ssta.SessionSnapshot.AppendJSON: one json.Marshal of a large session
+// would leave a buffer of twice its size in encoding/json's pool.
 func encodeCheckpoint(reg *srvSession, gen uint64) ([]byte, int, error) {
 	reg.mu.Lock()
 	edits := reg.edits
@@ -681,13 +685,23 @@ func encodeCheckpoint(reg *srvSession, gen uint64) ([]byte, int, error) {
 		CreatedMS: reg.created.UnixMilli(),
 		Edits:     edits,
 		Gen:       gen,
-		Session:   reg.sess.CheckpointBase(),
 	}
-	payload, err := json.Marshal(&cp)
+	snap := reg.sess.CheckpointBase()
+	head, err := json.Marshal(&cp)
 	if err != nil {
 		return nil, 0, err
 	}
-	return store.Seal(checkpointKind, checkpointVersion, payload), len(cp.Session.Graph.Delays), nil
+	// The session is the last field, so its null closes the remainder.
+	const hole = `null}`
+	if !bytes.HasSuffix(head, []byte(`"session":`+hole)) {
+		return nil, 0, fmt.Errorf("checkpoint remainder %q does not end in its session field", head)
+	}
+	payload, err := snap.AppendJSON(head[:len(head)-len(hole)])
+	if err != nil {
+		return nil, 0, err
+	}
+	payload = append(payload, '}')
+	return store.Seal(checkpointKind, checkpointVersion, payload), len(snap.Graph.Delays), nil
 }
 
 // encodeDelta seals a captured delta of one live session against its base

@@ -499,3 +499,40 @@ func TestStoreFlushMetrics(t *testing.T) {
 		t.Fatalf("sstad_store_flush_seconds_total = %g after a flush round, want > 0", got)
 	}
 }
+
+// TestEncodeCheckpointMatchesMarshal: a base checkpoint's payload is the
+// bytes json.Marshal gives for it, also when the session's name spells
+// the field the encoder splices the session into.
+func TestEncodeCheckpointMatchesMarshal(t *testing.T) {
+	s := New(Config{Store: store.NewMem(), StoreFlushInterval: time.Hour})
+	t.Cleanup(s.Close)
+	sess, _, err := s.buildSession(context.Background(), &ItemSpec{Bench: "c432", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := s.sessions.addID("sess-1", `"session":null}`, sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, baseBytes, err := encodeCheckpoint(reg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := store.OpenKind(data, checkpointKind, checkpointVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := sess.Snapshot()
+	want, err := json.Marshal(&sessionCheckpoint{
+		ID: reg.id, Name: reg.name, CreatedMS: reg.created.UnixMilli(), Gen: 3, Session: snap,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("checkpoint payload differs from json.Marshal:\n%.300s\n%.300s", got, want)
+	}
+	if baseBytes != len(snap.Graph.Delays) {
+		t.Fatalf("base delay bytes %d, want %d", baseBytes, len(snap.Graph.Delays))
+	}
+}

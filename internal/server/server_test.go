@@ -392,6 +392,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		"sstad_extract_cache_hits_total 1",
 		"sstad_extract_cache_misses_total 1",
+		"sstad_extractions_total 1",
 		"sstad_graph_cache_hits_total 1",
 		"sstad_items_total 2",
 		"sstad_item_latency_seconds_count 2",
@@ -401,6 +402,9 @@ func TestHealthzAndMetrics(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
 		}
+	}
+	if secs := metricValue(t, hs.URL, "sstad_extract_seconds_total"); secs <= 0 {
+		t.Fatalf("sstad_extract_seconds_total = %g after a cold extraction, want > 0", secs)
 	}
 }
 

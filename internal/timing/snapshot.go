@@ -2,7 +2,9 @@ package timing
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -196,6 +198,58 @@ func (g *Graph) Snapshot() *GraphSnapshot {
 	s.Order = g.order
 	g.orderMu.Unlock()
 	return s
+}
+
+// AppendJSON appends the JSON encoding of s to dst: the bytes
+// json.Marshal(s) gives. encoding/json builds every value in a buffer it
+// keeps in a pool and never shrinks, so one json.Marshal of a large
+// graph's snapshot (8 MB for c7552) leaves a buffer twice that size in the
+// pool, and every later encode in the process (each HTTP answer) can draw
+// it back out and keep it live. Here encoding/json sees only the small
+// remainder and one edge at a time; the delay bank is base64-encoded
+// straight into dst.
+func (s *GraphSnapshot) AppendJSON(dst []byte) ([]byte, error) {
+	rest := *s
+	rest.Edges, rest.Delays = nil, nil
+	head, err := json.Marshal(&rest)
+	if err != nil {
+		return dst, err
+	}
+	// Only the three int fields come before the two nulled ones, so the
+	// first match is theirs.
+	const holes = `"edges":null,"delays":null`
+	at := bytes.Index(head, []byte(holes))
+	if at < 0 {
+		return dst, fmt.Errorf("timing: snapshot remainder %.40q has no edge and delay fields", head)
+	}
+	// A flat graph's edge, with its sensitivities, encodes to ~104 bytes;
+	// the slack covers what the caller closes dst with.
+	dst = slices.Grow(dst, len(head)+base64.StdEncoding.EncodedLen(len(s.Delays))+112*len(s.Edges)+1024)
+	dst = append(dst, head[:at]...)
+	dst = append(dst, `"edges":`...)
+	if s.Edges == nil {
+		dst = append(dst, "null"...)
+	} else {
+		buf := bytes.NewBuffer(append(dst, '['))
+		enc := json.NewEncoder(buf)
+		for i := range s.Edges {
+			if i > 0 {
+				buf.WriteByte(',')
+			}
+			if err := enc.Encode(&s.Edges[i]); err != nil {
+				return dst, err
+			}
+			buf.Truncate(buf.Len() - 1) // Encode's trailing newline
+		}
+		dst = append(buf.Bytes(), ']')
+	}
+	dst = append(dst, `,"delays":`...)
+	if s.Delays == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(base64.StdEncoding.AppendEncode(append(dst, '"'), s.Delays), '"')
+	}
+	return append(dst, head[at+len(holes):]...), nil
 }
 
 // deltaIndexBytes is the little-endian uint32 edge index in front of each

@@ -199,3 +199,28 @@ func TestFromSnapshotRejectsInvalid(t *testing.T) {
 		t.Error("cycle: FromSnapshot accepted cyclic snapshot")
 	}
 }
+
+// TestGraphSnapshotAppendJSONMatchesMarshal: AppendJSON writes after dst
+// exactly the bytes json.Marshal gives, whether the edge list and the
+// delay bank are full, empty or missing, and whatever a later string
+// field holds.
+func TestGraphSnapshotAppendJSONMatchesMarshal(t *testing.T) {
+	full := snapTestGraph(t).Snapshot()
+	full.InputNames = []string{"<a&b>", `"edges":null,"delays":null`}
+	missing, empty := *full, *full
+	missing.Edges, missing.Delays = nil, nil
+	empty.Edges, empty.Delays = []EdgeSnapshot{}, []byte{}
+	for name, s := range map[string]*GraphSnapshot{"full": full, "missing": &missing, "empty": &empty} {
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.AppendJSON([]byte("dst:"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if string(got) != "dst:"+string(want) {
+			t.Errorf("%s: AppendJSON\n%s\nwant dst: then json.Marshal's\n%s", name, got, want)
+		}
+	}
+}

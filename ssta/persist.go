@@ -1,6 +1,7 @@
 package ssta
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -191,9 +192,34 @@ func (snap *SessionSnapshot) WithDelta(d *SessionDelta) (*SessionSnapshot, error
 	return &out, nil
 }
 
+// AppendJSON appends the JSON encoding of snap to dst: the bytes
+// json.Marshal(snap) gives, with the graph written by
+// timing.GraphSnapshot.AppendJSON so that no multi-megabyte buffer is left
+// in encoding/json's pool.
+func (snap *SessionSnapshot) AppendJSON(dst []byte) ([]byte, error) {
+	rest := *snap
+	rest.Graph = nil
+	head, err := json.Marshal(&rest)
+	if err != nil || snap.Graph == nil {
+		return append(dst, head...), err
+	}
+	// Only the hier bool can come before the graph, so the first match is
+	// its field.
+	const hole = `"graph":null`
+	at := bytes.Index(head, []byte(hole))
+	if at < 0 {
+		return dst, fmt.Errorf("ssta: session snapshot remainder %.40q has no graph field", head)
+	}
+	dst = append(dst, head[:at+len(hole)-len("null")]...)
+	if dst, err = snap.Graph.AppendJSON(dst); err != nil {
+		return dst, err
+	}
+	return append(dst, head[at+len(hole):]...), nil
+}
+
 // Encode seals the snapshot in a checksummed store envelope.
 func (snap *SessionSnapshot) Encode() ([]byte, error) {
-	payload, err := json.Marshal(snap)
+	payload, err := snap.AppendJSON(nil)
 	if err != nil {
 		return nil, fmt.Errorf("ssta: encode session snapshot: %w", err)
 	}

@@ -3,6 +3,7 @@ package ssta
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"sync"
@@ -296,5 +297,36 @@ func TestModelSnapshotRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeModelSnapshot([]byte("junk")); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("junk model: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSessionSnapshotAppendJSONMatchesMarshal: AppendJSON writes exactly
+// the bytes json.Marshal gives for flat sessions with criticality on,
+// hierarchical sessions and a snapshot without a graph.
+func TestSessionSnapshotAppendJSONMatchesMarshal(t *testing.T) {
+	f, flat := persistFlow(t)
+	ctx := context.Background()
+	if _, err := flat.EnableCriticality(ctx, CriticalityOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	d, _, _ := quadFixture(t, f, "c432")
+	hier, err := f.NewDesignSession(ctx, d, FullCorrelation, AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, snap := range map[string]*SessionSnapshot{
+		"flat": flat.Snapshot(), "hier": hier.Snapshot(), "no graph": {MeanPS: 3},
+	} {
+		want, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := snap.AppendJSON(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: AppendJSON differs from json.Marshal:\n%.300s\n%.300s", name, got, want)
+		}
 	}
 }

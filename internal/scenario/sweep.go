@@ -313,7 +313,7 @@ func runScenario(ctx context.Context, g *timing.Graph, cell []bool, sc *Scenario
 		s := sc.scale(cell, (*buf)[:len(cell)])
 		scale = &s
 	}
-	delay, seq, err := g.AnalyzeCtx(ctx, scale, sc.ClockSpec(), nil)
+	delay, seq, err := g.AnalyzeWorstCtx(ctx, scale, sc.ClockSpec())
 	if err != nil {
 		return nil, err
 	}

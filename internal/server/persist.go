@@ -696,12 +696,17 @@ func encodeCheckpoint(reg *srvSession, gen uint64) ([]byte, int, error) {
 	if !bytes.HasSuffix(head, []byte(`"session":`+hole)) {
 		return nil, 0, fmt.Errorf("checkpoint remainder %q does not end in its session field", head)
 	}
-	payload, err := snap.AppendJSON(head[:len(head)-len(hole)])
+	// The envelope header goes into room reserved in front of the payload,
+	// so sealing copies nothing; the graph's AppendJSON sizes the buffer
+	// once for the rest, closing brace included.
+	room := store.HeaderRoom(checkpointKind)
+	buf := append(make([]byte, room, room+len(head)), head[:len(head)-len(hole)]...)
+	buf, err = snap.AppendJSON(buf)
 	if err != nil {
 		return nil, 0, err
 	}
-	payload = append(payload, '}')
-	return store.Seal(checkpointKind, checkpointVersion, payload), len(snap.Graph.Delays), nil
+	buf = append(buf, '}')
+	return store.SealReserved(checkpointKind, checkpointVersion, buf), len(snap.Graph.Delays), nil
 }
 
 // encodeDelta seals a captured delta of one live session against its base

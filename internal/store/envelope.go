@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 )
 
 // Snapshot envelope: every durable object is a one-line JSON header
@@ -50,6 +51,43 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Seal wraps payload in a checksummed envelope of the given kind and
 // format version.
 func Seal(kind string, formatVersion int, payload []byte) []byte {
+	hb := header(kind, formatVersion, payload)
+	out := make([]byte, 0, len(hb)+1+len(payload))
+	out = append(out, hb...)
+	out = append(out, '\n')
+	out = append(out, payload...)
+	return out
+}
+
+// HeaderRoom is how many bytes to reserve at the front of a buffer whose
+// payload SealReserved is to seal in place: the longest header line of the
+// kind, newline included.
+func HeaderRoom(kind string) int {
+	widest, err := json.Marshal(&Header{
+		Magic: envelopeMagic, Kind: kind,
+		FormatVersion: math.MinInt, Size: math.MinInt, CRC32C: math.MaxUint32,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("store: marshal envelope header: %v", err))
+	}
+	return len(widest) + 1
+}
+
+// SealReserved is Seal for a payload appended to HeaderRoom(kind) reserved
+// bytes: it writes the header line into the end of the reserved room and
+// returns the envelope as a subslice of buf, without copying the payload.
+func SealReserved(kind string, formatVersion int, buf []byte) []byte {
+	room := HeaderRoom(kind)
+	hb := header(kind, formatVersion, buf[room:])
+	start := room - 1 - len(hb)
+	copy(buf[start:], hb)
+	buf[room-1] = '\n'
+	return buf[start:]
+}
+
+// header returns the envelope header line of a payload, without its
+// newline.
+func header(kind string, formatVersion int, payload []byte) []byte {
 	h := Header{
 		Magic:         envelopeMagic,
 		Kind:          kind,
@@ -62,11 +100,7 @@ func Seal(kind string, formatVersion int, payload []byte) []byte {
 	if err != nil {
 		panic(fmt.Sprintf("store: marshal envelope header: %v", err))
 	}
-	out := make([]byte, 0, len(hb)+1+len(payload))
-	out = append(out, hb...)
-	out = append(out, '\n')
-	out = append(out, payload...)
-	return out
+	return hb
 }
 
 // Open validates the envelope and returns the header and payload. Every

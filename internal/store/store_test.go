@@ -365,3 +365,23 @@ func TestFaultCustomErrAndLatency(t *testing.T) {
 		t.Fatalf("cancelled latency: %v", err)
 	}
 }
+
+// TestSealReservedMatchesSeal: sealing a payload in the room reserved in
+// front of it gives Seal's bytes, for any kind, version and payload size.
+func TestSealReservedMatchesSeal(t *testing.T) {
+	for _, kind := range []string{"", "session", `odd"kindé`} {
+		for _, version := range []int{0, 2, -7, 1 << 40} {
+			for _, payload := range [][]byte{nil, []byte(`{"answer":42}`), bytes.Repeat([]byte("x"), 1<<16)} {
+				room := HeaderRoom(kind)
+				buf := append(make([]byte, room), payload...)
+				got := SealReserved(kind, version, buf)
+				if want := Seal(kind, version, payload); !bytes.Equal(got, want) {
+					t.Fatalf("kind %q version %d, %d-byte payload: SealReserved %q, Seal %q", kind, version, len(payload), got[:40], want[:40])
+				}
+				if &got[len(got)-1] != &buf[len(buf)-1] {
+					t.Fatalf("kind %q: SealReserved copied the payload", kind)
+				}
+			}
+		}
+	}
+}

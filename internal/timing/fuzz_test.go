@@ -2,6 +2,7 @@ package timing
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -55,8 +56,11 @@ func fuzzBaseGraph(tb testing.TB) *Graph {
 
 // fuzzCheck compares the incremental state (after absorbing all pending
 // edits) against from-scratch forward/backward passes at 1e-9, the
-// engine's equivalence contract.
+// engine's equivalence contract, and every frontier-arena analysis against
+// the full-arena reference bit for bit, unscaled and scaled.
 func fuzzCheck(tb testing.TB, g *Graph, inc *Incremental, step int) {
+	checkFrontier(tb, fmt.Sprintf("step %d", step), g, nil, ClockSpec{})
+	checkFrontier(tb, fmt.Sprintf("step %d scaled", step), g, randomScale(g, int64(step)), ClockSpec{})
 	if _, err := inc.Update(context.Background()); err != nil {
 		tb.Fatalf("step %d: update: %v", step, err)
 	}
@@ -102,9 +106,10 @@ func fuzzCheck(tb testing.TB, g *Graph, inc *Incremental, step int) {
 // byte-coded edit script: every 4-byte chunk is one operation (scale, set
 // delay/nominal, add — including order-violating and cycle-closing
 // candidates —, remove — including double-removes of tombstoned edges —,
-// retarget IO, or an explicit differential checkpoint). The invariants are
-// "no panic on any input" and "incremental == from-scratch at 1e-9 at
-// every checkpoint and at the end".
+// retarget IO — onto the last vertices or a mid band —, or an explicit
+// differential checkpoint). The invariants are "no panic on any input",
+// "incremental == from-scratch at 1e-9" and "frontier-arena analysis ==
+// full arena bit for bit", at every checkpoint and at the end.
 func FuzzGraphEdits(f *testing.F) {
 	f.Add([]byte{
 		0, 5, 16, 0, // scale edge 5
@@ -120,6 +125,7 @@ func FuzzGraphEdits(f *testing.F) {
 	f.Add([]byte{2, 0, 200, 3, 2, 1, 0, 9, 6, 0, 0, 0})
 	f.Add([]byte{3, 27, 0, 1, 3, 26, 1, 2, 4, 0, 0, 0, 6, 0, 0, 0})
 	f.Add([]byte{5, 0, 0, 0, 5, 2, 0, 0, 6, 0, 0, 0})
+	f.Add([]byte{6, 0, 0, 0, 5, 1, 1, 0, 6, 0, 0, 0, 3, 14, 15, 2, 4, 7, 0, 0, 5, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 512 {
@@ -161,6 +167,9 @@ func FuzzGraphEdits(f *testing.F) {
 				r := int(a) % 4
 				ins := []int{0, 1, 2, 3}
 				outs := []int{fuzzVerts - 4, fuzzVerts - 3, fuzzVerts - 2, fuzzVerts - 1}
+				if b%2 == 1 { // outputs on a mid band, which has fan-out
+					outs = []int{fuzzVerts / 2, fuzzVerts/2 + 1, fuzzVerts/2 + 2, fuzzVerts/2 + 3}
+				}
 				names := []string{"p", "q", "r", "s"}
 				_ = g.RetargetIO(
 					append(ins[r:], ins[:r]...),

@@ -114,8 +114,9 @@ type Graph struct {
 	// cached level structure keys on it because some edits — RemoveEdge,
 	// order-preserving AddEdgeLive — keep the cached topological order valid
 	// while still moving levels. Bumped under the single-writer contract.
-	topoGen     uint64
-	levelsCache levelsCache
+	topoGen       uint64
+	levelsCache   levelsCache
+	frontierCache frontierCache
 
 	// delayMu guards delayBank, the flat edge-delay bank the propagation
 	// kernels run on (see EdgeDelays), and delayShared, set while the

@@ -253,12 +253,15 @@ func (inc *Incremental) journalSeeds(fwd, bwd []int, io, full bool) {
 }
 
 // walker returns the propagation walker over the persistent arrival
-// (forward) or required-time (backward) state.
+// (forward) or required-time (backward) state: full banks, addressed
+// through the identity slot table.
 func (inc *Incremental) walker(delays *canon.Bank, d direction) walker {
+	n := inc.g.NumVerts
+	w := walker{g: inc.g, bank: inc.arr, slot: identitySlots(n), scratch: n, reach: inc.reach, delays: delays, dir: d, fold: canon.MaxViews}
 	if d == backward {
-		return walker{g: inc.g, bank: inc.req, reach: inc.reqReach, delays: delays, dir: d, fold: canon.MaxViews}
+		w.bank, w.reach = inc.req, inc.reqReach
 	}
-	return walker{g: inc.g, bank: inc.arr, reach: inc.reach, delays: delays, dir: d, fold: canon.MaxViews}
+	return w
 }
 
 // sweep re-propagates through the cones of the seed vertices — fan-out

@@ -155,3 +155,126 @@ func sortFanin(buf []int32, edges []Edge, pos []int32) {
 		buf[j+1] = ei
 	}
 }
+
+// frontierPlan maps the vertices of a forward pass onto the slots of an
+// arena sized by the pass's widest frontier rather than by the graph. The
+// forward passes whose callers read only output and register D pin
+// arrivals afterwards (see Graph.acquireFrontier) run in such an arena: an
+// arrival is dead once its last fan-out has gathered it, unless the
+// caller reads it.
+//
+// Walking Levels.Wave, each vertex takes the most recently freed slot (a
+// fresh one when none is free). Its slot is freed once its last fan-out
+// has gathered, after that fan-out took its own slot, so a vertex never
+// writes into the slot of an arrival it still reads; a vertex without
+// fan-out frees its slot as soon as it is written. Kept vertices (the
+// outputs and D pins) hold their slots to the end of the pass.
+type frontierPlan struct {
+	levels *Levels
+	kept   []int // Graph.Outputs followed by every register's D, as planned
+
+	slot  []int32 // vertex -> arena slot during the walk
+	read  []int32 // vertex -> arena slot after it: slot when kept, else -1
+	slots int     // arena slots the walk uses; the two scratch slots follow
+}
+
+// frontierCache is the lazily built frontier plan of a graph. The plan
+// depends on the level structure and on the kept set, so it is rebuilt
+// when either changes: RetargetIO keeps the cached Levels but moves the
+// outputs.
+type frontierCache struct {
+	mu   sync.Mutex
+	plan *frontierPlan
+}
+
+// frontier returns the graph's frontier plan, building and caching it when
+// the level structure or the kept set changed since the last one. Safe for
+// concurrent readers, like Levels; the returned plan is immutable.
+func (g *Graph) frontier() (*frontierPlan, error) {
+	lv, err := g.Levels()
+	if err != nil {
+		return nil, err
+	}
+	c := &g.frontierCache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if fp := c.plan; fp != nil && fp.levels == lv && fp.keeps(g) {
+		return fp, nil
+	}
+	kept := make([]int, 0, len(g.Outputs)+len(g.Registers))
+	kept = append(kept, g.Outputs...)
+	for i := range g.Registers {
+		kept = append(kept, g.Registers[i].D)
+	}
+	c.plan = buildFrontier(g, lv, kept)
+	return c.plan, nil
+}
+
+// keeps reports whether the plan was built for g's current outputs and D
+// pins, in order.
+func (fp *frontierPlan) keeps(g *Graph) bool {
+	no := len(g.Outputs)
+	if len(fp.kept) != no+len(g.Registers) {
+		return false
+	}
+	for i, o := range g.Outputs {
+		if fp.kept[i] != o {
+			return false
+		}
+	}
+	for i := range g.Registers {
+		if fp.kept[no+i] != g.Registers[i].D {
+			return false
+		}
+	}
+	return true
+}
+
+// buildFrontier assigns the arena slots of a forward walk over lv. Kept
+// vertices outside the graph are left to the callers' own range checks.
+func buildFrontier(g *Graph, lv *Levels, kept []int) *frontierPlan {
+	n := g.NumVerts
+	fp := &frontierPlan{levels: lv, kept: kept, slot: make([]int32, n), read: make([]int32, n)}
+	keep := make([]bool, n)
+	for _, v := range kept {
+		if v >= 0 && v < n {
+			keep[v] = true
+		}
+	}
+	// unread[u] counts u's fan-out edges whose far end has not gathered yet.
+	unread := make([]int32, n)
+	for v := range unread {
+		unread[v] = int32(len(g.Out[v]))
+	}
+	var free []int32
+	release := func(v int) {
+		if !keep[v] {
+			free = append(free, fp.slot[v])
+		}
+	}
+	for _, w := range lv.Wave {
+		v := int(w)
+		if k := len(free); k > 0 {
+			fp.slot[v], free = free[k-1], free[:k-1]
+		} else {
+			fp.slot[v] = int32(fp.slots)
+			fp.slots++
+		}
+		for _, ei := range g.In[v] {
+			u := g.Edges[ei].From
+			if unread[u]--; unread[u] == 0 {
+				release(u)
+			}
+		}
+		if unread[v] == 0 {
+			release(v)
+		}
+	}
+	for v := range fp.read {
+		fp.read[v] = -1
+		if keep[v] {
+			fp.read[v] = fp.slot[v]
+		}
+	}
+	return fp
+}

@@ -23,7 +23,10 @@ func (p *Pass) ArrivalsMin(sources ...int) error {
 // launch source at time zero — the shortest-path dual of MaxDelay, the
 // quantity hold analysis bounds from below.
 func (g *Graph) MinDelay() (*canon.Form, error) {
-	p := g.AcquirePass()
+	p, err := g.acquireFrontier()
+	if err != nil {
+		return nil, err
+	}
 	defer p.Release()
 	if err := p.ArrivalsMin(g.LaunchSources()...); err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/canon"
 )
@@ -14,15 +15,29 @@ import (
 // level-ordered gather parameterized by direction (forward or backward) and
 // fold (Clark max or min). Every full pass — Arrivals, ArrivalsMin,
 // Required and their scenario variants — and every incremental cone
-// sweep runs through it. Around it sit the pooled Pass arena the full
+// sweep runs through it. Around it sit the pooled Pass arenas the full
 // passes write into and the pass-level queries built on it.
 
-// Pass is a reusable propagation arena: one flat canon.Bank with a slot per
-// vertex plus one scratch slot, and a per-vertex reached mask. A forward
-// (Arrivals) or backward (Required) pass writes its result forms into the
-// bank in place, so a full pass over the graph performs no per-vertex
-// allocations — the paper's all-pairs extraction scheme (eq. 12) runs one
-// such pass per input, and pooled passes make that loop allocation-free.
+// Pass is a reusable propagation arena: one flat canon.Bank of form slots,
+// a slot table mapping each vertex to its slot, and a per-vertex reached
+// mask. A forward (Arrivals) or backward (Required) pass writes its result
+// forms into the bank in place, so a full pass over the graph performs no
+// per-vertex allocations — the paper's all-pairs extraction scheme (eq. 12)
+// runs one such pass per input, and pooled passes make that loop
+// allocation-free.
+//
+// An arena comes in one of two sizes, and either ends in two scratch slots.
+// A full arena (Graph.AcquirePass) has one slot per vertex, and its slot
+// table is the identity: every vertex's form survives the pass, as
+// ArrivalAll and Forms, Required, the path queries, the criticality engine
+// and Incremental need. A frontier arena (Graph.acquireFrontier) has only
+// as many slots as the widest frontier of a forward walk: a vertex's slot
+// is reused once its last fan-out has gathered it, and only the outputs
+// and register D pins keep theirs to the end (see frontierPlan). The
+// analyses that read nothing else afterwards run in one: AnalyzeCtx,
+// AnalyzeWorstCtx and SequentialSlacks (late and early passes), MaxDelay,
+// MinDelay, AllPairsDelays and RegToReg. On a frontier arena, At, Form and
+// Forms panic for a vertex the plan does not keep.
 //
 // Acquire with Graph.AcquirePass, give it back with Release. A Pass is
 // bound to the graph that created it and is not safe for concurrent use;
@@ -35,6 +50,14 @@ type Pass struct {
 	g     *Graph
 	bank  *canon.Bank
 	reach []bool
+	// slot maps vertices to bank slots during a walk, read after it (-1
+	// for a vertex whose slot was handed on): the identity both on a full
+	// arena, the plan's tables on a frontier arena (plan non-nil). Slots
+	// scratch and scratch+1, the last two, are scratch.
+	slot    []int32
+	read    []int32
+	plan    *frontierPlan
+	scratch int
 	// ctx, when set via WithContext, is polled every ctxCheckStride
 	// vertices during a pass so a long pass observes cancellation between
 	// vertices instead of running to completion.
@@ -140,14 +163,75 @@ func putMask(m []bool) {
 	passMaskPools[c].Put(&m)
 }
 
-// AcquirePass returns a propagation arena for the graph, recycling pooled
-// storage when available.
-func (g *Graph) AcquirePass() *Pass {
-	return &Pass{
-		g:     g,
-		bank:  canon.NewBankOver(g.Space, g.NumVerts+1, takeSlab((g.NumVerts+1)*g.Space.Stride())),
-		reach: takeMask(g.NumVerts),
+// arenaBytes counts the slab bytes every pass arena has been handed since
+// the process started (see ArenaBytes).
+var arenaBytes atomic.Int64
+
+// ArenaBytes returns the bytes of arena slab all passes have taken from the
+// pools so far, pooled or fresh: the difference across an analysis is what
+// its arenas held while it ran.
+func ArenaBytes() int64 { return arenaBytes.Load() }
+
+// AcquirePass returns a full propagation arena for the graph, recycling
+// pooled storage when available.
+func (g *Graph) AcquirePass() *Pass { return g.newPass(nil) }
+
+// acquireFrontier returns a frontier arena for a forward pass over the
+// graph. Only the outputs and register D pins can be read from it
+// afterwards.
+func (g *Graph) acquireFrontier() (*Pass, error) {
+	fp, err := g.frontier()
+	if err != nil {
+		return nil, err
 	}
+	return g.newPass(fp), nil
+}
+
+// newPass takes an arena from the pools: the slots of the frontier plan
+// fp, or one per vertex when fp is nil, plus the two scratch slots. A full
+// arena's slot table also maps NumVerts, to its first scratch slot.
+func (g *Graph) newPass(fp *frontierPlan) *Pass {
+	slot, slots := identitySlots(g.NumVerts+1), g.NumVerts
+	read := slot
+	if fp != nil {
+		slot, read, slots = fp.slot, fp.read, fp.slots
+	}
+	slab := takeSlab((slots + 2) * g.Space.Stride())
+	arenaBytes.Add(int64(cap(slab)) * 8)
+	return &Pass{
+		g:       g,
+		bank:    canon.NewBankOver(g.Space, slots+2, slab),
+		reach:   takeMask(g.NumVerts),
+		slot:    slot,
+		read:    read,
+		plan:    fp,
+		scratch: slots,
+	}
+}
+
+// identity is the shared identity slot table of full arenas, grown on
+// demand and never shrunk; identMu serializes growth.
+var (
+	identMu  sync.Mutex
+	identity atomic.Pointer[[]int32]
+)
+
+// identitySlots returns the identity slot table for n vertices.
+func identitySlots(n int) []int32 {
+	if t := identity.Load(); t != nil && len(*t) >= n {
+		return (*t)[:n:n]
+	}
+	identMu.Lock()
+	defer identMu.Unlock()
+	if t := identity.Load(); t != nil && len(*t) >= n {
+		return (*t)[:n:n]
+	}
+	t := make([]int32, 1<<bits.Len(uint(n)))
+	for i := range t {
+		t[i] = int32(i)
+	}
+	identity.Store(&t)
+	return t[:n:n]
 }
 
 // Release returns the pass's storage to the pool. The pass and every View
@@ -155,7 +239,7 @@ func (g *Graph) AcquirePass() *Pass {
 func (p *Pass) Release() {
 	putSlab(p.bank.Data())
 	putMask(p.reach)
-	p.bank, p.reach, p.ctx = nil, nil, nil
+	p.bank, p.reach, p.slot, p.read, p.plan, p.ctx = nil, nil, nil, nil, nil, nil
 }
 
 // Reached reports whether the last pass reached vertex v.
@@ -163,20 +247,29 @@ func (p *Pass) Reached(v int) bool { return p.reach[v] }
 
 // At returns the flat view of vertex v's form from the last pass. The
 // contents are meaningful only when Reached(v); the view is invalidated by
-// the next pass or Release.
-func (p *Pass) At(v int) canon.View { return p.bank.View(v) }
+// the next pass or Release. On a frontier arena it panics for a vertex the
+// plan does not keep, whose read slot is -1: that slot has been handed on.
+func (p *Pass) At(v int) canon.View { return p.bank.View(int(p.read[v])) }
 
 // Scratch returns the pass's spare slot — free for caller-side folds (e.g.
 // a running max over outputs) between passes.
-func (p *Pass) Scratch() canon.View { return p.bank.View(p.g.NumVerts) }
+func (p *Pass) Scratch() canon.View { return p.bank.View(p.scratch) }
+
+// scratch2 returns the pass's second spare slot, which no walk writes.
+func (p *Pass) scratch2() canon.View { return p.bank.View(p.scratch + 1) }
 
 // Form materializes vertex v's form from the last pass, or nil when the
-// pass did not reach v.
+// pass did not reach v. Like At, it panics for a vertex a frontier arena
+// does not keep.
 func (p *Pass) Form(v int) *canon.Form {
+	s := int(p.read[v])
+	if s < 0 {
+		panic(fmt.Sprintf("timing: vertex %d is not kept by a frontier pass arena", v))
+	}
 	if !p.reach[v] {
 		return nil
 	}
-	return p.bank.View(v).Form(p.g.Space)
+	return p.bank.View(s).Form(p.g.Space)
 }
 
 // Forms materializes the whole pass as a per-vertex pointer-form slice with
@@ -184,9 +277,7 @@ func (p *Pass) Form(v int) *canon.Form {
 func (p *Pass) Forms() []*canon.Form {
 	out := make([]*canon.Form, p.g.NumVerts)
 	for v := range out {
-		if p.reach[v] {
-			out[v] = p.bank.View(v).Form(p.g.Space)
-		}
+		out[v] = p.Form(v)
 	}
 	return out
 }
@@ -237,9 +328,14 @@ func (p *Pass) Required(outputs ...int) error {
 	return p.walker(p.g.EdgeDelays(), backward, canon.MaxViews).pass(p.ctx, outputs)
 }
 
-// walker returns the propagation walker over the pass arena.
+// walker returns the propagation walker over the pass arena. A frontier
+// arena walks the level structure its plan was built on.
 func (p *Pass) walker(delays *canon.Bank, d direction, fold func(dst, a, b canon.View)) walker {
-	return walker{g: p.g, bank: p.bank, reach: p.reach, delays: delays, dir: d, fold: fold}
+	w := walker{g: p.g, bank: p.bank, slot: p.slot, scratch: p.scratch, reach: p.reach, delays: delays, dir: d, fold: fold}
+	if p.plan != nil {
+		w.lv = p.plan.levels
+	}
+	return w
 }
 
 // direction selects which way a walker propagates.
@@ -257,10 +353,15 @@ const (
 // walker is the one propagation kernel of the package (paper Section IV,
 // eqs. 6-9): at each vertex, add every reached far-end form to its edge
 // delay and fold the sums with fold — canon.MaxViews for latest arrivals
-// and required times, canon.MinViews for earliest arrivals. Results are
-// written into bank, one slot per vertex, with reach marking the vertices
-// that hold a value; delays holds one slot per edge index, rescaled per
-// scale as it is read unless scale is the zero Scale.
+// and required times, canon.MinViews for earliest arrivals. Vertex v's
+// result is written into bank slot slot[v], with reach marking the
+// vertices that hold a value; delays holds one slot per edge index,
+// rescaled per scale as it is read unless scale is the zero Scale. Every
+// read and write goes through the slot table: full arenas and the
+// incremental state pass the identity (Build numbers vertices in wave
+// order, so a full walk still streams through its bank), and frontier
+// arenas pass their plan's table, under which a slot holds each vertex's
+// arrival until its last fan-out has gathered it.
 //
 // The same per-vertex gather serves a full level-ordered pass (pass) and
 // the incremental engine's dirty-cone sweeps (Incremental.sweep), so both
@@ -270,18 +371,21 @@ const (
 // backward fan-outs in adjacency order — so the result never depends on the
 // order in which vertices are visited.
 type walker struct {
-	g      *Graph
-	bank   *canon.Bank
-	reach  []bool
-	delays *canon.Bank
-	scale  Scale
-	dir    direction
-	fold   func(dst, a, b canon.View)
+	g       *Graph
+	lv      *Levels // the levels pass walks; nil means g.Levels()
+	bank    *canon.Bank
+	slot    []int32
+	scratch int // the bank slot pass sums contributions in
+	reach   []bool
+	delays  *canon.Bank
+	scale   Scale
+	dir     direction
+	fold    func(dst, a, b canon.View)
 }
 
 // pass runs a full propagation from the given seed vertices (all at time
 // zero) over the graph's level structure: waves ascending for forward,
-// descending for backward. Slot g.NumVerts of the bank is scratch.
+// descending for backward.
 func (w walker) pass(ctx context.Context, seeds []int) error {
 	g := w.g
 	if w.delays == nil {
@@ -290,12 +394,18 @@ func (w walker) pass(ctx context.Context, seeds []int) error {
 	if w.delays.Cap() < len(g.Edges) {
 		return fmt.Errorf("timing: delay bank has %d slots for %d edges", w.delays.Cap(), len(g.Edges))
 	}
+	if w.lv != nil && w.dir == backward {
+		return errors.New("timing: a frontier arena holds forward passes only")
+	}
 	if w.scale.Edge != nil && len(w.scale.Edge) < len(g.Edges) {
 		return fmt.Errorf("timing: scale has %d edge factors for %d edges", len(w.scale.Edge), len(g.Edges))
 	}
-	lv, err := g.Levels()
-	if err != nil {
-		return err
+	lv := w.lv
+	if lv == nil {
+		var err error
+		if lv, err = g.Levels(); err != nil {
+			return err
+		}
 	}
 	kind := "source"
 	if w.dir == backward {
@@ -310,7 +420,7 @@ func (w walker) pass(ctx context.Context, seeds []int) error {
 	for _, s := range seeds {
 		w.reach[s] = true
 	}
-	tmp := w.bank.View(g.NumVerts)
+	tmp := w.bank.View(w.scratch)
 	scaled := w.scale.Edge != nil
 	n := len(lv.Wave)
 	for i := 0; i < n; i++ {
@@ -327,9 +437,9 @@ func (w walker) pass(ctx context.Context, seeds []int) error {
 			fanin = g.Out[v]
 		}
 		if scaled {
-			w.reach[v] = w.gatherScaled(w.bank.View(v), tmp, fanin, w.reach[v])
+			w.reach[v] = w.gatherScaled(w.bank.View(int(w.slot[v])), tmp, fanin, w.reach[v])
 		} else {
-			w.reach[v] = w.gather(w.bank.View(v), tmp, fanin, w.reach[v])
+			w.reach[v] = w.gather(w.bank.View(int(w.slot[v])), tmp, fanin, w.reach[v])
 		}
 	}
 	return nil
@@ -356,10 +466,10 @@ func (w *walker) gather(dst, tmp canon.View, fanin []int32, seeded bool) bool {
 			continue
 		}
 		if reached {
-			canon.AddViews(tmp, w.bank.View(u), w.delays.View(int(ei)))
+			canon.AddViews(tmp, w.bank.View(int(w.slot[u])), w.delays.View(int(ei)))
 			w.fold(dst, dst, tmp)
 		} else {
-			canon.AddViews(dst, w.bank.View(u), w.delays.View(int(ei)))
+			canon.AddViews(dst, w.bank.View(int(w.slot[u])), w.delays.View(int(ei)))
 			reached = true
 		}
 	}
@@ -387,10 +497,10 @@ func (w *walker) gatherScaled(dst, tmp canon.View, fanin []int32, seeded bool) b
 			continue
 		}
 		if reached {
-			canon.AddScaledViews(tmp, w.bank.View(u), w.delays.View(int(ei)), nGlob, s.Edge[ei], s.Glob, s.Loc, s.Rand)
+			canon.AddScaledViews(tmp, w.bank.View(int(w.slot[u])), w.delays.View(int(ei)), nGlob, s.Edge[ei], s.Glob, s.Loc, s.Rand)
 			w.fold(dst, dst, tmp)
 		} else {
-			canon.AddScaledViews(dst, w.bank.View(u), w.delays.View(int(ei)), nGlob, s.Edge[ei], s.Glob, s.Loc, s.Rand)
+			canon.AddScaledViews(dst, w.bank.View(int(w.slot[u])), w.delays.View(int(ei)), nGlob, s.Edge[ei], s.Glob, s.Loc, s.Rand)
 			reached = true
 		}
 	}
@@ -435,9 +545,12 @@ func (g *Graph) MaxDelay() (*canon.Form, error) {
 // graphs the pass launches from the clock roots as well as the inputs, so
 // register-launched logic is covered.
 func (g *Graph) MaxDelayCtx(ctx context.Context) (*canon.Form, error) {
-	p := g.AcquirePass().WithContext(ctx)
+	p, err := g.acquireFrontier()
+	if err != nil {
+		return nil, err
+	}
 	defer p.Release()
-	if err := p.Arrivals(g.LaunchSources()...); err != nil {
+	if err := p.WithContext(ctx).Arrivals(g.LaunchSources()...); err != nil {
 		return nil, err
 	}
 	return p.outputMax(nil)
@@ -481,9 +594,10 @@ type AllPairs struct {
 // AllPairsDelays computes the full delay matrix with one exclusive forward
 // propagation per input (Sapatnekar's all-pairs scheme), fanning the passes
 // out over `workers` goroutines (<=0 means GOMAXPROCS). Each pass runs in a
-// pooled arena, so the per-input cost allocates only the output row.
+// pooled frontier arena, so the per-input cost allocates only the output
+// row.
 func (g *Graph) AllPairsDelays(workers int) (*AllPairs, error) {
-	if _, err := g.Order(); err != nil {
+	if _, err := g.frontier(); err != nil {
 		return nil, err
 	}
 	g.EdgeDelays() // build the flat delay bank before fanning out
@@ -493,7 +607,10 @@ func (g *Graph) AllPairsDelays(workers int) (*AllPairs, error) {
 		M:       make([][]*canon.Form, len(g.Inputs)),
 	}
 	err := ParallelFor(len(g.Inputs), workers, func(i int) error {
-		p := g.AcquirePass()
+		p, err := g.acquireFrontier()
+		if err != nil {
+			return err
+		}
 		defer p.Release()
 		if err := p.Arrivals(g.Inputs[i]); err != nil {
 			return err

@@ -63,9 +63,9 @@ type RegSlack struct {
 type SeqResult struct {
 	Clock ClockSpec
 	// Regs holds one entry per register whose D pin a launch source
-	// reaches, in Graph.Registers order. Every slack form of the result,
-	// the worst slacks included, aliases one shared slab: treat them as
-	// read-only.
+	// reaches, in Graph.Registers order (nil from AnalyzeWorstCtx). Every
+	// slack form of the result, the worst slacks included, aliases one
+	// shared slab: treat them as read-only.
 	Regs []RegSlack
 	// WorstSetup/WorstHold are the statistical minima of the per-register
 	// slacks — the design-level setup and hold margins.
@@ -78,7 +78,8 @@ type SeqResult struct {
 // statistical maximum over the reached outputs, folded in output order —
 // and, on sequential graphs, the setup side of every register's slack; a
 // single early (Clark min) pass, run only on sequential graphs, yields the
-// hold side. seq is nil for combinational graphs, which ignore clock.
+// hold side. seq is nil for combinational graphs, which ignore clock. Both
+// passes run in frontier arenas (see Pass).
 //
 // A nil scale reads the graph's own edge delays; otherwise both walks
 // rescale them per scale as they read them (the scenario-sweep hook, see
@@ -86,20 +87,29 @@ type SeqResult struct {
 // outputs is non-nil it must hold one slot per Graph.Outputs entry; each
 // slot receives that output's late arrival form, nil when unreached.
 func (g *Graph) AnalyzeCtx(ctx context.Context, scale *Scale, clock ClockSpec, outputs []*canon.Form) (delay *canon.Form, seq *SeqResult, err error) {
-	return g.analyze(ctx, scale, clock, true, outputs)
+	return g.analyze(ctx, scale, clock, true, true, outputs)
+}
+
+// AnalyzeWorstCtx is AnalyzeCtx for callers that read only the worst
+// slacks: seq carries WorstSetup and WorstHold, bit-identical to
+// AnalyzeCtx's, but no Regs. The per-register slacks are folded in the
+// passes' scratch slots, so only the two worst forms are allocated.
+func (g *Graph) AnalyzeWorstCtx(ctx context.Context, scale *Scale, clock ClockSpec) (delay *canon.Form, seq *SeqResult, err error) {
+	return g.analyze(ctx, scale, clock, true, false, nil)
 }
 
 // SequentialSlacks computes per-register statistical setup and hold slack
 // under the given clock, launching max and min arrival passes from the
 // graph's launch sources (inputs and clock roots).
 func (g *Graph) SequentialSlacks(clock ClockSpec) (*SeqResult, error) {
-	_, seq, err := g.analyze(nil, nil, clock, false, nil)
+	_, seq, err := g.analyze(nil, nil, clock, false, true, nil)
 	return seq, err
 }
 
-// analyze is AnalyzeCtx with the delay fold optional: without it, a
-// combinational graph is an error and unreached outputs are not.
-func (g *Graph) analyze(ctx context.Context, scale *Scale, clock ClockSpec, withDelay bool, outputs []*canon.Form) (delay *canon.Form, seq *SeqResult, err error) {
+// analyze is AnalyzeCtx with the delay fold and the per-register slacks
+// optional: without the delay, a combinational graph is an error and
+// unreached outputs are not.
+func (g *Graph) analyze(ctx context.Context, scale *Scale, clock ClockSpec, withDelay, perReg bool, outputs []*canon.Form) (delay *canon.Form, seq *SeqResult, err error) {
 	sequential := g.Sequential()
 	if sequential {
 		if clock, err = clock.normalize(); err != nil {
@@ -110,9 +120,12 @@ func (g *Graph) analyze(ctx context.Context, scale *Scale, clock ClockSpec, with
 	}
 	sources := g.LaunchSources()
 
-	late := g.AcquirePass().WithContext(ctx)
+	late, err := g.acquireFrontier()
+	if err != nil {
+		return nil, nil, err
+	}
 	defer late.Release()
-	if err := late.arrivalsScaled(scale, canon.MaxViews, sources); err != nil {
+	if err := late.WithContext(ctx).arrivalsScaled(scale, canon.MaxViews, sources); err != nil {
 		return nil, nil, err
 	}
 	if withDelay {
@@ -123,32 +136,46 @@ func (g *Graph) analyze(ctx context.Context, scale *Scale, clock ClockSpec, with
 	if !sequential {
 		return delay, nil, nil
 	}
-	early := g.AcquirePass().WithContext(ctx)
-	defer early.Release()
-	if err := early.arrivalsScaled(scale, canon.MinViews, sources); err != nil {
+	early, err := g.acquireFrontier()
+	if err != nil {
 		return nil, nil, err
 	}
-	if seq, err = g.slacks(late, early, clock); err != nil {
+	defer early.Release()
+	if err := early.WithContext(ctx).arrivalsScaled(scale, canon.MinViews, sources); err != nil {
+		return nil, nil, err
+	}
+	if seq, err = g.slacks(late, early, clock, perReg); err != nil {
 		return nil, nil, err
 	}
 	return delay, seq, nil
 }
 
 // slacks assembles the per-register slacks from a late and an early pass
-// and folds the worst ones. Everything is written in views of one slab —
-// slots 2k and 2k+1 hold register k's setup and hold, the last two slots
-// the worst setup and hold — so the assembly allocates the same handful of
-// objects whatever the register count.
-func (g *Graph) slacks(late, early *Pass, clock ClockSpec) (*SeqResult, error) {
+// and folds the worst ones. With perReg, everything is written in views of
+// one slab — slots 2k and 2k+1 hold register k's setup and hold, the last
+// two slots the worst setup and hold — so the assembly allocates the same
+// handful of objects whatever the register count. Without it, each
+// register's setup and hold are formed in the scratch slots of the late
+// and early pass, the worst in their second scratch slots, and only the
+// two worst forms are materialized.
+func (g *Graph) slacks(late, early *Pass, clock ClockSpec, perReg bool) (*SeqResult, error) {
 	space, n := g.Space, len(g.Registers)
 	stride := space.Stride()
-	slab := make([]float64, (2*n+2)*stride)
-	forms := make([]canon.Form, 2*n+2)
+	res := &SeqResult{Clock: clock}
+	var slab []float64
+	var forms []canon.Form
 	view := func(i int) canon.View { return slab[i*stride : (i+1)*stride] }
-	worstSetup, worstHold := view(2*n), view(2*n+1)
+	setup, hold := late.Scratch(), early.Scratch()
+	worstSetup, worstHold := late.scratch2(), early.scratch2()
+	if perReg {
+		slab = make([]float64, (2*n+2)*stride)
+		forms = make([]canon.Form, 2*n+2)
+		worstSetup, worstHold = view(2*n), view(2*n+1)
+		res.Regs = make([]RegSlack, 0, n)
+	}
 
-	res := &SeqResult{Clock: clock, Regs: make([]RegSlack, 0, n)}
 	capture := clock.PeriodPS - clock.SkewPS
+	k := 0
 	for i := range g.Registers {
 		r := &g.Registers[i]
 		if r.D < 0 || r.D >= g.NumVerts {
@@ -159,8 +186,9 @@ func (g *Graph) slacks(late, early *Pass, clock ClockSpec) (*SeqResult, error) {
 			// aggressively reduced models); the register is unconstrained.
 			continue
 		}
-		k := len(res.Regs)
-		setup, hold := view(2*k), view(2*k+1)
+		if perReg {
+			setup, hold = view(2*k), view(2*k+1)
+		}
 		setupSlack(setup, late.At(r.D), r.Setup, capture, clock.JitterPS)
 		holdSlack(hold, early.At(r.D), r.Hold, clock.SkewPS, clock.JitterPS)
 		if k == 0 {
@@ -170,17 +198,24 @@ func (g *Graph) slacks(late, early *Pass, clock ClockSpec) (*SeqResult, error) {
 			canon.MinViews(worstSetup, worstSetup, setup)
 			canon.MinViews(worstHold, worstHold, hold)
 		}
-		res.Regs = append(res.Regs, RegSlack{
-			Name:  r.Name,
-			Setup: setup.Alias(space, &forms[2*k]),
-			Hold:  hold.Alias(space, &forms[2*k+1]),
-		})
+		if perReg {
+			res.Regs = append(res.Regs, RegSlack{
+				Name:  r.Name,
+				Setup: setup.Alias(space, &forms[2*k]),
+				Hold:  hold.Alias(space, &forms[2*k+1]),
+			})
+		}
+		k++
 	}
-	if len(res.Regs) == 0 {
+	if k == 0 {
 		return nil, errors.New("timing: no register D pin reachable from any launch source")
 	}
-	res.WorstSetup = worstSetup.Alias(space, &forms[2*n])
-	res.WorstHold = worstHold.Alias(space, &forms[2*n+1])
+	if perReg {
+		res.WorstSetup = worstSetup.Alias(space, &forms[2*n])
+		res.WorstHold = worstHold.Alias(space, &forms[2*n+1])
+	} else {
+		res.WorstSetup, res.WorstHold = worstSetup.Form(space), worstHold.Form(space)
+	}
 	return res, nil
 }
 
@@ -241,7 +276,7 @@ func (g *Graph) RegToReg(workers int) (*SegMatrix, error) {
 	if !g.Sequential() {
 		return nil, errors.New("timing: graph has no registers")
 	}
-	if _, err := g.Order(); err != nil {
+	if _, err := g.frontier(); err != nil {
 		return nil, err
 	}
 	g.EdgeDelays() // build the flat delay bank before fanning out
@@ -276,7 +311,10 @@ func (g *Graph) RegToReg(workers int) (*SegMatrix, error) {
 		M:            make([][]*canon.Form, len(launches)),
 	}
 	err := ParallelFor(len(launches), workers, func(i int) error {
-		p := g.AcquirePass()
+		p, err := g.acquireFrontier()
+		if err != nil {
+			return err
+		}
 		defer p.Release()
 		if err := p.Arrivals(launches[i]); err != nil {
 			return err

@@ -305,8 +305,8 @@ func TestAnalyzeCtxCancelled(t *testing.T) {
 
 // FuzzSequentialSlacks drives the slack assembly with a random clock and
 // random edge-delay edits on a small generated clocked design: the view
-// assembly must equal the pointer-form reference bit for bit and never
-// panic. The input is the clock (period, skew, jitter bytes) followed by
+// assembly, and the worst-only fold of AnalyzeWorstCtx, must equal the
+// pointer-form reference bit for bit and never panic. The input is the clock (period, skew, jitter bytes) followed by
 // 3-byte edits: an edge, an operation and an argument.
 func FuzzSequentialSlacks(f *testing.F) {
 	f.Add([]byte{200, 0, 0})
@@ -357,6 +357,13 @@ func FuzzSequentialSlacks(f *testing.F) {
 		}
 		if d := seqDiff(got, want); d != "" {
 			t.Fatalf("clock %+v: %s", clock, d)
+		}
+		_, worst, err := g.AnalyzeWorstCtx(context.Background(), nil, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(worst.WorstSetup, want.WorstSetup) || !sameBits(worst.WorstHold, want.WorstHold) {
+			t.Fatalf("clock %+v: worst-only slacks differ from the reference", clock)
 		}
 	})
 }

@@ -217,13 +217,14 @@ func (snap *SessionSnapshot) AppendJSON(dst []byte) ([]byte, error) {
 	return append(dst, head[at+len(hole):]...), nil
 }
 
-// Encode seals the snapshot in a checksummed store envelope.
+// Encode seals the snapshot in a checksummed store envelope, written in
+// place in front of the payload.
 func (snap *SessionSnapshot) Encode() ([]byte, error) {
-	payload, err := snap.AppendJSON(nil)
+	payload, err := snap.AppendJSON(make([]byte, store.HeaderRoom(SessionSnapshotKind)))
 	if err != nil {
 		return nil, fmt.Errorf("ssta: encode session snapshot: %w", err)
 	}
-	return store.Seal(SessionSnapshotKind, SessionSnapshotVersion, payload), nil
+	return store.SealReserved(SessionSnapshotKind, SessionSnapshotVersion, payload), nil
 }
 
 // DecodeSessionSnapshot opens and decodes a sealed session snapshot.

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/mc"
 	"repro/internal/scenario"
+	"repro/internal/timing"
 )
 
 // clockedSmokeBench is a tiny hand-written sequential netlist: one
@@ -251,34 +252,50 @@ func TestClockedSessionSweepCancelled(t *testing.T) {
 // BenchmarkSequentialAnalyze measures clocked analysis on registered
 // generated benchmarks: the sequential slack pass alone (late + early
 // arrival propagation plus per-register slack assembly) on c880 and
-// c7552, and a full clocked batch item (delay plus slack) on c7552.
+// c7552, a full clocked batch item (delay plus slack) on c7552, and, for
+// comparison, the flat c7552 analysis. Each reports the pass arena one op
+// takes from the slab pools (arena-KiB): frontier arenas, sized by the
+// widest live frontier of the walk rather than by the graph.
 func BenchmarkSequentialAnalyze(b *testing.B) {
 	flow := DefaultFlow()
 	clock := ClockSpec{PeriodPS: 700, JitterPS: 8}
+	run := func(b *testing.B, op func() error) {
+		b.ReportAllocs()
+		arena := timing.ArenaBytes()
+		for i := 0; i < b.N; i++ {
+			if err := op(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(timing.ArenaBytes()-arena)/float64(b.N)/1024, "arena-KiB")
+	}
 	for _, name := range []string{"c880", "c7552"} {
 		g, _, err := flow.ClockedBenchGraph(name, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(name+"-clk", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := g.SequentialSlacks(clock); err != nil {
-					b.Fatal(err)
-				}
-			}
+			run(b, func() error {
+				_, err := g.SequentialSlacks(clock)
+				return err
+			})
 		})
 		if name != "c7552" {
 			continue
 		}
 		items := []BatchItem{{Name: name + "-clk", Graph: g}}
 		b.Run(name+"-clk-item", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if r := flow.AnalyzeBatch(items, BatchOptions{Workers: 1})[0]; r.Err != nil {
-					b.Fatal(r.Err)
-				}
-			}
+			run(b, func() error { return flow.AnalyzeBatch(items, BatchOptions{Workers: 1})[0].Err })
+		})
+		flat, _, err := flow.BenchGraph(name, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			run(b, func() error {
+				_, _, err := flat.AnalyzeCtx(context.Background(), nil, ClockSpec{}, nil)
+				return err
+			})
 		})
 	}
 }

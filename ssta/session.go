@@ -646,7 +646,7 @@ func fillSeqSlack(ctx context.Context, r *ScenarioResult, g *Graph, sc *Scenario
 	if g == nil || !g.Sequential() {
 		return nil
 	}
-	_, seq, err := g.AnalyzeCtx(ctx, nil, sc.ClockSpec(), nil)
+	_, seq, err := g.AnalyzeWorstCtx(ctx, nil, sc.ClockSpec())
 	if err != nil {
 		r.Err = err
 		return ctx.Err()
